@@ -54,7 +54,6 @@ from .strategies import (
     ef_mean,
     ef_schedule,
     gh_summary,
-    ikl_mean_exact,
     j_mean,
     j_optimal_q,
     mn_mean,
@@ -204,10 +203,10 @@ def evaluate(model, input_path, eps, max_steps, horizon, q_source, q_file, out):
             click.echo(f"conditional_mean: {summary.conditional_mean!r}")
             dist = dist_gh(pop)
         elif model == "IKL":
-            mean = ikl_mean_exact(pop, q)
-            click.echo(f"q ({q_desc}): {_format_q(q)}")
-            click.echo(f"mean: {mean!r}")
+            # One subset DP serves both: the law's finite mean is ikl_mean_exact.
             dist = dist_ikl_exact(pop, q)
+            click.echo(f"q ({q_desc}): {_format_q(q)}")
+            click.echo(f"mean: {dist.mean_finite()!r}")
         elif model == "J":
             mean = j_mean(pop, q)
             click.echo(f"q ({q_desc}): {_format_q(q)}")

@@ -95,10 +95,12 @@ def sample_target_index(pop: Population, rng: np.random.Generator) -> int:
     """Draw the hidden target's 1-based index: i with probability p_i.
 
     Consumes one uniform variate and inverts the cumulative priors, so the
-    cut points respect index order (u < p_1 selects item 1, and so on).
+    cut points respect index order (u < p_1 selects item 1, and so on). When
+    rounding leaves the last cumulative prior below u, the draw goes to the
+    last item, as in the simulation kernel.
     """
     u = rng.random()
-    return int(np.searchsorted(pop.cumulative_p, u, side="right")) + 1
+    return min(int(np.searchsorted(pop.cumulative_p, u, side="right")), pop.n - 1) + 1
 
 
 def _geometric_from_uniform(u: np.ndarray, rate: np.ndarray) -> np.ndarray:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from itertools import permutations, product
 
+import numpy as np
+
 from .population import InspectionWeights, Population
 from .strategies import Schedule, ScheduleStep
 
@@ -26,14 +28,54 @@ def ikl_mean_bruteforce(pop: Population, q: InspectionWeights) -> float:
     qv = q.q
     terms = []
     for perm in permutations(range(n)):
+        # remaining[k] = weight of perm[k:], accumulated from the back so that
+        # tiny trailing weights are not lost to cancellation against 1.
+        remaining = [0.0] * n
+        acc = 0.0
+        for k in range(n - 1, -1, -1):
+            acc += qv[perm[k]]
+            remaining[k] = acc
         prob = 1.0
-        remaining = 1.0
-        for idx in perm:
-            prob *= qv[idx] / remaining
-            remaining -= qv[idx]
+        for k, idx in enumerate(perm):
+            prob *= qv[idx] / remaining[k]
         conditional = math.fsum((k + 1) * p[idx] for k, idx in enumerate(perm))
         terms.append(prob * conditional)
     return math.fsum(terms)
+
+
+def position_probabilities_loop(q: InspectionWeights) -> np.ndarray:
+    """Scalar form of strategies.position_probabilities: M[i, k] = P(item i at position k+1).
+
+    Walks the 2^N prefix subsets in ascending mask order and, within a
+    subset, the free items in ascending index order. Every floating-point
+    operation matches the vectorised version in value and order, so the two
+    matrices agree bit for bit.
+    """
+    n = q.n
+    qv = q.q
+    size = 1 << n
+    # prefix_prob[S] = P(the first popcount(S) draws are exactly the set S).
+    prefix_prob = np.zeros(size)
+    prefix_prob[0] = 1.0
+    q_sum = np.zeros(size)
+    for mask in range(1, size):
+        low = mask & -mask
+        q_sum[mask] = q_sum[mask ^ low] + qv[low.bit_length() - 1]
+    M = np.zeros((n, n))
+    for mask in range(size - 1):
+        fm = prefix_prob[mask]
+        if fm == 0.0:
+            continue
+        k = bin(mask).count("1")
+        denom = q_sum[(size - 1) ^ mask]  # weight still in the urn
+        for i in range(n):
+            bit = 1 << i
+            if mask & bit:
+                continue
+            w = fm * qv[i] / denom
+            M[i, k] += w
+            prefix_prob[mask | bit] += w
+    return M
 
 
 def _sequence_score_and_masses(

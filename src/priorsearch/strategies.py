@@ -225,8 +225,12 @@ def position_probabilities(q: InspectionWeights, enumeration_limit: int = DEFAUL
     Successive sampling without replacement: at each step the next item is
     drawn from the remaining ones with probability proportional to q. The
     computation is an exact dynamic program over prefix subsets (2^N states),
-    not an approximation; the N! permutation sum in the test oracle
-    re-derives the same matrix independently.
+    not an approximation, vectorised one popcount level at a time. From
+    prefix set S a free item i comes next with probability q_i / q(rest),
+    where q(rest) is the sum of the remaining weights: 1 - q(S) would cancel
+    when the remaining weights are tiny. The scalar loop in the test oracle
+    yields the same matrix bit for bit, and the N! permutation sum there
+    re-derives it independently.
     """
     n = q.n
     if n > enumeration_limit:
@@ -236,27 +240,28 @@ def position_probabilities(q: InspectionWeights, enumeration_limit: int = DEFAUL
         )
     qv = q.q
     size = 1 << n
-    # prefix_prob[S] = P(the first popcount(S) draws are exactly the set S).
-    prefix_prob = np.zeros(size)
-    prefix_prob[0] = 1.0
+    masks = np.arange(size)
+    # q_sum[S] = total weight of S, added from the highest bit down: the order
+    # of the scalar recurrence q_sum[S] = q_sum[S minus lowest bit] + q[lowest].
     q_sum = np.zeros(size)
-    for mask in range(1, size):
-        low = mask & -mask
-        q_sum[mask] = q_sum[mask ^ low] + qv[low.bit_length() - 1]
+    popcount = np.zeros(size, dtype=np.int64)
+    for i in reversed(range(n)):
+        has = (masks >> i) & 1
+        q_sum += has * qv[i]
+        popcount += has
+    bits = 1 << np.arange(n)
     M = np.zeros((n, n))
-    for mask in range(size - 1):
-        fm = prefix_prob[mask]
-        if fm == 0.0:
-            continue
-        k = bin(mask).count("1")
-        denom = 1.0 - q_sum[mask]
-        for i in range(n):
-            bit = 1 << i
-            if mask & bit:
-                continue
-            w = fm * qv[i] / denom
-            M[i, k] += w
-            prefix_prob[mask | bit] += w
+    # prefix[S] = P(the first popcount(S) draws are exactly the set S).
+    prefix = np.zeros(size)
+    prefix[0] = 1.0
+    for k in range(n):
+        level = np.flatnonzero(popcount == k)  # ascending masks
+        # W[r, i] = P(prefix set level[r], then item i); zero where i is taken.
+        # Both reductions add in ascending mask order, as the oracle's scalar loop does.
+        W = (prefix[level, None] * qv) / q_sum[(size - 1) ^ level, None]
+        W[level[:, None] & bits != 0] = 0.0
+        M[:, k] = W.sum(axis=0)
+        prefix = np.bincount((level[:, None] | bits).ravel(), weights=W.ravel(), minlength=size)
     return M
 
 

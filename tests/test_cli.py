@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from priorsearch import mn_optimal_q
+from priorsearch import ikl_mean_exact, mn_optimal_q, uniform_weights
 from priorsearch.cli import main
 from priorsearch.ordering import ef_op_incomparable_population
 from priorsearch.population import load_population, save_population_csv
@@ -67,6 +67,17 @@ class TestEvaluate:
         )
         assert result.exit_code == 0
         assert float(get_line(result.output, "mean:")) == pytest.approx(2.0, abs=1e-12)
+
+    def test_ikl_mean_line_is_exact_mean_repr(self, runner, tmp_path):
+        path = tmp_path / "pop7.csv"
+        p = np.random.default_rng(3).dirichlet(np.ones(7))
+        path.write_text("id,p\n" + "".join(f"i{k},{v!r}\n" for k, v in enumerate(p.tolist())))
+        pop = load_population(str(path)).population
+        result = runner.invoke(
+            main, ["evaluate", "--model", "IKL", "--input", str(path), "--uniform-q"]
+        )
+        assert result.exit_code == 0
+        assert get_line(result.output, "mean:") == repr(ikl_mean_exact(pop, uniform_weights(7)))
 
     def test_enumerable_model_rejects_weights(self, runner, pop_csv):
         result = runner.invoke(

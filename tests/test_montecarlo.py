@@ -65,6 +65,17 @@ class TestSampleTargetIndex:
         assert sample_target_index(pop, FixedU(0.6)) == 2
         assert sample_target_index(pop, FixedU(0.95)) == 3
 
+    def test_largest_uniform_below_rounded_total_picks_last_item(self):
+        pop = validate_population(np.full(10, 0.1))
+        u = 1.0 - 2.0**-53
+        assert pop.cumulative_p[-1] <= u
+
+        class FixedU:
+            def random(self):
+                return u
+
+        assert sample_target_index(pop, FixedU()) == 10
+
     def test_frequencies_within_binomial_bound(self):
         # 4 sigma two-sided bound for a fair coin.
         pop = validate_population([0.5, 0.5])

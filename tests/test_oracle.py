@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from priorsearch import (
     InspectionWeights,
@@ -15,8 +18,10 @@ from priorsearch.oracle import (
     ef_best_schedule_bruteforce,
     geometric_mean_bruteforce,
     ikl_mean_bruteforce,
+    position_probabilities_loop,
     truncated_schedule_score,
 )
+from priorsearch.strategies import position_probabilities
 
 from conftest import random_population, random_simplex
 
@@ -45,6 +50,80 @@ class TestIklBruteforce:
             pop = random_population(rng, n, perfect=True)
             q = InspectionWeights(q=random_simplex(rng, n))
             assert abs(ikl_mean_bruteforce(pop, q) - ikl_mean_exact(pop, q)) <= 1e-10
+
+
+@st.composite
+def sampling_weights(draw, max_n=10):
+    """Balanced, Dirichlet, or Dirichlet with some weights floored at 1e-9 / 1e-12."""
+    n = draw(st.integers(1, max_n))
+    kind = draw(st.sampled_from(["balanced", "dirichlet", "floored"]))
+    if kind == "balanced":
+        x = np.asarray(draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n)))
+    else:
+        x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).dirichlet(np.ones(n))
+    if kind == "floored":
+        floor = draw(st.sampled_from([1e-9, 1e-12]))
+        tiny = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+        x[tiny] = floor
+    return InspectionWeights(q=x / math.fsum(x.tolist()))
+
+
+def position_probabilities_fraction(q: InspectionWeights) -> list[list[Fraction]]:
+    """The successive-sampling position law in exact rationals of the float weights."""
+    qv = [Fraction(v) for v in q.q.tolist()]
+    n = len(qv)
+    prefix = {0: Fraction(1)}
+    M = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(n):
+        nxt: dict[int, Fraction] = {}
+        for mask, fm in prefix.items():
+            rest = sum((qv[i] for i in range(n) if not mask >> i & 1), Fraction(0))
+            for i in range(n):
+                if not mask >> i & 1:
+                    w = fm * qv[i] / rest
+                    M[i][k] += w
+                    nxt[mask | 1 << i] = nxt.get(mask | 1 << i, Fraction(0)) + w
+        prefix = nxt
+    return M
+
+
+class TestPositionProbabilities:
+    @given(sampling_weights())
+    def test_vectorised_dp_matches_scalar_loop_bitwise(self, q):
+        assert np.array_equal(position_probabilities(q), position_probabilities_loop(q))
+
+    @given(sampling_weights())
+    def test_rows_and_columns_sum_to_one(self, q):
+        # Each item takes exactly one position and each position exactly one item.
+        M = position_probabilities(q)
+        assert np.max(np.abs(M.sum(axis=1) - 1.0)) <= 1e-12
+        assert np.max(np.abs(M.sum(axis=0) - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_bitwise_at_every_size(self, rng, n):
+        q = InspectionWeights(q=random_simplex(rng, n))
+        assert np.array_equal(position_probabilities(q), position_probabilities_loop(q))
+
+    @pytest.mark.parametrize("floor", [1e-9, 1e-12])
+    def test_matches_exact_rationals_with_skewed_weights(self, rng, floor):
+        for n in range(2, 8):
+            x = rng.dirichlet(np.full(n, 0.3))
+            x[: n // 2] = floor  # most of the mass sits on the other items
+            q = InspectionWeights(q=x / math.fsum(x.tolist()))
+            exact = position_probabilities_fraction(q)
+            M = position_probabilities(q)
+            for i in range(n):
+                for k in range(n):
+                    want = exact[i][k]
+                    assert abs(Fraction(float(M[i, k])) - want) <= Fraction(1, 10**14) * want
+
+    def test_floored_weights_are_drawn_last(self):
+        # Items 3 and 4 come first in either order, then items 1 and 2:
+        # mean 3.5 (0.4 + 0.3) + 1.5 (0.2 + 0.1) = 2.9, up to O(1e-12).
+        pop = validate_population([0.4, 0.3, 0.2, 0.1])
+        q = InspectionWeights(q=np.array([1e-12, 1e-12, 0.5, 0.5]))
+        assert abs(ikl_mean_exact(pop, q) - 2.9) <= 1e-10
+        assert abs(ikl_mean_bruteforce(pop, q) - 2.9) <= 1e-10
 
 
 class TestEfBruteforce:
