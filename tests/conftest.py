@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import HealthCheck, settings
 
 from priorsearch import Population, validate_population
@@ -36,3 +37,26 @@ def random_simplex(rng: np.random.Generator, n: int, floor: float = 1e-3) -> np.
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+POP_CSV_TEXT = "id,p,s\na,0.5,1\nb,0.3,1\nc,0.2,0.5\n"
+PERFECT_CSV_TEXT = "id,p\na,0.5\nb,0.3\nc,0.2\n"
+
+
+@pytest.fixture
+def runner():
+    return CliRunner()
+
+
+@pytest.fixture
+def pop_csv(tmp_path):
+    path = tmp_path / "pop.csv"
+    path.write_text(POP_CSV_TEXT)
+    return str(path)
+
+
+@pytest.fixture
+def perfect_csv(tmp_path):
+    path = tmp_path / "perfect.csv"
+    path.write_text(PERFECT_CSV_TEXT)
+    return str(path)

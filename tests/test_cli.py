@@ -2,31 +2,11 @@ import json
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from priorsearch import ikl_mean_exact, mn_optimal_q, uniform_weights
 from priorsearch.cli import main
 from priorsearch.ordering import ef_op_incomparable_population
 from priorsearch.population import load_population, save_population_csv
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
-
-
-@pytest.fixture
-def pop_csv(tmp_path):
-    path = tmp_path / "pop.csv"
-    path.write_text("id,p,s\na,0.5,1\nb,0.3,1\nc,0.2,0.5\n")
-    return str(path)
-
-
-@pytest.fixture
-def perfect_csv(tmp_path):
-    path = tmp_path / "perfect.csv"
-    path.write_text("id,p\na,0.5\nb,0.3\nc,0.2\n")
-    return str(path)
 
 
 def get_line(output, prefix):
