@@ -3,32 +3,19 @@
 
 Simulates all seven models on a random population and prints the sup
 distance between empirical and exact detection-conditioned cdfs next to the
-DKW band.
+DKW band. Exits 1 when any model's distance exceeds its band (MISMATCH).
 
 Usage: python scripts/mc_crosscheck.py [--seed SEED] [--size N] [--reps R]
 """
 
 import argparse
+import sys
 
 import numpy as np
 
-from priorsearch import (
-    SimConfig,
-    dist_abcd,
-    dist_ef,
-    dist_gh,
-    dist_ikl_exact,
-    dist_j,
-    dist_mn,
-    dist_op_exact,
-    dkw_band,
-    ef_schedule,
-    j_optimal_q,
-    mn_optimal_q,
-    simulate,
-    uniform_weights,
-    validate_population,
-)
+from priorsearch import SimConfig, dkw_band, simulate, uniform_weights, validate_population
+from priorsearch.models import MODELS
+from priorsearch.strategies import DEFAULT_EF_EPS, DEFAULT_EF_MAX_STEPS
 
 
 def main():
@@ -43,20 +30,16 @@ def main():
     pop = validate_population(
         rng.dirichlet(np.ones(args.size)), rng.uniform(0.3, 1.0, size=args.size)
     )
-    qu = uniform_weights(args.size)
-    cases = {
-        "ABCD": (None, dist_abcd(pop)),
-        "EF": (None, dist_ef(ef_schedule(pop))),
-        "GH": (None, dist_gh(pop)),
-        "IKL": (qu, dist_ikl_exact(pop, qu)),
-        "J": (j_optimal_q(pop), dist_j(pop, j_optimal_q(pop))),
-        "MN": (mn_optimal_q(pop), dist_mn(pop, mn_optimal_q(pop))),
-        "OP": (qu, dist_op_exact(pop, qu)),
-    }
     print(f"population: p={np.round(pop.p, 4)} s={np.round(pop.s, 4)}")
     print(f"{'model':>6} {'sup|F^-F|':>12} {'band':>10} {'censored':>9} {'emp mean':>10} {'exact':>10}")
-    for model, (q, exact) in cases.items():
-        emp = simulate(pop, SimConfig(model=model, reps=args.reps, seed=args.seed, q=q))
+    mismatch = False
+    for model in MODELS.values():
+        # Closed-form optimal weights where the model has them, uniform otherwise.
+        q = None
+        if model.takes_q:
+            q = model.optimal_q(pop) if model.optimal_q else uniform_weights(args.size)
+        exact = model.law(pop, q, eps=DEFAULT_EF_EPS, max_steps=DEFAULT_EF_MAX_STEPS, horizon=None)
+        emp = simulate(pop, SimConfig(model=model.label, reps=args.reps, seed=args.seed, q=q))
         upto = max(exact.horizon, max(emp.counts, default=1))
         finite = 1.0 - exact.atom_at_infinity
         sup = float(
@@ -64,12 +47,14 @@ def main():
         )
         band = dkw_band(emp.detected, args.alpha)
         exact_mean = exact.conditional_on_detection().mean_finite()
-        flag = "ok" if sup <= band else "MISMATCH"
+        bad = sup > band
+        mismatch |= bad
         print(
-            f"{model:>6} {sup:12.5f} {band:10.5f} {emp.censored:9d} "
-            f"{emp.mean_detected:10.4f} {exact_mean:10.4f}  {flag}"
+            f"{model.label:>6} {sup:12.5f} {band:10.5f} {emp.censored:9d} "
+            f"{emp.mean_detected:10.4f} {exact_mean:10.4f}  {'MISMATCH' if bad else 'ok'}"
         )
+    return 1 if mismatch else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -23,17 +23,9 @@ import click
 import numpy as np
 
 from . import __version__
-from .distributions import (
-    dist_abcd,
-    dist_ef,
-    dist_gh,
-    dist_ikl_exact,
-    dist_j,
-    dist_mn,
-    dist_op_exact,
-    write_distribution_csv,
-)
-from .montecarlo import MODELS, Q_MODELS, SimConfig, dkw_check, simulate, write_empirical_csv
+from .distributions import InspectionDistribution, write_distribution_csv
+from .models import LABELS, MODELS, Model
+from .montecarlo import SimConfig, dkw_check, simulate, write_empirical_csv
 from .ordering import ComparisonTruncationError, dominance_report
 from .population import (
     DecompositionError,
@@ -48,17 +40,11 @@ from .population import (
     uniform_weights,
 )
 from .strategies import (
+    DEFAULT_EF_EPS,
+    DEFAULT_EF_MAX_STEPS,
     EnumerationLimitError,
     ScheduleTruncationError,
-    abcd_policy,
-    ef_mean,
-    ef_schedule,
-    gh_summary,
-    j_mean,
-    j_optimal_q,
-    mn_mean,
-    mn_optimal_q,
-    op_summary,
+    descending_prior_order,
 )
 
 EXIT_VALIDATION = 2
@@ -104,16 +90,15 @@ def _load_pop(input_path: str):
 
 
 def _resolve_q(
-    model: str,
+    model: Model,
     pop: Population,
     q_source: str | None,
     q_file: str | None,
 ) -> tuple[InspectionWeights | None, str]:
     """Pick inspection weights for the model, honoring the q flags."""
-    takes_q = model in Q_MODELS
-    if not takes_q:
+    if not model.takes_q:
         if q_source or q_file:
-            _fail(EXIT_VALIDATION, f"model {model} does not take inspection weights")
+            _fail(EXIT_VALIDATION, f"model {model.label} does not take inspection weights")
         return None, "none"
     if q_file:
         try:
@@ -125,17 +110,15 @@ def _resolve_q(
         return q, f"file:{q_file}"
     if q_source == "uniform":
         return uniform_weights(pop.n), "uniform"
-    if model in ("J", "MN"):
+    if model.optimal_q is not None:
         # Mean-optimal weights exist in closed form; they are the default.
-        if q_source in (None, "optimal"):
-            q = j_optimal_q(pop) if model == "J" else mn_optimal_q(pop)
-            return q, "optimal"
+        return model.optimal_q(pop), "optimal"
     if q_source == "optimal":
         _fail(
             EXIT_VALIDATION,
-            f"model {model} has no closed-form optimal weights; use --uniform-q or --q-file",
+            f"model {model.label} has no closed-form optimal weights; use --uniform-q or --q-file",
         )
-    _fail(EXIT_VALIDATION, f"model {model} requires --uniform-q or --q-file")
+    _fail(EXIT_VALIDATION, f"model {model.label} requires --uniform-q or --q-file")
 
 
 def _q_flags(fn):
@@ -152,13 +135,29 @@ def _format_q(q: InspectionWeights) -> str:
     return " ".join(f"{v:.6f}" for v in q.q)
 
 
-def _defective_line(summary) -> str:
-    if summary.mean_is_infinite:
-        return (
-            f"mean: ∞ (detect_prob={summary.detect_prob:.3f}, "
-            f"conditional mean={summary.conditional_mean:.3f})"
-        )
-    return f"mean: {summary.conditional_mean!r}"
+def _summary_lines(
+    model: Model, pop: Population, q: InspectionWeights | None, law: InspectionDistribution
+) -> list[str]:
+    """What evaluate prints about the model's inspection count, after the q line."""
+    if model.thins is not None:
+        detect = min(pop.detect_prob, 1.0)
+        cond = law.conditional_on_detection().mean_finite()
+        if detect < 1.0 - 1e-12:
+            head = f"mean: ∞ (detect_prob={detect:.3f}, conditional mean={cond:.3f})"
+        else:
+            head = f"mean: {cond!r}"
+        return [head, f"detect_prob: {detect!r}", f"conditional_mean: {cond!r}"]
+    if model.walk == "schedule":
+        return [
+            f"schedule steps: {law.horizon}",
+            f"partial mean: {law.mean_finite()!r}",
+            f"residual mass: {law.atom_at_infinity!r}",
+        ]
+    mean = law.mean_finite() if model.closed_mean is None else model.closed_mean(pop, q)
+    lines = [f"mean: {mean!r}"]
+    if model.walk == "order":
+        lines.insert(0, "order: " + " ".join(pop.ids[i - 1] for i in descending_prior_order(pop)))
+    return lines
 
 
 @click.group()
@@ -168,7 +167,7 @@ def main():
 
 
 @main.command()
-@click.option("--model", type=click.Choice(MODELS), required=True)
+@click.option("--model", type=click.Choice(LABELS), required=True)
 @click.option("--input", "input_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--eps", type=float, default=1e-12, show_default=True,
               help="EF schedule truncation target.")
@@ -179,55 +178,20 @@ def main():
 def evaluate(model, input_path, eps, max_steps, horizon, q_source, q_file, out):
     """Optimal policy, exact mean, and optionally the exact distribution."""
     pop = _load_pop(input_path).population
-    q, q_desc = _resolve_q(model, pop, q_source, q_file)
+    m = MODELS[model]
+    q, q_desc = _resolve_q(m, pop, q_source, q_file)
     click.echo(f"model: {model}")
     click.echo(f"items: {pop.n}")
-    dist = None
     try:
-        if model == "ABCD":
-            policy, mean = abcd_policy(pop)
-            click.echo("order: " + " ".join(pop.ids[i - 1] for i in policy.order))
-            click.echo(f"mean: {mean!r}")
-            dist = dist_abcd(pop)
-        elif model == "EF":
-            sched = ef_schedule(pop, eps=eps, max_steps=max_steps)
-            partial, residual = ef_mean(sched)
-            click.echo(f"schedule steps: {len(sched.steps)}")
-            click.echo(f"partial mean: {partial!r}")
-            click.echo(f"residual mass: {residual!r}")
-            dist = dist_ef(sched)
-        elif model == "GH":
-            summary = gh_summary(pop)
-            click.echo(_defective_line(summary))
-            click.echo(f"detect_prob: {summary.detect_prob!r}")
-            click.echo(f"conditional_mean: {summary.conditional_mean!r}")
-            dist = dist_gh(pop)
-        elif model == "IKL":
-            # One subset DP serves both: the law's finite mean is ikl_mean_exact.
-            dist = dist_ikl_exact(pop, q)
-            click.echo(f"q ({q_desc}): {_format_q(q)}")
-            click.echo(f"mean: {dist.mean_finite()!r}")
-        elif model == "J":
-            mean = j_mean(pop, q)
-            click.echo(f"q ({q_desc}): {_format_q(q)}")
-            click.echo(f"mean: {mean!r}")
-            dist = dist_j(pop, q, horizon)
-        elif model == "MN":
-            mean = mn_mean(pop, q)
-            click.echo(f"q ({q_desc}): {_format_q(q)}")
-            click.echo(f"mean: {mean!r}")
-            dist = dist_mn(pop, q, horizon)
-        elif model == "OP":
-            summary = op_summary(pop, q)
-            click.echo(f"q ({q_desc}): {_format_q(q)}")
-            click.echo(_defective_line(summary))
-            click.echo(f"detect_prob: {summary.detect_prob!r}")
-            click.echo(f"conditional_mean: {summary.conditional_mean!r}")
-            dist = dist_op_exact(pop, q)
+        dist = m.law(pop, q, eps=eps, max_steps=max_steps, horizon=horizon)
     except EnumerationLimitError as exc:
         _fail(EXIT_ENUMERATION, f"{exc}; use `priorsearch simulate` for this population")
     except (ScheduleTruncationError, ValueError) as exc:
         _fail(EXIT_VALIDATION, str(exc))
+    if q is not None:
+        click.echo(f"q ({q_desc}): {_format_q(q)}")
+    for line in _summary_lines(m, pop, q, dist):
+        click.echo(line)
     if out:
         out_dir = Path(out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -250,14 +214,12 @@ def evaluate(model, input_path, eps, max_steps, horizon, q_source, q_file, out):
 
 
 @main.command(name="simulate")
-@click.option("--model", type=click.Choice(MODELS), required=True)
+@click.option("--model", type=click.Choice(LABELS), required=True)
 @click.option("--input", "input_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--reps", type=int, required=True)
 @click.option("--seed", type=int, required=True,
               help="Replication streams derive from this seed; no entropy defaults.")
 @click.option("--max-steps", type=int, default=10**7, show_default=True)
-@click.option("--eps", type=float, default=1e-12, show_default=True,
-              help="EF schedule truncation target (simulation and exact check).")
 @click.option("--horizon", type=int, default=None, help="Horizon for the exact J/MN law in --check-exact.")
 @click.option("--alpha", type=float, default=0.001, show_default=True,
               help="DKW band level for --check-exact.")
@@ -265,10 +227,11 @@ def evaluate(model, input_path, eps, max_steps, horizon, q_source, q_file, out):
 @click.option("--out", type=click.Path(file_okay=False), help="Directory for empirical CSV and manifest.")
 @click.option("--check-exact", is_flag=True,
               help="Compare the empirical law against the exact one (exit 3 on mismatch).")
-def simulate_cmd(model, input_path, reps, seed, max_steps, eps, horizon, alpha, q_source, q_file, out, check_exact):
+def simulate_cmd(model, input_path, reps, seed, max_steps, horizon, alpha, q_source, q_file, out, check_exact):
     """Seeded Monte Carlo simulation of a model's inspection process."""
     pop = _load_pop(input_path).population
-    q, q_desc = _resolve_q(model, pop, q_source, q_file)
+    m = MODELS[model]
+    q, q_desc = _resolve_q(m, pop, q_source, q_file)
     try:
         cfg = SimConfig(model=model, reps=reps, seed=seed, max_steps=max_steps, q=q)
         emp = simulate(pop, cfg)
@@ -285,7 +248,6 @@ def simulate_cmd(model, input_path, reps, seed, max_steps, eps, horizon, alpha, 
         "reps": reps,
         "seed": seed,
         "max_steps": max_steps,
-        "eps": eps,
         "horizon": horizon,
         "alpha": alpha,
         "q_source": q_desc,
@@ -302,7 +264,10 @@ def simulate_cmd(model, input_path, reps, seed, max_steps, eps, horizon, alpha, 
         click.echo(f"wrote {out_dir / emp_name}")
     if check_exact:
         try:
-            exact = _exact_law(model, pop, q, eps, max_steps, horizon)
+            # The law of the schedule the simulation walks (see montecarlo.simulate).
+            exact = m.law(
+                pop, q, eps=DEFAULT_EF_EPS, max_steps=min(max_steps, DEFAULT_EF_MAX_STEPS), horizon=horizon
+            )
         except EnumerationLimitError as exc:
             _fail(EXIT_ENUMERATION, f"{exc}; no exact law available to check against")
         except (ScheduleTruncationError, ValueError) as exc:
@@ -311,24 +276,6 @@ def simulate_cmd(model, input_path, reps, seed, max_steps, eps, horizon, alpha, 
         click.echo(f"dkw check: {'PASS' if ok else 'FAIL'} (alpha={alpha})")
         if not ok:
             sys.exit(EXIT_MISMATCH)
-
-
-def _exact_law(model, pop, q, eps, max_steps, horizon):
-    if model == "ABCD":
-        return dist_abcd(pop)
-    if model == "EF":
-        return dist_ef(ef_schedule(pop, eps=eps, max_steps=min(max_steps, 10**6)))
-    if model == "GH":
-        return dist_gh(pop)
-    if model == "IKL":
-        return dist_ikl_exact(pop, q)
-    if model == "J":
-        return dist_j(pop, q, horizon)
-    if model == "MN":
-        return dist_mn(pop, q, horizon)
-    if model == "OP":
-        return dist_op_exact(pop, q)
-    raise AssertionError(model)
 
 
 @main.command()
@@ -345,18 +292,8 @@ def _exact_law(model, pop, q, eps, max_steps, horizon):
 def order(input_path, tol, eps, horizon, q_source, q_file, out):
     """Pairwise dominance report; exit 3 if any expected relation fails."""
     pop = _load_pop(input_path).population
-    if q_file:
-        try:
-            q = load_weights_csv(q_file)
-        except (PopulationError, OSError) as exc:
-            _fail(EXIT_VALIDATION, str(exc))
-        q_desc = f"file:{q_file}"
-    elif q_source == "optimal":
-        q = mn_optimal_q(pop)
-        q_desc = "optimal"
-    else:
-        q = uniform_weights(pop.n)
-        q_desc = "uniform"
+    # One q for all four democratic models: uniform unless asked for MN's optimum.
+    q, q_desc = _resolve_q(MODELS["MN"], pop, q_source or "uniform", q_file)
     try:
         report = dominance_report(pop, q=q, tol=tol, ef_eps=eps, horizon=horizon)
     except EnumerationLimitError as exc:
@@ -428,7 +365,8 @@ def bayes(input_path, likelihood_path, out):
 
 @profile.command()
 @click.option("--input", "input_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--target", type=click.Choice(["optimal-J", "optimal-MN", "uniform"]),
+@click.option("--target", type=click.Choice([f"optimal-{m.label}" for m in MODELS.values() if m.optimal_q]
+                                           + ["uniform"]),
               default="optimal-J", show_default=True,
               help="Which inspection weights the decomposition should induce.")
 @click.option("--q-file", type=click.Path(exists=True, dir_okay=False),
@@ -446,16 +384,11 @@ def decompose(input_path, target, q_file, scale, out):
     try:
         if q_file:
             target_q = load_weights_csv(q_file)
-            target_desc = f"file:{q_file}"
-        elif target == "optimal-J":
-            target_q = j_optimal_q(pop)
-            target_desc = target
-        elif target == "optimal-MN":
-            target_q = mn_optimal_q(pop)
-            target_desc = target
-        else:
+        elif target == "uniform":
             target_q = uniform_weights(pop.n)
-            target_desc = target
+        else:
+            target_q = MODELS[target.removeprefix("optimal-")].optimal_q(pop)
+        target_desc = f"file:{q_file}" if q_file else target
         decomp = solve_conditional_inspection(lam, target_q, scale=scale)
     except DecompositionError as exc:
         _fail(EXIT_VALIDATION, str(exc))

@@ -20,12 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from .population import InspectionWeights, Population
-from .strategies import (
-    DEFAULT_ENUMERATION_LIMIT,
-    Schedule,
-    descending_prior_order,
-    position_probabilities,
-)
+from .strategies import Schedule, descending_prior_order, position_probabilities
 
 MASS_BALANCE_TOL = 1e-9
 DEFAULT_TAIL_EPS = 1e-12
@@ -185,25 +180,17 @@ def dist_mn(pop: Population, q: InspectionWeights, horizon: int | None = None) -
     return _geometric_mixture_dist(pop, pop.s * q.q, horizon)
 
 
-def dist_ikl_exact(
-    pop: Population,
-    q: InspectionWeights,
-    enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
-) -> InspectionDistribution:
+def dist_ikl_exact(pop: Population, q: InspectionWeights) -> InspectionDistribution:
     """Exact law of the without-replacement democratic model at weights q."""
     if pop.n != q.n:
         raise ValueError(f"population size {pop.n} != weights size {q.n}")
-    M = position_probabilities(q, enumeration_limit)
+    M = position_probabilities(q)
     pos = pop.p @ M
     pmf = {k + 1: float(v) for k, v in enumerate(pos)}
     return InspectionDistribution(pmf=pmf, atom_at_infinity=0.0, horizon=pop.n)
 
 
-def dist_op_exact(
-    pop: Population,
-    q: InspectionWeights,
-    enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
-) -> InspectionDistribution:
+def dist_op_exact(pop: Population, q: InspectionWeights) -> InspectionDistribution:
     """Exact process law of model OP at weights q.
 
     The target sits at a random permutation position; when inspected there it
@@ -217,7 +204,7 @@ def dist_op_exact(
     """
     if pop.n != q.n:
         raise ValueError(f"population size {pop.n} != weights size {q.n}")
-    M = position_probabilities(q, enumeration_limit)
+    M = position_probabilities(q)
     pos = (pop.s * pop.p) @ M
     pmf = {k + 1: float(v) for k, v in enumerate(pos)}
     atom = math.fsum(((1.0 - pop.s) * pop.p).tolist())

@@ -27,13 +27,19 @@ from typing import Mapping
 import numpy as np
 
 from .distributions import InspectionDistribution
+from .models import LABELS, MODELS, Model
 from .population import InspectionWeights, Population
-from .strategies import DEFAULT_EF_EPS, DEFAULT_EF_MAX_STEPS, Schedule, ef_schedule
-
-MODELS = ("ABCD", "EF", "GH", "IKL", "J", "MN", "OP")
-Q_MODELS = ("IKL", "J", "MN", "OP")
+from .strategies import (
+    DEFAULT_EF_EPS,
+    DEFAULT_EF_MAX_STEPS,
+    Schedule,
+    descending_prior_order,
+    ef_schedule,
+)
 
 CHUNK = 4096
+# Step of a replication whose walk never reaches the target; above any max_steps.
+NEVER = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -46,15 +52,17 @@ class SimConfig:
 
     def __post_init__(self):
         if self.model not in MODELS:
-            raise ValueError(f"unknown model {self.model!r}; expected one of {MODELS}")
+            raise ValueError(f"unknown model {self.model!r}; expected one of {LABELS}")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
-        needs_q = self.model in Q_MODELS
-        if needs_q and self.q is None:
+        # Attempt counts are drawn as floats and capped at max_steps + 1, which
+        # float64 holds exactly below 2**53.
+        if not 1 <= self.max_steps < 2**53:
+            raise ValueError("max_steps must be in [1, 2**53)")
+        takes_q = MODELS[self.model].takes_q
+        if takes_q and self.q is None:
             raise ValueError(f"model {self.model} requires inspection weights q")
-        if not needs_q and self.q is not None:
+        if not takes_q and self.q is not None:
             raise ValueError(f"model {self.model} does not take inspection weights")
 
 
@@ -103,14 +111,18 @@ def sample_target_index(pop: Population, rng: np.random.Generator) -> int:
     return min(int(np.searchsorted(pop.cumulative_p, u, side="right")), pop.n - 1) + 1
 
 
-def _geometric_from_uniform(u: np.ndarray, rate: np.ndarray) -> np.ndarray:
-    """Attempt count T >= 1 with P(T = j) = (1-rate)^(j-1) rate, via inversion."""
+def _geometric_from_uniform(u: np.ndarray, rate: np.ndarray, max_steps: int) -> np.ndarray:
+    """Attempt count T >= 1 with P(T = j) = (1-rate)^(j-1) rate, via inversion.
+
+    Counts beyond ``max_steps`` come back as ``max_steps + 1``: a tiny rate
+    would otherwise overflow the int64 cast into a negative count.
+    """
     out = np.ones_like(u, dtype=np.int64)
     partial = rate < 1.0
     if np.any(partial):
         with np.errstate(divide="ignore"):
             raw = np.ceil(np.log1p(-u[partial]) / np.log1p(-rate[partial]))
-        out[partial] = np.maximum(raw, 1.0).astype(np.int64)
+        out[partial] = np.clip(raw, 1.0, max_steps + 1).astype(np.int64)
     return out
 
 
@@ -124,75 +136,53 @@ def _ef_attempt_table(sched: Schedule, n: int) -> list[np.ndarray]:
 
 def _simulate_chunk(
     pop: Population,
+    model: Model,
     cfg: SimConfig,
     rng: np.random.Generator,
     m: int,
     ef_table: list[np.ndarray] | None,
 ) -> tuple[np.ndarray, int]:
-    """Detected steps for one chunk (censored replications dropped)."""
-    p = pop.p
+    """Detected steps for one chunk (censored replications dropped).
+
+    The chunk draws the target uniforms, then the walk's own draws, then a
+    defective model's recognition coins.
+    """
     s = pop.s
     n = pop.n
     target = np.minimum(
         np.searchsorted(pop.cumulative_p, rng.random(m), side="right"), n - 1
     )
-    model = cfg.model
-    if model in ("ABCD", "GH"):
+    if model.walk == "order":
         rank = np.empty(n, dtype=np.int64)
-        order = sorted(range(n), key=lambda i: (-p[i], i))
-        for k, item in enumerate(order):
-            rank[item] = k + 1
+        rank[np.asarray(descending_prior_order(pop)) - 1] = np.arange(1, n + 1)
         steps = rank[target]
-        if model == "ABCD":
-            detected = steps <= cfg.max_steps
-        else:
-            detected = (rng.random(m) < s[target]) & (steps <= cfg.max_steps)
-        return steps[detected], int(m - detected.sum())
-    if model == "EF":
-        assert ef_table is not None
-        attempts = _geometric_from_uniform(rng.random(m), s[target])
-        steps = np.zeros(m, dtype=np.int64)
-        detected = np.zeros(m, dtype=bool)
-        for i in range(n):
-            sel = target == i
-            if not sel.any():
-                continue
-            table = ef_table[i]
-            a = attempts[sel]
-            ok = a <= table.size
-            idx = np.where(sel)[0]
-            steps[idx[ok]] = table[a[ok] - 1]
-            detected[idx] = ok
-        detected &= steps <= cfg.max_steps
-        return steps[detected], int(m - detected.sum())
-    if model in ("J", "MN"):
-        q = cfg.q.q
-        rate = q[target] if model == "J" else q[target] * s[target]
-        steps = _geometric_from_uniform(rng.random(m), rate)
-        detected = steps <= cfg.max_steps
-        return steps[detected], int(m - detected.sum())
-    if model in ("IKL", "OP"):
-        q = cfg.q.q
+    elif model.walk == "schedule":
+        attempts = _geometric_from_uniform(rng.random(m), s[target], cfg.max_steps)
+        steps = np.full(m, NEVER)
+        for i, table in enumerate(ef_table):
+            idx = np.flatnonzero((target == i) & (attempts <= table.size))
+            steps[idx] = table[attempts[idx] - 1]
+    elif model.walk == "geometric":
+        steps = _geometric_from_uniform(rng.random(m), model.rate(pop, cfg.q)[target], cfg.max_steps)
+    else:
         # Successive sampling as an exponential race: item i is drawn in
         # ascending order of E_i / q_i with E_i iid standard exponential,
         # which reproduces the without-replacement law exactly.
-        keys = rng.standard_exponential((m, n)) / q
-        target_keys = keys[np.arange(m), target]
-        steps = (keys <= target_keys[:, None]).sum(axis=1).astype(np.int64)
-        if model == "OP":
-            detected = (rng.random(m) < s[target]) & (steps <= cfg.max_steps)
-        else:
-            detected = steps <= cfg.max_steps
-        return steps[detected], int(m - detected.sum())
-    raise AssertionError(f"unhandled model {model!r}")
+        keys = rng.standard_exponential((m, n)) / cfg.q.q
+        steps = (keys <= keys[np.arange(m), target][:, None]).sum(axis=1)
+    detected = steps <= cfg.max_steps
+    if model.thins is not None:
+        detected &= rng.random(m) < s[target]
+    return steps[detected], int(m - detected.sum())
 
 
 def simulate(pop: Population, cfg: SimConfig) -> EmpiricalResult:
     """Run ``cfg.reps`` independent replications of the model's process."""
     if cfg.q is not None and cfg.q.n != pop.n:
         raise ValueError(f"weights size {cfg.q.n} != population size {pop.n}")
+    model = MODELS[cfg.model]
     ef_table = None
-    if cfg.model == "EF":
+    if model.walk == "schedule":
         sched = ef_schedule(
             pop, eps=DEFAULT_EF_EPS, max_steps=min(cfg.max_steps, DEFAULT_EF_MAX_STEPS)
         )
@@ -204,7 +194,7 @@ def simulate(pop: Population, cfg: SimConfig) -> EmpiricalResult:
     for c in range(n_chunks):
         size = min(CHUNK, cfg.reps - c * CHUNK)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(c,)))
-        steps, cens = _simulate_chunk(pop, cfg, rng, size, ef_table)
+        steps, cens = _simulate_chunk(pop, model, cfg, rng, size, ef_table)
         censored += cens
         if steps.size:
             values, reps_at = np.unique(steps, return_counts=True)

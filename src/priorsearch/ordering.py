@@ -38,24 +38,16 @@ from typing import Mapping
 
 import numpy as np
 
-from .distributions import (
-    InspectionDistribution,
-    dist_abcd,
-    dist_ef,
-    dist_ikl_exact,
-    dist_j,
-    dist_mn,
-    thin_by_detection,
-)
+from .distributions import InspectionDistribution, thin_by_detection
+from .models import LABELS as MODEL_LABELS
+from .models import MODELS
 from .population import InspectionWeights, Population, uniform_weights, validate_population
-from .strategies import DEFAULT_ENUMERATION_LIMIT, ef_schedule
+from .strategies import DEFAULT_EF_MAX_STEPS
 
 DEFAULT_COMPARE_TOL = 1e-9
 # Equality conditions are structural (exact zeros), so they are detected at
 # float-noise resolution, far below the comparison tolerance.
 CONDITION_TOL = 1e-12
-
-MODEL_LABELS = ("ABCD", "EF", "GH", "IKL", "J", "MN", "OP")
 
 # The twelve ordered pairs (x, y) with x stochastically smaller than y.
 EXPECTED_SMALLER: tuple[tuple[str, str], ...] = (
@@ -207,9 +199,7 @@ def dominance_report(
     q: InspectionWeights | None = None,
     tol: float = DEFAULT_COMPARE_TOL,
     ef_eps: float = 1e-13,
-    ef_max_steps: int = 10**6,
     horizon: int | None = None,
-    enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
 ) -> OrderingReport:
     """Build all seven laws, run the 21 comparisons, and check the partial order.
 
@@ -223,18 +213,13 @@ def dominance_report(
     if q.n != pop.n:
         raise ValueError(f"weights size {q.n} != population size {pop.n}")
     detect = min(pop.detect_prob, 1.0)
-    sched = ef_schedule(pop, eps=ef_eps, max_steps=ef_max_steps)
-    law_abcd = dist_abcd(pop)
-    law_ikl = dist_ikl_exact(pop, q, enumeration_limit)
-    laws: dict[str, InspectionDistribution] = {
-        "ABCD": law_abcd,
-        "EF": dist_ef(sched),
-        "GH": thin_by_detection(law_abcd, detect),
-        "IKL": law_ikl,
-        "J": dist_j(pop, q, horizon),
-        "MN": dist_mn(pop, q, horizon),
-        "OP": thin_by_detection(law_ikl, detect),
-    }
+    laws: dict[str, InspectionDistribution] = {}
+    # GH and OP come after ABCD and IKL, the laws they thin, in table order.
+    for m in MODELS.values():
+        if m.thins is None:
+            laws[m.label] = m.law(pop, q, eps=ef_eps, max_steps=DEFAULT_EF_MAX_STEPS, horizon=horizon)
+        else:
+            laws[m.label] = thin_by_detection(laws[m.thins], detect)
     verdicts: dict[tuple[str, str], DominanceVerdict] = {}
     for i, a in enumerate(MODEL_LABELS):
         for b in MODEL_LABELS[i + 1 :]:
@@ -254,7 +239,7 @@ def dominance_report(
         mismatches=tuple(mismatches),
         q=q.q,
         tolerance=tol,
-        ef_residual=sched.residual_mass,
+        ef_residual=laws["EF"].atom_at_infinity,
         distributions=laws,
     )
 

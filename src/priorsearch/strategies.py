@@ -20,9 +20,10 @@ Seven model families, labeled by the assumption combinations they serve:
     OP    as IKL but imperfect recognition and no replacement; defective.
 
 Means are exact: closed forms where they exist, otherwise an exact dynamic
-program over prefix subsets of the successive-sampling law. Defective
-models report a detection probability plus a conditional mean instead of a
-floating-point infinity.
+program over prefix subsets of the successive-sampling law. The defective
+models GH and OP have no summary here: their detection probability is
+Population.detect_prob, and their mean given detection comes from the exact
+law (distributions.dist_gh, dist_op_exact).
 """
 
 from __future__ import annotations
@@ -78,26 +79,6 @@ class Schedule:
     steps: tuple[ScheduleStep, ...]
     residual_mass: float
     attempts: tuple[int, ...]  # per-item attempt counts after the last step
-
-
-@dataclass(frozen=True)
-class DefectiveSummary:
-    """Summary of a model whose inspection count may be infinite.
-
-    ``conditional_mean`` is the mean of the underlying perfect-recognition
-    policy (the convention used throughout the ordering analysis); when
-    recognition probabilities differ across items the exact detection-
-    conditioned mean of the process differs from it, and is available from
-    the corresponding exact distribution.
-    """
-
-    detect_prob: float
-    conditional_mean: float
-    mean_is_infinite: bool
-
-    def __post_init__(self):
-        if not (0.0 < self.detect_prob <= 1.0):
-            raise ValueError(f"detect_prob {self.detect_prob!r} outside (0, 1]")
 
 
 def descending_prior_order(pop: Population) -> tuple[int, ...]:
@@ -198,28 +179,12 @@ def ef_swap_check(sched: Schedule) -> bool:
     return True
 
 
-def gh_summary(pop: Population) -> DefectiveSummary:
-    """One-pass descending-prior walk with imperfect recognition.
-
-    Detection probability is sum_i s_i p_i, independent of the order; the
-    order is chosen to minimize the perfect-recognition mean, whose value is
-    reported as the conditional mean.
-    """
-    detect = pop.detect_prob
-    _, mean = abcd_policy(pop)
-    return DefectiveSummary(
-        detect_prob=min(detect, 1.0),
-        conditional_mean=mean,
-        mean_is_infinite=detect < 1.0 - 1e-12,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Successive-sampling permutation law (models IKL / OP).
 # ---------------------------------------------------------------------------
 
 
-def position_probabilities(q: InspectionWeights, enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT) -> np.ndarray:
+def position_probabilities(q: InspectionWeights) -> np.ndarray:
     """Matrix M with M[i, k] = P(item i is drawn at position k+1).
 
     Successive sampling without replacement: at each step the next item is
@@ -233,10 +198,10 @@ def position_probabilities(q: InspectionWeights, enumeration_limit: int = DEFAUL
     re-derives it independently.
     """
     n = q.n
-    if n > enumeration_limit:
+    if n > DEFAULT_ENUMERATION_LIMIT:
         raise EnumerationLimitError(
             f"population of size {n} exceeds the exact enumeration limit "
-            f"{enumeration_limit}; use Monte Carlo simulation instead"
+            f"{DEFAULT_ENUMERATION_LIMIT}; use Monte Carlo simulation instead"
         )
     qv = q.q
     size = 1 << n
@@ -265,24 +230,17 @@ def position_probabilities(q: InspectionWeights, enumeration_limit: int = DEFAUL
     return M
 
 
-def ikl_mean_exact(
-    pop: Population,
-    q: InspectionWeights,
-    enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
-) -> float:
+def ikl_mean_exact(pop: Population, q: InspectionWeights) -> float:
     """Exact mean of the without-replacement democratic model at weights q."""
     if pop.n != q.n:
         raise ValueError(f"population size {pop.n} != weights size {q.n}")
-    M = position_probabilities(q, enumeration_limit)
+    M = position_probabilities(q)
     pos_pmf = pop.p @ M
     return math.fsum((k + 1) * pos_pmf[k] for k in range(pop.n))
 
 
 def ikl_search_q(
-    pop: Population,
-    restarts: int = 8,
-    seed: int = 0,
-    enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
+    pop: Population, restarts: int = 8, seed: int = 0
 ) -> tuple[InspectionWeights, float]:
     """Heuristic search for good without-replacement sampling weights.
 
@@ -299,7 +257,7 @@ def ikl_search_q(
     floor = 1e-9
 
     def evaluate(qv: np.ndarray) -> float:
-        return ikl_mean_exact(pop, InspectionWeights(q=qv), enumeration_limit)
+        return ikl_mean_exact(pop, InspectionWeights(q=qv))
 
     def polish(qv: np.ndarray) -> tuple[np.ndarray, float]:
         best = qv / qv.sum()
@@ -369,22 +327,3 @@ def mn_mean(pop: Population, q: InspectionWeights) -> float:
         raise ValueError(f"population size {pop.n} != weights size {q.n}")
     return math.fsum((pop.p / (q.q * pop.s)).tolist())
 
-
-def op_summary(
-    pop: Population,
-    q: InspectionWeights,
-    enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
-) -> DefectiveSummary:
-    """Without-replacement democratic search with imperfect recognition.
-
-    Detection probability sum_i s_i p_i does not depend on q, so the
-    weights are judged by the perfect-recognition mean, reported here as the
-    conditional mean.
-    """
-    detect = pop.detect_prob
-    mean = ikl_mean_exact(pop, q, enumeration_limit)
-    return DefectiveSummary(
-        detect_prob=min(detect, 1.0),
-        conditional_mean=mean,
-        mean_is_infinite=detect < 1.0 - 1e-12,
-    )

@@ -35,7 +35,7 @@ class TestEvaluate:
     def test_gh_infinite_mean_format(self, runner, pop_csv):
         result = runner.invoke(main, ["evaluate", "--model", "GH", "--input", pop_csv])
         assert result.exit_code == 0
-        assert "mean: ∞ (detect_prob=0.900, conditional mean=1.700)" in result.output
+        assert "mean: ∞ (detect_prob=0.900, conditional mean=1.556)" in result.output
 
     def test_ikl_requires_weights(self, runner, pop_csv):
         result = runner.invoke(main, ["evaluate", "--model", "IKL", "--input", pop_csv])
@@ -170,6 +170,15 @@ class TestSimulate:
             ],
         )
         assert result.exit_code == 2
+
+    def test_eps_is_not_an_option(self, runner, pop_csv):
+        result = runner.invoke(
+            main,
+            ["simulate", "--model", "EF", "--input", pop_csv,
+             "--reps", "10", "--seed", "1", "--eps", "1e-2"],
+        )
+        assert result.exit_code == 2
+        assert "No such option" in result.output
 
     def test_check_exact_agrees_for_every_model(self, runner, pop_csv):
         q_flags = {

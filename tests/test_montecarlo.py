@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from priorsearch import (
+    InspectionWeights,
     SimConfig,
     dist_abcd,
     dist_ef,
@@ -44,6 +45,14 @@ class TestSimConfig:
             SimConfig(model="ABCD", reps=0, seed=0)
         with pytest.raises(ValueError):
             SimConfig(model="ABCD", reps=1, seed=0, max_steps=0)
+
+    def test_max_steps_below_exact_float_range(self):
+        pop = validate_population([0.5, 0.5])
+        q = InspectionWeights(q=np.array([1e-19, 1.0]))
+        emp = simulate(pop, SimConfig(model="J", reps=1000, seed=1, q=q, max_steps=2**53 - 1))
+        assert emp.censored > 0 and max(emp.counts) <= 2**53 - 1
+        with pytest.raises(ValueError, match="max_steps"):
+            SimConfig(model="ABCD", reps=1, seed=0, max_steps=2**53)
 
 
 class TestSampleTargetIndex:
@@ -141,6 +150,17 @@ class TestSimulate:
         emp = simulate(pop, cfg)
         assert emp.reps == 12_345
         assert sum(emp.counts.values()) + emp.censored == 12_345
+
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_geometric_counts_are_censored(self):
+        # At rate 1e-19 the inverted attempt count exceeds the int64 range.
+        pop = validate_population([0.5, 0.5])
+        q = InspectionWeights(q=np.array([1e-19, 1.0]))
+        emp = simulate(pop, SimConfig(model="J", reps=1000, seed=1, q=q))
+        assert min(emp.counts) >= 1
+        assert math.isfinite(emp.mean_detected) and emp.mean_detected >= 1.0
+        assert emp.censored > 0
 
 
 class TestDkw:

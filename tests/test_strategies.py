@@ -10,17 +10,17 @@ from priorsearch import (
     InspectionWeights,
     ScheduleTruncationError,
     abcd_policy,
+    dist_gh,
+    dist_op_exact,
     ef_mean,
     ef_schedule,
     ef_swap_check,
-    gh_summary,
     ikl_mean_exact,
     ikl_search_q,
     j_mean,
     j_optimal_q,
     mn_mean,
     mn_optimal_q,
-    op_summary,
     uniform_weights,
     validate_population,
 )
@@ -187,26 +187,33 @@ class TestEfSwapCheck:
         assert ef_swap_check(ef_schedule(pop, eps=1e-6))
 
 
+def conditional_mean(law):
+    return law.conditional_on_detection().mean_finite()
+
+
 class TestGhSummary:
     def test_hand_example(self):
         pop = validate_population([0.5, 0.3, 0.2], [1.0, 1.0, 0.5])
-        summary = gh_summary(pop)
-        assert abs(summary.detect_prob - 0.9) <= 1e-12
-        assert abs(summary.conditional_mean - 1.7) <= 1e-12
-        assert summary.mean_is_infinite
+        law = dist_gh(pop)
+        assert abs(pop.detect_prob - 0.9) <= 1e-12
+        assert abs(law.total_finite_mass - 0.9) <= 1e-12
+        # Given detection: (1 * 0.5 + 2 * 0.3 + 3 * 0.1) / 0.9.
+        assert abs(conditional_mean(law) - 14 / 9) <= 1e-12
+        assert law.atom_at_infinity > 0.0
 
     def test_perfect_recognition_finite(self):
         pop = validate_population([0.5, 0.3, 0.2])
-        summary = gh_summary(pop)
-        assert summary.detect_prob == pytest.approx(1.0, abs=1e-12)
-        assert not summary.mean_is_infinite
-        assert summary.conditional_mean == pytest.approx(1.7, abs=1e-12)
+        law = dist_gh(pop)
+        assert pop.detect_prob == pytest.approx(1.0, abs=1e-12)
+        assert law.atom_at_infinity == 0.0
+        assert conditional_mean(law) == pytest.approx(1.7, abs=1e-12)
 
     def test_single_item(self):
-        summary = gh_summary(validate_population([1.0], [0.3]))
-        assert summary.detect_prob == pytest.approx(0.3)
-        assert summary.conditional_mean == 1.0
-        assert summary.mean_is_infinite
+        pop = validate_population([1.0], [0.3])
+        law = dist_gh(pop)
+        assert pop.detect_prob == pytest.approx(0.3)
+        assert conditional_mean(law) == 1.0
+        assert law.atom_at_infinity > 0.0
 
 
 class TestIkl:
@@ -332,26 +339,27 @@ class TestOpSummary:
     def test_perfect_recognition_reduces_to_ikl(self):
         pop = validate_population([0.5, 0.3, 0.2])
         q = uniform_weights(3)
-        summary = op_summary(pop, q)
-        assert summary.detect_prob == pytest.approx(1.0, abs=1e-12)
-        assert not summary.mean_is_infinite
-        assert summary.conditional_mean == pytest.approx(ikl_mean_exact(pop, q), abs=1e-15)
+        law = dist_op_exact(pop, q)
+        assert pop.detect_prob == pytest.approx(1.0, abs=1e-12)
+        assert law.atom_at_infinity == 0.0
+        assert conditional_mean(law) == pytest.approx(ikl_mean_exact(pop, q), abs=1e-15)
 
     def test_incomparable_family_detect_prob(self):
         pop = ef_op_incomparable_population(5)
-        summary = op_summary(pop, mn_optimal_q(pop))
-        assert abs(summary.detect_prob - 1 / 3) <= 1e-12
-        assert summary.mean_is_infinite
+        law = dist_op_exact(pop, mn_optimal_q(pop))
+        assert abs(pop.detect_prob - 1 / 3) <= 1e-12
+        assert abs(law.total_finite_mass - 1 / 3) <= 1e-12
+        assert law.atom_at_infinity > 0.0
 
     def test_single_item(self):
         pop = validate_population([1.0], [0.4])
-        summary = op_summary(pop, uniform_weights(1))
-        assert summary.detect_prob == pytest.approx(0.4)
-        assert summary.conditional_mean == 1.0
+        law = dist_op_exact(pop, uniform_weights(1))
+        assert pop.detect_prob == pytest.approx(0.4)
+        assert conditional_mean(law) == 1.0
 
     def test_detect_prob_at_most_one_with_equality_iff_perfect(self, rng):
         for _ in range(20):
             pop = random_population(rng, 4, s_lo=0.3, s_hi=0.99)
-            assert gh_summary(pop).detect_prob < 1.0
+            assert pop.detect_prob < 1.0
         perfect = random_population(rng, 4, perfect=True)
-        assert gh_summary(perfect).detect_prob == pytest.approx(1.0, abs=1e-12)
+        assert perfect.detect_prob == pytest.approx(1.0, abs=1e-12)
