@@ -53,8 +53,8 @@ def main():
     d_op = thin_by_detection(dist_ikl_exact(fam, q), fam.detect_prob)
     verdict = stochastic_compare(d_ef, d_op)
     print("EF vs OP on the witness family:", verdict.relation)
-    print("  P(EF = 1)      =", d_ef.pmf[1])
-    print("  P(OP = 1)      =", d_op.pmf[1])
+    print("  P(EF = 1)      =", d_ef.pmf[0])
+    print("  P(OP = 1)      =", d_op.pmf[0])
     print("  P(OP = inf)    =", d_op.atom_at_infinity)
     print("  witnesses      =", verdict.witnesses)
 

@@ -1,11 +1,10 @@
 """Exact distributions of the inspection count under each model's policy.
 
-Every law is represented as a sparse pmf over positive integer step numbers
-plus an explicit atom at infinity. The atom carries genuinely defective mass
-for the no-replacement imperfect-recognition models (GH, OP) and pure
-truncation mass for laws with unbounded support computed up to a horizon
-(EF schedules, geometric-type J/MN laws); ``truncated`` distinguishes the
-two cases.
+Every law is represented as a dense pmf over the steps 1..horizon plus an
+explicit atom at infinity. The atom carries genuinely defective mass for the
+no-replacement imperfect-recognition models (GH, OP) and pure truncation mass
+for laws with unbounded support computed up to a horizon (EF schedules,
+geometric-type J/MN laws); ``truncated`` distinguishes the two cases.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
@@ -27,69 +25,66 @@ DEFAULT_TAIL_EPS = 1e-12
 HORIZON_CAP = 10**6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InspectionDistribution:
     """Discrete law of the number of inspections, with an atom at infinity.
 
-    ``pmf`` maps step -> probability (sparse); ``horizon`` is the largest
-    step holding mass; ``atom_at_infinity`` absorbs everything beyond, and
-    ``truncated`` marks that atom as a computation artifact rather than a
-    property of the model.
+    ``pmf`` is a read-only float64 array with ``pmf[k]`` = P(T = k+1), so
+    ``horizon`` = ``len(pmf)`` is the last step the law covers;
+    ``atom_at_infinity`` absorbs everything beyond, and ``truncated`` marks
+    that atom as a computation artifact rather than a property of the model.
     """
 
-    pmf: Mapping[int, float]
+    pmf: np.ndarray
     atom_at_infinity: float
-    horizon: int
     truncated: bool = False
 
     def __post_init__(self):
-        pmf = dict(self.pmf)
-        if not pmf and self.atom_at_infinity <= 0.0:
+        pmf = np.array(self.pmf, dtype=float)
+        if pmf.ndim != 1:
+            raise ValueError(f"pmf must be one-dimensional, got shape {pmf.shape}")
+        if not pmf.size and self.atom_at_infinity <= 0.0:
             raise ValueError("distribution has no mass at all")
-        for m, prob in pmf.items():
-            if m < 1 or m != int(m):
-                raise ValueError(f"support point {m!r} is not a positive integer")
-            if prob < 0.0:
-                raise ValueError(f"pmf({m}) = {prob!r} is negative")
+        if (pmf < 0.0).any():
+            k = int(np.argmax(pmf < 0.0))
+            raise ValueError(f"pmf({k + 1}) = {float(pmf[k])!r} is negative")
         if not (-1e-15 <= self.atom_at_infinity <= 1.0 + 1e-12):
             raise ValueError(f"atom_at_infinity {self.atom_at_infinity!r} outside [0, 1]")
-        total = math.fsum(pmf.values()) + self.atom_at_infinity
+        total = math.fsum(pmf.tolist()) + self.atom_at_infinity
         if abs(total - 1.0) > MASS_BALANCE_TOL:
             raise ValueError(f"pmf plus atom sums to {total!r}, not 1")
-        horizon = max(pmf) if pmf else 0
+        pmf.flags.writeable = False
         object.__setattr__(self, "pmf", pmf)
-        object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "atom_at_infinity", max(float(self.atom_at_infinity), 0.0))
 
+    @property
+    def horizon(self) -> int:
+        return len(self.pmf)
+
     def cdf_array(self, upto: int | None = None) -> np.ndarray:
-        """cdf evaluated at 1..upto (default: the horizon)."""
+        """cdf evaluated at 1..upto (default: the horizon); flat past the horizon."""
         upto = self.horizon if upto is None else int(upto)
-        dense = np.zeros(upto + 1)
-        for m, prob in self.pmf.items():
-            if m <= upto:
-                dense[m] = prob
-        return np.cumsum(dense)[1:]
+        dense = np.zeros(upto)
+        dense[: self.horizon] = self.pmf[:upto]
+        return np.cumsum(dense)
 
     def cdf(self, m: int) -> float:
-        if m < 1:
-            return 0.0
-        return math.fsum(prob for step, prob in self.pmf.items() if step <= m)
+        return math.fsum(self.pmf[: max(int(m), 0)].tolist())
 
     @property
     def total_finite_mass(self) -> float:
-        return math.fsum(self.pmf.values())
+        return math.fsum(self.pmf.tolist())
 
     def mean_finite(self) -> float:
         """Mean over the finite support only (ignores any atom at infinity)."""
-        return math.fsum(m * prob for m, prob in self.pmf.items())
+        return math.fsum((np.arange(1, self.horizon + 1) * self.pmf).tolist())
 
     def conditional_on_detection(self) -> "InspectionDistribution":
         """The law given the target is found (finite support renormalized)."""
         finite = self.total_finite_mass
         if finite <= 0.0:
             raise ValueError("no finite mass to condition on")
-        pmf = {m: prob / finite for m, prob in self.pmf.items()}
-        return InspectionDistribution(pmf=pmf, atom_at_infinity=0.0, horizon=0, truncated=self.truncated)
+        return InspectionDistribution(self.pmf / finite, atom_at_infinity=0.0, truncated=self.truncated)
 
     def sup_cdf_distance(self, other: "InspectionDistribution") -> float:
         upto = max(self.horizon, other.horizon)
@@ -98,9 +93,8 @@ class InspectionDistribution:
 
 def dist_abcd(pop: Population) -> InspectionDistribution:
     """Descending-prior order, perfect recognition: pmf(k) = k-th largest prior."""
-    order = descending_prior_order(pop)
-    pmf = {k + 1: float(pop.p[item - 1]) for k, item in enumerate(order)}
-    return InspectionDistribution(pmf=pmf, atom_at_infinity=0.0, horizon=pop.n)
+    order = np.asarray(descending_prior_order(pop)) - 1
+    return InspectionDistribution(pop.p[order], atom_at_infinity=0.0)
 
 
 def dist_ef(sched: Schedule) -> InspectionDistribution:
@@ -109,11 +103,9 @@ def dist_ef(sched: Schedule) -> InspectionDistribution:
     The residual schedule mass lands in the atom flagged as truncation; it
     vanishes as the schedule extends since detection is eventually certain.
     """
-    pmf = {st.t: st.detect_prob for st in sched.steps}
     return InspectionDistribution(
-        pmf=pmf,
+        [st.detect_prob for st in sched.steps],
         atom_at_infinity=sched.residual_mass,
-        horizon=len(sched.steps),
         truncated=sched.residual_mass > 0.0,
     )
 
@@ -125,45 +117,42 @@ def dist_gh(pop: Population) -> InspectionDistribution:
     probability s_(k) p_(k); undetected mass sum_i (1-s_i) p_i is a genuine
     atom at infinity.
     """
-    order = descending_prior_order(pop)
-    pmf = {k + 1: float(pop.p[item - 1] * pop.s[item - 1]) for k, item in enumerate(order)}
+    order = np.asarray(descending_prior_order(pop)) - 1
     atom = math.fsum(((1.0 - pop.s) * pop.p).tolist())
-    return InspectionDistribution(pmf=pmf, atom_at_infinity=atom, horizon=pop.n)
+    return InspectionDistribution(pop.p[order] * pop.s[order], atom_at_infinity=atom)
 
 
 def _geometric_mixture_dist(
     pop: Population, rates: np.ndarray, horizon: int | None
 ) -> InspectionDistribution:
-    """Law of a mixture of geometrics: P(T <= m) = 1 - sum_k p_k (1-rate_k)^m."""
+    """Law of a mixture of geometrics: P(T <= m) = 1 - sum_k p_k (1-rate_k)^m.
+
+    The law stops at the last step whose mass is nonzero in floating point.
+    """
     fail = 1.0 - rates
     if horizon is None:
-        # Smallest horizon with tail mass below DEFAULT_TAIL_EPS, capped.
-        worst = float(fail.max())
-        if worst <= 0.0:
+        # Smallest horizon with tail mass below DEFAULT_TAIL_EPS, capped. A rate
+        # so small that 1 - rate rounds to 1 has log(1 - rate) = 0; log1p keeps
+        # it finite, and such a rate takes the capped horizon.
+        slowest = float(rates.min())
+        if slowest >= 1.0:
             horizon = 1
         else:
-            horizon = int(min(HORIZON_CAP, max(1, math.ceil(math.log(DEFAULT_TAIL_EPS) / math.log(worst)))))
+            horizon = int(min(HORIZON_CAP, max(1, math.ceil(math.log(DEFAULT_TAIL_EPS) / math.log1p(-slowest)))))
             while horizon < HORIZON_CAP and float(pop.p @ fail**horizon) >= DEFAULT_TAIL_EPS:
                 horizon = min(HORIZON_CAP, horizon * 2)
     elif horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon!r}")
     horizon = int(horizon)
-    pmf: dict[int, float] = {}
-    # pmf(m) = sum_k p_k rate_k (1-rate_k)^(m-1); processed in blocks to keep
+    pmf = np.empty(horizon)
+    # pmf[m] = sum_k p_k rate_k (1-rate_k)^m; processed in blocks to keep
     # memory bounded for large horizons.
     block = 1 << 15
-    for start in range(1, horizon + 1, block):
-        stop = min(horizon, start + block - 1)
-        m = np.arange(start, stop + 1)
-        surv_before = fail[None, :] ** (m[:, None] - 1)
-        vals = surv_before @ (pop.p * rates)
-        for i, v in enumerate(vals):
-            if v > 0.0:
-                pmf[start + i] = float(v)
+    for start in range(0, horizon, block):
+        m = np.arange(start, min(horizon, start + block))
+        pmf[start : start + len(m)] = fail[None, :] ** m[:, None] @ (pop.p * rates)
     tail = float(pop.p @ fail**horizon)
-    return InspectionDistribution(
-        pmf=pmf, atom_at_infinity=tail, horizon=horizon, truncated=tail > 0.0
-    )
+    return InspectionDistribution(np.trim_zeros(pmf, "b"), atom_at_infinity=tail, truncated=tail > 0.0)
 
 
 def dist_j(pop: Population, q: InspectionWeights, horizon: int | None = None) -> InspectionDistribution:
@@ -184,10 +173,7 @@ def dist_ikl_exact(pop: Population, q: InspectionWeights) -> InspectionDistribut
     """Exact law of the without-replacement democratic model at weights q."""
     if pop.n != q.n:
         raise ValueError(f"population size {pop.n} != weights size {q.n}")
-    M = position_probabilities(q)
-    pos = pop.p @ M
-    pmf = {k + 1: float(v) for k, v in enumerate(pos)}
-    return InspectionDistribution(pmf=pmf, atom_at_infinity=0.0, horizon=pop.n)
+    return InspectionDistribution(pop.p @ position_probabilities(q), atom_at_infinity=0.0)
 
 
 def dist_op_exact(pop: Population, q: InspectionWeights) -> InspectionDistribution:
@@ -204,11 +190,8 @@ def dist_op_exact(pop: Population, q: InspectionWeights) -> InspectionDistributi
     """
     if pop.n != q.n:
         raise ValueError(f"population size {pop.n} != weights size {q.n}")
-    M = position_probabilities(q)
-    pos = (pop.s * pop.p) @ M
-    pmf = {k + 1: float(v) for k, v in enumerate(pos)}
     atom = math.fsum(((1.0 - pop.s) * pop.p).tolist())
-    return InspectionDistribution(pmf=pmf, atom_at_infinity=atom, horizon=pop.n)
+    return InspectionDistribution((pop.s * pop.p) @ position_probabilities(q), atom_at_infinity=atom)
 
 
 def thin_by_detection(dist: InspectionDistribution, detect_prob: float) -> InspectionDistribution:
@@ -221,11 +204,8 @@ def thin_by_detection(dist: InspectionDistribution, detect_prob: float) -> Inspe
     """
     if not (0.0 < detect_prob <= 1.0):
         raise ValueError(f"detect_prob {detect_prob!r} outside (0, 1]")
-    pmf = {m: prob * detect_prob for m, prob in dist.pmf.items()}
     atom = 1.0 - detect_prob * (1.0 - dist.atom_at_infinity)
-    return InspectionDistribution(
-        pmf=pmf, atom_at_infinity=atom, horizon=dist.horizon, truncated=dist.truncated
-    )
+    return InspectionDistribution(dist.pmf * detect_prob, atom_at_infinity=atom, truncated=dist.truncated)
 
 
 def write_distribution_csv(path_or_file, dist: InspectionDistribution) -> None:
@@ -234,10 +214,7 @@ def write_distribution_csv(path_or_file, dist: InspectionDistribution) -> None:
     def _write(fh) -> None:
         writer = csv.writer(fh)
         writer.writerow(["m", "pmf", "cdf"])
-        running = 0.0
-        for m in sorted(dist.pmf):
-            running += dist.pmf[m]
-            writer.writerow([m, repr(dist.pmf[m]), repr(running)])
+        writer.writerows(zip(range(1, dist.horizon + 1), dist.pmf.tolist(), dist.cdf_array().tolist()))
         writer.writerow(["atom_at_infinity", repr(dist.atom_at_infinity)])
         writer.writerow(["truncated", str(dist.truncated).lower()])
 

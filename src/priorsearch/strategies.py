@@ -156,17 +156,6 @@ def ef_schedule(
     return Schedule(steps=tuple(steps), residual_mass=residual, attempts=tuple(attempts))
 
 
-def ef_mean(sched: Schedule) -> tuple[float, float]:
-    """(partial mean, residual mass) of a schedule.
-
-    The partial mean sums t * detect_prob over generated steps. With zero
-    residual it is the exact model mean; otherwise the residual tells the
-    caller how much mass the truncation left unaccounted.
-    """
-    partial = math.fsum(st.t * st.detect_prob for st in sched.steps)
-    return partial, sched.residual_mass
-
-
 def ef_swap_check(sched: Schedule) -> bool:
     """True iff no adjacent swap of distinct items would lower the truncated mean.
 

@@ -164,8 +164,8 @@ def test_criterion_6_incomparability_family():
             d_ef = dist_ef(ef_schedule(pop, eps=1e-13))
             d_op = thin_by_detection(dist_ikl_exact(pop, q), pop.detect_prob)
             assert abs(d_op.atom_at_infinity - (1.0 - 2.0 / (n + 1))) <= 1e-12
-            assert abs(d_ef.pmf[1] - 2.0 / (n * (n + 1))) <= 1e-12
-            assert d_op.pmf[1] > d_ef.pmf[1] + 1e-12
+            assert abs(d_ef.pmf[0] - 2.0 / (n * (n + 1))) <= 1e-12
+            assert d_op.pmf[0] > d_ef.pmf[0] + 1e-12
             upto = d_ef.horizon
             fe = d_ef.cdf_array(upto)
             fo = d_op.cdf_array(upto)
@@ -179,7 +179,7 @@ def test_criterion_6_incomparability_family():
         assert abs(
             dist_op_exact(pop5, mn_optimal_q(pop5)).atom_at_infinity - 2.0 / 3.0
         ) <= 1e-12
-        assert abs(dist_ef(ef_schedule(pop5, eps=1e-13)).pmf[1] - 1.0 / 15.0) <= 1e-12
+        assert abs(dist_ef(ef_schedule(pop5, eps=1e-13)).pmf[0] - 1.0 / 15.0) <= 1e-12
 
 
 def test_criterion_7_oracle_equivalence():

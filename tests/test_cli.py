@@ -16,6 +16,14 @@ def get_line(output, prefix):
     raise AssertionError(f"no line starting with {prefix!r} in:\n{output}")
 
 
+def tiny_rate_inputs(tmp_path):
+    """Two equal priors; J's rate for the first item is so small that 1 - rate rounds to 1."""
+    pop_path, q_path = tmp_path / "pop.csv", tmp_path / "q.csv"
+    pop_path.write_text("id,p\na,0.5\nb,0.5\n")
+    q_path.write_text("id,q\na,1e-17\nb,1\n")
+    return ["--input", str(pop_path), "--q-file", str(q_path)]
+
+
 class TestEvaluate:
     def test_abcd_uniform_101(self, runner, tmp_path):
         path = tmp_path / "u101.csv"
@@ -103,6 +111,11 @@ class TestEvaluate:
         assert runner.invoke(main, args + ["--out", str(out2)]).exit_code == 0
         assert (out1 / "dist_GH.csv").read_bytes() == (out2 / "dist_GH.csv").read_bytes()
         assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
+
+    def test_j_tiny_rate_caps_the_horizon(self, runner, tmp_path):
+        result = runner.invoke(main, ["evaluate", "--model", "J", *tiny_rate_inputs(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert get_line(result.output, "mean:") == "5e+16"
 
 
 class TestSimulate:
@@ -194,6 +207,15 @@ class TestSimulate:
             )
             assert result.exit_code == 0, (model, result.output)
             assert "dkw check: PASS" in result.output
+
+    def test_check_exact_j_tiny_rate(self, runner, tmp_path):
+        result = runner.invoke(
+            main,
+            ["simulate", "--model", "J", *tiny_rate_inputs(tmp_path),
+             "--reps", "1000", "--seed", "1", "--check-exact"],
+        )
+        assert result.exit_code == 0, result.output
+        assert "dkw check: PASS" in result.output
 
 
 class TestOrder:

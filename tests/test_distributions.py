@@ -13,7 +13,6 @@ from priorsearch import (
     dist_j,
     dist_mn,
     dist_op_exact,
-    ef_mean,
     ef_schedule,
     ikl_mean_exact,
     j_mean,
@@ -23,7 +22,7 @@ from priorsearch import (
     uniform_weights,
     validate_population,
 )
-from priorsearch.distributions import InspectionDistribution, distribution_csv_text
+from priorsearch.distributions import HORIZON_CAP, InspectionDistribution, distribution_csv_text
 from priorsearch.ordering import ef_op_incomparable_population
 
 from conftest import random_population, random_simplex
@@ -36,11 +35,31 @@ def make_weights(arr):
 class TestInspectionDistribution:
     def test_mass_balance_enforced(self):
         with pytest.raises(ValueError, match="sums to"):
-            InspectionDistribution(pmf={1: 0.5, 2: 0.3}, atom_at_infinity=0.0, horizon=2)
+            InspectionDistribution(pmf=[0.5, 0.3], atom_at_infinity=0.0)
 
     def test_support_validation(self):
-        with pytest.raises(ValueError, match="positive integer"):
-            InspectionDistribution(pmf={0: 1.0}, atom_at_infinity=0.0, horizon=0)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            InspectionDistribution(pmf=[[0.5, 0.5]], atom_at_infinity=0.0)
+
+    def test_negative_entry_rejected(self):
+        with pytest.raises(ValueError, match=r"pmf\(2\) = -0.1 is negative"):
+            InspectionDistribution(pmf=[0.6, -0.1, 0.5], atom_at_infinity=0.0)
+
+    def test_pmf_is_read_only_copy(self):
+        source = np.array([0.5, 0.5])
+        d = InspectionDistribution(pmf=source, atom_at_infinity=0.0)
+        source[0] = 0.0
+        assert d.pmf[0] == 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            d.pmf[0] = 0.25
+
+    def test_cdf_array_pads_past_horizon_and_truncates_below(self):
+        d = InspectionDistribution(pmf=[0.25, 0.25], atom_at_infinity=0.5, truncated=True)
+        assert d.horizon == 2
+        assert d.cdf_array().tolist() == [0.25, 0.5]
+        assert d.cdf_array(5).tolist() == [0.25, 0.5, 0.5, 0.5, 0.5]
+        assert d.cdf_array(1).tolist() == [0.25]
+        assert d.cdf_array(0).tolist() == []
 
     def test_cdf_monotone_and_capped(self, rng):
         pop = random_population(rng, 5, s_lo=0.4)
@@ -59,12 +78,12 @@ class TestInspectionDistribution:
 class TestDistAbcd:
     def test_order_statistics(self):
         d = dist_abcd(validate_population([0.5, 0.3, 0.2]))
-        assert d.pmf == {1: 0.5, 2: 0.3, 3: 0.2}
+        assert d.pmf.tolist() == [0.5, 0.3, 0.2]
         assert d.atom_at_infinity == 0.0
 
     def test_uniform(self):
         d = dist_abcd(validate_population(np.full(4, 0.25)))
-        assert np.allclose(list(d.pmf.values()), 0.25)
+        assert np.allclose(d.pmf, 0.25)
 
     def test_cdf_is_top_prefix_sum(self, rng):
         pop = random_population(rng, 6, perfect=True)
@@ -85,16 +104,16 @@ class TestDistEf:
         pop = validate_population([0.5, 0.3, 0.2])
         d_ef = dist_ef(ef_schedule(pop))
         d_ab = dist_abcd(pop)
-        assert d_ef.pmf == d_ab.pmf
+        assert np.array_equal(d_ef.pmf, d_ab.pmf)
         assert d_ef.atom_at_infinity == 0.0
 
     def test_schedule_masses(self):
         pop = validate_population([0.6, 0.4], [0.5, 1.0])
         d = dist_ef(ef_schedule(pop, eps=1e-10))
-        assert d.pmf[1] == pytest.approx(0.4, abs=1e-15)
-        assert d.pmf[2] == pytest.approx(0.3, abs=1e-15)
-        assert d.pmf[3] == pytest.approx(0.15, abs=1e-15)
-        assert d.pmf[4] == pytest.approx(0.075, abs=1e-15)
+        assert d.pmf[0] == pytest.approx(0.4, abs=1e-15)
+        assert d.pmf[1] == pytest.approx(0.3, abs=1e-15)
+        assert d.pmf[2] == pytest.approx(0.15, abs=1e-15)
+        assert d.pmf[3] == pytest.approx(0.075, abs=1e-15)
 
     def test_mass_balance(self, rng):
         for _ in range(5):
@@ -103,22 +122,16 @@ class TestDistEf:
             assert abs(d.total_finite_mass + d.atom_at_infinity - 1.0) <= 1e-12
             assert d.truncated
 
-    def test_partial_mean_matches_truncated_pmf(self, rng):
-        pop = random_population(rng, 3, s_lo=0.4)
-        sched = ef_schedule(pop, eps=1e-12)
-        partial, _ = ef_mean(sched)
-        assert abs(dist_ef(sched).mean_finite() - partial) <= 1e-12
-
 
 class TestDistGh:
     def test_perfect_recognition_equals_abcd(self):
         pop = validate_population([0.5, 0.3, 0.2])
-        assert dist_gh(pop).pmf == dist_abcd(pop).pmf
+        assert np.array_equal(dist_gh(pop).pmf, dist_abcd(pop).pmf)
 
     def test_per_item_detection_example(self):
         d = dist_gh(validate_population([0.5, 0.5], [0.5, 1.0]))
-        assert d.pmf[1] == pytest.approx(0.25, abs=1e-15)
-        assert d.pmf[2] == pytest.approx(0.5, abs=1e-15)
+        assert d.pmf[0] == pytest.approx(0.25, abs=1e-15)
+        assert d.pmf[1] == pytest.approx(0.5, abs=1e-15)
         assert d.atom_at_infinity == pytest.approx(0.25, abs=1e-15)
 
     def test_incomparable_family_atom(self):
@@ -142,21 +155,31 @@ class TestDistGh:
 class TestDistJ:
     def test_single_item(self):
         d = dist_j(validate_population([1.0]), make_weights([1.0]))
-        assert d.pmf == {1: 1.0}
+        assert d.pmf.tolist() == [1.0]
         assert not d.truncated or d.atom_at_infinity == 0.0
 
     def test_first_step_mass(self, rng):
         pop = random_population(rng, 5, perfect=True)
         q = make_weights(random_simplex(rng, 5))
         d = dist_j(pop, q)
-        assert abs(d.pmf[1] - float(q.q @ pop.p)) <= 1e-15
+        assert abs(d.pmf[0] - float(q.q @ pop.p)) <= 1e-15
 
     def test_symmetric_halving(self):
         pop = validate_population([0.5, 0.5])
         d = dist_j(pop, make_weights([0.5, 0.5]), horizon=40)
         for m in range(1, 20):
-            assert d.pmf[m] == pytest.approx(0.5**m, abs=1e-15)
+            assert d.pmf[m - 1] == pytest.approx(0.5**m, abs=1e-15)
             assert d.cdf(m) == pytest.approx(1.0 - 0.5**m, abs=1e-12)
+
+    def test_underflowed_tail_is_trimmed(self):
+        # pmf(m) = 2^-m; from m = 1074 on the two halves round to 0.
+        d = dist_j(validate_population([0.5, 0.5]), make_weights([0.5, 0.5]), horizon=5000)
+        assert d.horizon == 1073
+        assert d.pmf[-1] == 2.0**-1073
+        assert d.atom_at_infinity == 0.0
+        lines = distribution_csv_text(d).strip().splitlines()
+        assert len(lines) == 1 + 1073 + 2
+        assert lines[1073].startswith("1073,")
 
     def test_cdf_formula(self, rng):
         pop = random_population(rng, 4, perfect=True)
@@ -166,6 +189,12 @@ class TestDistJ:
         for m in (1, 5, 17, 50):
             expected = 1.0 - float(pop.p @ (1.0 - q.q) ** m)
             assert abs(cdf[m - 1] - expected) <= 1e-12
+
+    def test_tiny_rate_takes_capped_horizon(self):
+        d = dist_j(validate_population([0.5, 0.5]), make_weights([1e-17, 1.0]))
+        assert d.horizon == HORIZON_CAP
+        assert d.truncated
+        assert d.atom_at_infinity == 0.5
 
     def test_bad_horizon(self):
         pop = validate_population([1.0])
@@ -189,13 +218,13 @@ class TestDistMn:
         q = make_weights(random_simplex(rng, 4))
         dj = dist_j(pop, q, horizon=100)
         dm = dist_mn(pop, q, horizon=100)
-        assert dj.pmf == dm.pmf
+        assert np.array_equal(dj.pmf, dm.pmf)
 
     def test_single_item_geometric(self):
         pop = validate_population([1.0], [0.5])
         d = dist_mn(pop, make_weights([1.0]), horizon=40)
         for m in range(1, 20):
-            assert d.pmf[m] == pytest.approx(0.5**m, abs=1e-15)
+            assert d.pmf[m - 1] == pytest.approx(0.5**m, abs=1e-15)
 
     def test_j_dominates_mn_pointwise(self, rng):
         for _ in range(10):
@@ -225,12 +254,12 @@ class TestDistIkl:
     def test_two_item_enumeration(self):
         pop = validate_population([0.7, 0.3])
         d = dist_ikl_exact(pop, make_weights([0.6, 0.4]))
-        assert d.pmf[1] == pytest.approx(0.54, abs=1e-15)
-        assert d.pmf[2] == pytest.approx(0.46, abs=1e-15)
+        assert d.pmf[0] == pytest.approx(0.54, abs=1e-15)
+        assert d.pmf[1] == pytest.approx(0.46, abs=1e-15)
 
     def test_single_item(self):
         d = dist_ikl_exact(validate_population([1.0]), uniform_weights(1))
-        assert d.pmf == {1: 1.0}
+        assert d.pmf.tolist() == [1.0]
 
     def test_mean_matches_strategies(self, rng):
         pop = random_population(rng, 6, perfect=True)
@@ -242,7 +271,7 @@ class TestDistOp:
     def test_perfect_recognition_equals_ikl(self, rng):
         pop = random_population(rng, 4, perfect=True)
         q = make_weights(random_simplex(rng, 4))
-        assert dist_op_exact(pop, q).pmf == dist_ikl_exact(pop, q).pmf
+        assert np.array_equal(dist_op_exact(pop, q).pmf, dist_ikl_exact(pop, q).pmf)
 
     def test_incomparable_family_atom(self):
         pop = ef_op_incomparable_population(5)
@@ -251,7 +280,7 @@ class TestDistOp:
 
     def test_single_item(self):
         d = dist_op_exact(validate_population([1.0], [0.4]), uniform_weights(1))
-        assert d.pmf[1] == pytest.approx(0.4, abs=1e-15)
+        assert d.pmf[0] == pytest.approx(0.4, abs=1e-15)
         assert d.atom_at_infinity == pytest.approx(0.6, abs=1e-15)
 
     def test_atom_independent_of_weights(self, rng):
@@ -289,13 +318,13 @@ class TestThinByDetection:
         assert thinned.sup_cdf_distance(exact) > 1e-3
 
     def test_atom_composition(self):
-        base = InspectionDistribution(pmf={1: 0.5, 2: 0.5}, atom_at_infinity=0.0, horizon=2)
+        base = InspectionDistribution(pmf=[0.5, 0.5], atom_at_infinity=0.0)
         thinned = thin_by_detection(base, 0.8)
-        assert thinned.pmf[1] == pytest.approx(0.4)
+        assert thinned.pmf[0] == pytest.approx(0.4)
         assert thinned.atom_at_infinity == pytest.approx(0.2)
 
     def test_detect_prob_validation(self):
-        base = InspectionDistribution(pmf={1: 1.0}, atom_at_infinity=0.0, horizon=1)
+        base = InspectionDistribution(pmf=[1.0], atom_at_infinity=0.0)
         with pytest.raises(ValueError):
             thin_by_detection(base, 0.0)
 

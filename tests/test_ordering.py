@@ -64,16 +64,14 @@ class TestStochasticCompare:
         assert fe[m2 - 1] < fo[m2 - 1] - verdict.tolerance
 
     def test_truncation_guard(self):
-        good = InspectionDistribution(pmf={1: 1.0}, atom_at_infinity=0.0, horizon=1)
-        sloppy = InspectionDistribution(
-            pmf={1: 0.99}, atom_at_infinity=0.01, horizon=1, truncated=True
-        )
+        good = InspectionDistribution(pmf=[1.0], atom_at_infinity=0.0)
+        sloppy = InspectionDistribution(pmf=[0.99], atom_at_infinity=0.01, truncated=True)
         with pytest.raises(ComparisonTruncationError):
             stochastic_compare(good, sloppy, tol=1e-9)
 
     def test_genuine_defect_mass_is_not_truncation(self):
-        defective = InspectionDistribution(pmf={1: 0.5}, atom_at_infinity=0.5, horizon=1)
-        full = InspectionDistribution(pmf={1: 1.0}, atom_at_infinity=0.0, horizon=1)
+        defective = InspectionDistribution(pmf=[0.5], atom_at_infinity=0.5)
+        full = InspectionDistribution(pmf=[1.0], atom_at_infinity=0.0)
         assert stochastic_compare(full, defective).relation == "smaller"
 
 
@@ -220,8 +218,8 @@ class TestIncomparableFamily:
         assert abs(d_op.atom_at_infinity - (1 - 2 / (n + 1))) <= 1e-12
         assert d_ef.atom_at_infinity < 1e-12
         # First step: all detection masses tie at 2/(n(n+1)).
-        assert abs(d_ef.pmf[1] - 2 / (n * (n + 1))) <= 1e-12
-        assert d_op.pmf[1] > d_ef.pmf[1] + 1e-9
+        assert abs(d_ef.pmf[0] - 2 / (n * (n + 1))) <= 1e-12
+        assert d_op.pmf[0] > d_ef.pmf[0] + 1e-9
         verdict = stochastic_compare(d_ef, d_op)
         assert verdict.relation == "incomparable"
         # Beyond the population size the schedule keeps accumulating mass

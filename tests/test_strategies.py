@@ -10,9 +10,9 @@ from priorsearch import (
     InspectionWeights,
     ScheduleTruncationError,
     abcd_policy,
+    dist_ef,
     dist_gh,
     dist_op_exact,
-    ef_mean,
     ef_schedule,
     ef_swap_check,
     ikl_mean_exact,
@@ -144,25 +144,26 @@ class TestEfSchedule:
 
 
 class TestEfMean:
+    """The EF law's mean over its schedule, and the residual mass it leaves at infinity."""
+
     def test_geometric_tail_example(self):
         # Closed form: 0.4 * 1 + sum_j (j+1) 0.6 * 0.5^j = 2.2.
         pop = validate_population([0.6, 0.4], [0.5, 1.0])
-        sched = ef_schedule(pop, eps=1e-12)
-        partial, residual = ef_mean(sched)
-        assert abs(partial - 2.2) <= 1e-9
-        assert residual < 1e-12
+        law = dist_ef(ef_schedule(pop, eps=1e-12))
+        assert abs(law.mean_finite() - 2.2) <= 1e-9
+        assert law.atom_at_infinity < 1e-12
 
     def test_perfect_recognition_matches_descending_mean(self):
         pop = validate_population([0.5, 0.3, 0.2])
-        partial, residual = ef_mean(ef_schedule(pop))
-        assert partial == pytest.approx(1.7, abs=1e-12)
-        assert residual == 0.0
+        law = dist_ef(ef_schedule(pop))
+        assert law.mean_finite() == pytest.approx(1.7, abs=1e-12)
+        assert law.atom_at_infinity == 0.0
 
     def test_single_item_geometric_mean(self):
         pop = validate_population([1.0], [0.5])
-        partial, residual = ef_mean(ef_schedule(pop, eps=1e-14))
-        assert abs(partial - 2.0) <= 1e-9
-        assert residual < 1e-13
+        law = dist_ef(ef_schedule(pop, eps=1e-14))
+        assert abs(law.mean_finite() - 2.0) <= 1e-9
+        assert law.atom_at_infinity < 1e-13
 
 
 class TestEfSwapCheck:
