@@ -25,7 +25,6 @@ from .montecarlo import (
     SimConfig,
     dkw_band,
     dkw_check,
-    sample_target_index,
     simulate,
     write_empirical_csv,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "SimConfig",
     "dkw_band",
     "dkw_check",
-    "sample_target_index",
     "simulate",
     "write_empirical_csv",
     "ComparisonTruncationError",

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Callable
 
 import click
 import numpy as np
@@ -28,10 +29,9 @@ from .models import LABELS, MODELS, Model
 from .montecarlo import SimConfig, dkw_check, simulate, write_empirical_csv
 from .ordering import ComparisonTruncationError, dominance_report
 from .population import (
-    DecompositionError,
     InspectionWeights,
     Population,
-    PopulationError,
+    bayes_update,
     load_likelihoods_csv,
     load_population,
     load_weights_csv,
@@ -52,41 +52,41 @@ EXIT_MISMATCH = 3
 EXIT_ENUMERATION = 4
 
 
-def _fail(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+@contextmanager
+def _exit_codes(limit_hint: str = ""):
+    """Turn the library's errors into `error: <message>` on stderr and an exit code.
 
-
-@dataclass
-class RunManifest:
-    """Reproducibility record accompanying every output directory."""
-
-    command: str
-    input_path: str
-    parameters: dict
-    outputs: list[str] = field(default_factory=list)
-    tool_version: str = __version__
-
-    def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "input": self.input_path,
-            "parameters": self.parameters,
-            "outputs": self.outputs,
-            "tool_version": self.tool_version,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _write_manifest(out_dir: Path, manifest: RunManifest) -> None:
-    (out_dir / "manifest.json").write_text(manifest.to_json() + "\n")
-
-
-def _load_pop(input_path: str):
+    The exact enumeration limit exits 4, with ``limit_hint`` appended to its
+    message. Bad input exits 2: a ValueError (PopulationError and a malformed
+    JSON file's decode error among them), an unreadable file, or a schedule
+    or comparison that cannot be carried out honestly.
+    """
     try:
-        return load_population(input_path)
-    except (PopulationError, OSError) as exc:
-        _fail(EXIT_VALIDATION, str(exc))
+        yield
+    except EnumerationLimitError as exc:
+        click.echo(f"error: {exc}{limit_hint}", err=True)
+        sys.exit(EXIT_ENUMERATION)
+    except (ValueError, OSError, ScheduleTruncationError, ComparisonTruncationError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_VALIDATION)
+
+
+def _write_out(
+    out: str, command: str, input_path: str, parameters: dict, name: str, write: Callable[[Path], None]
+) -> None:
+    """Write the command's one output file into the --out directory, next to manifest.json."""
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write(out_dir / name)
+    manifest = {
+        "command": command,
+        "input": input_path,
+        "parameters": parameters,
+        "outputs": [name],
+        "tool_version": __version__,
+    }
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    click.echo(f"wrote {out_dir / name}")
 
 
 def _resolve_q(
@@ -98,15 +98,12 @@ def _resolve_q(
     """Pick inspection weights for the model, honoring the q flags."""
     if not model.takes_q:
         if q_source or q_file:
-            _fail(EXIT_VALIDATION, f"model {model.label} does not take inspection weights")
+            raise ValueError(f"model {model.label} does not take inspection weights")
         return None, "none"
     if q_file:
-        try:
-            q = load_weights_csv(q_file)
-        except (PopulationError, OSError) as exc:
-            _fail(EXIT_VALIDATION, str(exc))
+        q = load_weights_csv(q_file)
         if q.n != pop.n:
-            _fail(EXIT_VALIDATION, f"q file has {q.n} weights for {pop.n} items")
+            raise ValueError(f"q file has {q.n} weights for {pop.n} items")
         return q, f"file:{q_file}"
     if q_source == "uniform":
         return uniform_weights(pop.n), "uniform"
@@ -114,11 +111,11 @@ def _resolve_q(
         # Mean-optimal weights exist in closed form; they are the default.
         return model.optimal_q(pop), "optimal"
     if q_source == "optimal":
-        _fail(
-            EXIT_VALIDATION,
-            f"model {model.label} has no closed-form optimal weights; use --uniform-q or --q-file",
-        )
-    _fail(EXIT_VALIDATION, f"model {model.label} requires --uniform-q or --q-file")
+        raise ValueError(f"model {model.label} has no closed-form optimal weights; use --uniform-q or --q-file")
+    raise ValueError(f"model {model.label} requires --uniform-q or --q-file")
+
+
+_input = click.option("--input", "input_path", required=True, type=click.Path(exists=True, dir_okay=False))
 
 
 def _q_flags(fn):
@@ -168,54 +165,37 @@ def main():
 
 @main.command()
 @click.option("--model", type=click.Choice(LABELS), required=True)
-@click.option("--input", "input_path", required=True, type=click.Path(exists=True, dir_okay=False))
+@_input
 @click.option("--eps", type=float, default=1e-12, show_default=True,
               help="EF schedule truncation target.")
 @click.option("--max-steps", type=int, default=10**6, show_default=True)
 @click.option("--horizon", type=int, default=None, help="Horizon for the J/MN distribution CSV.")
 @_q_flags
 @click.option("--out", type=click.Path(file_okay=False), help="Directory for distribution CSV and manifest.")
+@_exit_codes("; use `priorsearch simulate` for this population")
 def evaluate(model, input_path, eps, max_steps, horizon, q_source, q_file, out):
     """Optimal policy, exact mean, and optionally the exact distribution."""
-    pop = _load_pop(input_path).population
+    pop = load_population(input_path).population
     m = MODELS[model]
     q, q_desc = _resolve_q(m, pop, q_source, q_file)
     click.echo(f"model: {model}")
     click.echo(f"items: {pop.n}")
-    try:
-        dist = m.law(pop, q, eps=eps, max_steps=max_steps, horizon=horizon)
-    except EnumerationLimitError as exc:
-        _fail(EXIT_ENUMERATION, f"{exc}; use `priorsearch simulate` for this population")
-    except (ScheduleTruncationError, ValueError) as exc:
-        _fail(EXIT_VALIDATION, str(exc))
+    dist = m.law(pop, q, eps=eps, max_steps=max_steps, horizon=horizon)
     if q is not None:
         click.echo(f"q ({q_desc}): {_format_q(q)}")
     for line in _summary_lines(m, pop, q, dist):
         click.echo(line)
     if out:
-        out_dir = Path(out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        dist_name = f"dist_{model}.csv"
-        write_distribution_csv(out_dir / dist_name, dist)
-        manifest = RunManifest(
-            command="evaluate",
-            input_path=input_path,
-            parameters={
-                "model": model,
-                "eps": eps,
-                "max_steps": max_steps,
-                "horizon": horizon,
-                "q_source": q_desc,
-            },
-            outputs=[dist_name],
-        )
-        _write_manifest(out_dir, manifest)
-        click.echo(f"wrote {out_dir / dist_name}")
+        parameters = {
+            "model": model, "eps": eps, "max_steps": max_steps, "horizon": horizon, "q_source": q_desc
+        }
+        _write_out(out, "evaluate", input_path, parameters, f"dist_{model}.csv",
+                   lambda path: write_distribution_csv(path, dist))
 
 
 @main.command(name="simulate")
 @click.option("--model", type=click.Choice(LABELS), required=True)
-@click.option("--input", "input_path", required=True, type=click.Path(exists=True, dir_okay=False))
+@_input
 @click.option("--reps", type=int, required=True)
 @click.option("--seed", type=int, required=True,
               help="Replication streams derive from this seed; no entropy defaults.")
@@ -227,51 +207,36 @@ def evaluate(model, input_path, eps, max_steps, horizon, q_source, q_file, out):
 @click.option("--out", type=click.Path(file_okay=False), help="Directory for empirical CSV and manifest.")
 @click.option("--check-exact", is_flag=True,
               help="Compare the empirical law against the exact one (exit 3 on mismatch).")
+@_exit_codes("; no exact law available to check against")
 def simulate_cmd(model, input_path, reps, seed, max_steps, horizon, alpha, q_source, q_file, out, check_exact):
     """Seeded Monte Carlo simulation of a model's inspection process."""
-    pop = _load_pop(input_path).population
+    pop = load_population(input_path).population
     m = MODELS[model]
     q, q_desc = _resolve_q(m, pop, q_source, q_file)
-    try:
-        cfg = SimConfig(model=model, reps=reps, seed=seed, max_steps=max_steps, q=q)
-        emp = simulate(pop, cfg)
-    except (ValueError, ScheduleTruncationError) as exc:
-        _fail(EXIT_VALIDATION, str(exc))
+    emp = simulate(pop, SimConfig(model=model, reps=reps, seed=seed, max_steps=max_steps, q=q))
     click.echo(f"model: {model}")
     click.echo(f"reps: {emp.reps}")
     click.echo(f"detected: {emp.detected}")
     click.echo(f"censored: {emp.censored}")
     click.echo(f"mean_detected: {emp.mean_detected!r}")
     click.echo(f"stderr: {emp.stderr!r}")
-    parameters = {
-        "model": model,
-        "reps": reps,
-        "seed": seed,
-        "max_steps": max_steps,
-        "horizon": horizon,
-        "alpha": alpha,
-        "q_source": q_desc,
-    }
     if out:
-        out_dir = Path(out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        emp_name = "empirical.csv"
-        write_empirical_csv(out_dir / emp_name, emp, config_echo=parameters)
-        manifest = RunManifest(
-            command="simulate", input_path=input_path, parameters=parameters, outputs=[emp_name]
-        )
-        _write_manifest(out_dir, manifest)
-        click.echo(f"wrote {out_dir / emp_name}")
+        parameters = {
+            "model": model,
+            "reps": reps,
+            "seed": seed,
+            "max_steps": max_steps,
+            "horizon": horizon,
+            "alpha": alpha,
+            "q_source": q_desc,
+        }
+        _write_out(out, "simulate", input_path, parameters, "empirical.csv",
+                   lambda path: write_empirical_csv(path, emp, config_echo=parameters))
     if check_exact:
-        try:
-            # The law of the schedule the simulation walks (see montecarlo.simulate).
-            exact = m.law(
-                pop, q, eps=DEFAULT_EF_EPS, max_steps=min(max_steps, DEFAULT_EF_MAX_STEPS), horizon=horizon
-            )
-        except EnumerationLimitError as exc:
-            _fail(EXIT_ENUMERATION, f"{exc}; no exact law available to check against")
-        except (ScheduleTruncationError, ValueError) as exc:
-            _fail(EXIT_VALIDATION, str(exc))
+        # The law of the schedule the simulation walks (see montecarlo.simulate).
+        exact = m.law(
+            pop, q, eps=DEFAULT_EF_EPS, max_steps=min(max_steps, DEFAULT_EF_MAX_STEPS), horizon=horizon
+        )
         ok = dkw_check(emp, exact, alpha)
         click.echo(f"dkw check: {'PASS' if ok else 'FAIL'} (alpha={alpha})")
         if not ok:
@@ -279,44 +244,28 @@ def simulate_cmd(model, input_path, reps, seed, max_steps, horizon, alpha, q_sou
 
 
 @main.command()
-@click.option("--input", "input_path", required=True, type=click.Path(exists=True, dir_okay=False))
+@_input
 @click.option("--tol", type=float, default=1e-9, show_default=True)
 @click.option("--eps", type=float, default=1e-13, show_default=True,
               help="EF schedule truncation target; must stay below tol/10.")
 @click.option("--horizon", type=int, default=None)
-@click.option("--optimal-q", "q_source", flag_value="optimal", default=None,
-              help="Weights sqrt(p_i/s_i), mean-optimal for replacement sampling.")
-@click.option("--uniform-q", "q_source", flag_value="uniform")
-@click.option("--q-file", type=click.Path(exists=True, dir_okay=False))
+@_q_flags
 @click.option("--out", type=click.Path(file_okay=False), help="Directory for the report JSON and manifest.")
+@_exit_codes()
 def order(input_path, tol, eps, horizon, q_source, q_file, out):
     """Pairwise dominance report; exit 3 if any expected relation fails."""
-    pop = _load_pop(input_path).population
+    pop = load_population(input_path).population
     # One q for all four democratic models: uniform unless asked for MN's optimum.
     q, q_desc = _resolve_q(MODELS["MN"], pop, q_source or "uniform", q_file)
-    try:
-        report = dominance_report(pop, q=q, tol=tol, ef_eps=eps, horizon=horizon)
-    except EnumerationLimitError as exc:
-        _fail(EXIT_ENUMERATION, str(exc))
-    except (ComparisonTruncationError, ScheduleTruncationError, ValueError) as exc:
-        _fail(EXIT_VALIDATION, str(exc))
+    report = dominance_report(pop, q=q, tol=tol, ef_eps=eps, horizon=horizon)
     for (a, b), verdict in report.verdicts.items():
         exp = report.expected[(a, b)]
         extra = f" witnesses={verdict.witnesses}" if verdict.witnesses else ""
         click.echo(f"{a} vs {b}: {verdict.relation} (expected {exp}){extra}")
     if out:
-        out_dir = Path(out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        report_name = "ordering_report.json"
-        (out_dir / report_name).write_text(report.to_json() + "\n")
-        manifest = RunManifest(
-            command="order",
-            input_path=input_path,
-            parameters={"tol": tol, "eps": eps, "horizon": horizon, "q_source": q_desc},
-            outputs=[report_name],
-        )
-        _write_manifest(out_dir, manifest)
-        click.echo(f"wrote {out_dir / report_name}")
+        parameters = {"tol": tol, "eps": eps, "horizon": horizon, "q_source": q_desc}
+        _write_out(out, "order", input_path, parameters, "ordering_report.json",
+                   lambda path: path.write_text(report.to_json() + "\n"))
     if report.mismatches:
         for line in report.mismatches:
             click.echo(f"mismatch: {line}", err=True)
@@ -330,41 +279,25 @@ def profile():
 
 
 @profile.command()
-@click.option("--input", "input_path", required=True, type=click.Path(exists=True, dir_okay=False))
+@_input
 @click.option("--likelihood", "likelihood_path", required=True, type=click.Path(exists=True, dir_okay=False),
               help="CSV with header id,likelihood.")
 @click.option("--out", type=click.Path(file_okay=False), help="Directory for the updated population file.")
+@_exit_codes()
 def bayes(input_path, likelihood_path, out):
     """Apply a likelihood column to the priors and write the updated population."""
-    from .population import bayes_update
-
-    loaded = _load_pop(input_path)
-    pop = loaded.population
-    try:
-        lik = load_likelihoods_csv(likelihood_path, pop)
-        updated = bayes_update(pop, lik)
-    except PopulationError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
+    loaded = load_population(input_path)
+    updated = bayes_update(loaded.population, load_likelihoods_csv(likelihood_path, loaded.population))
     if out:
-        out_dir = Path(out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        pop_name = "population_updated.csv"
-        save_population_csv(out_dir / pop_name, updated, loaded.lam)
-        manifest = RunManifest(
-            command="profile bayes",
-            input_path=input_path,
-            parameters={"likelihood": likelihood_path},
-            outputs=[pop_name],
-        )
-        _write_manifest(out_dir, manifest)
-        click.echo(f"wrote {out_dir / pop_name}")
+        _write_out(out, "profile bayes", input_path, {"likelihood": likelihood_path}, "population_updated.csv",
+                   lambda path: save_population_csv(path, updated, loaded.lam))
     else:
         for i in range(updated.n):
             click.echo(f"{updated.ids[i]},{float(updated.p[i])!r},{float(updated.s[i])!r}")
 
 
 @profile.command()
-@click.option("--input", "input_path", required=True, type=click.Path(exists=True, dir_okay=False))
+@_input
 @click.option("--target", type=click.Choice([f"optimal-{m.label}" for m in MODELS.values() if m.optimal_q]
                                            + ["uniform"]),
               default="optimal-J", show_default=True,
@@ -374,26 +307,22 @@ def bayes(input_path, likelihood_path, out):
 @click.option("--scale", type=float, default=1.0, show_default=True,
               help="Overall inspection intensity: max_i pi_i.")
 @click.option("--out", type=click.Path(file_okay=False))
+@_exit_codes()
 def decompose(input_path, target, q_file, scale, out):
     """Solve conditional inspection probabilities for a target weight vector."""
-    loaded = _load_pop(input_path)
+    loaded = load_population(input_path)
     pop = loaded.population
-    lam = loaded.lam if loaded.lam is not None else np.full(pop.n, 1.0 / pop.n)
-    if loaded.lam is None:
+    lam = loaded.lam
+    if lam is None:
         click.echo("note: no lambda column in input; assuming uniform attention")
-    try:
-        if q_file:
-            target_q = load_weights_csv(q_file)
-        elif target == "uniform":
-            target_q = uniform_weights(pop.n)
-        else:
-            target_q = MODELS[target.removeprefix("optimal-")].optimal_q(pop)
-        target_desc = f"file:{q_file}" if q_file else target
-        decomp = solve_conditional_inspection(lam, target_q, scale=scale)
-    except DecompositionError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-    except PopulationError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
+        lam = np.full(pop.n, 1.0 / pop.n)
+    if q_file:
+        target_q = load_weights_csv(q_file)
+    elif target == "uniform":
+        target_q = uniform_weights(pop.n)
+    else:
+        target_q = MODELS[target.removeprefix("optimal-")].optimal_q(pop)
+    decomp = solve_conditional_inspection(lam, target_q, scale=scale)
     lines = ["id,lambda,pi,q"]
     for i in range(pop.n):
         lines.append(
@@ -401,18 +330,9 @@ def decompose(input_path, target, q_file, scale, out):
         )
     text = "\n".join(lines) + "\n"
     if out:
-        out_dir = Path(out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        dec_name = "decomposition.csv"
-        (out_dir / dec_name).write_text(text)
-        manifest = RunManifest(
-            command="profile decompose",
-            input_path=input_path,
-            parameters={"target": target_desc, "scale": scale},
-            outputs=[dec_name],
-        )
-        _write_manifest(out_dir, manifest)
-        click.echo(f"wrote {out_dir / dec_name}")
+        parameters = {"target": f"file:{q_file}" if q_file else target, "scale": scale}
+        _write_out(out, "profile decompose", input_path, parameters, "decomposition.csv",
+                   lambda path: path.write_text(text))
     else:
         click.echo(text, nl=False)
 

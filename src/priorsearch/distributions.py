@@ -10,7 +10,6 @@ geometric-type J/MN laws); ``truncated`` distinguishes the two cases.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,9 +44,10 @@ class InspectionDistribution:
             raise ValueError(f"pmf must be one-dimensional, got shape {pmf.shape}")
         if not pmf.size and self.atom_at_infinity <= 0.0:
             raise ValueError("distribution has no mass at all")
-        if (pmf < 0.0).any():
-            k = int(np.argmax(pmf < 0.0))
-            raise ValueError(f"pmf({k + 1}) = {float(pmf[k])!r} is negative")
+        bad = (pmf < 0.0) | ~np.isfinite(pmf)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"pmf({k + 1}) = {float(pmf[k])!r} is negative or not finite")
         if not (-1e-15 <= self.atom_at_infinity <= 1.0 + 1e-12):
             raise ValueError(f"atom_at_infinity {self.atom_at_infinity!r} outside [0, 1]")
         total = math.fsum(pmf.tolist()) + self.atom_at_infinity
@@ -208,24 +208,11 @@ def thin_by_detection(dist: InspectionDistribution, detect_prob: float) -> Inspe
     return InspectionDistribution(dist.pmf * detect_prob, atom_at_infinity=atom, truncated=dist.truncated)
 
 
-def write_distribution_csv(path_or_file, dist: InspectionDistribution) -> None:
+def write_distribution_csv(path: str | Path, dist: InspectionDistribution) -> None:
     """Rows `m,pmf,cdf`, then metadata rows `atom_at_infinity,<v>` and `truncated,<bool>`."""
-
-    def _write(fh) -> None:
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["m", "pmf", "cdf"])
         writer.writerows(zip(range(1, dist.horizon + 1), dist.pmf.tolist(), dist.cdf_array().tolist()))
         writer.writerow(["atom_at_infinity", repr(dist.atom_at_infinity)])
         writer.writerow(["truncated", str(dist.truncated).lower()])
-
-    if isinstance(path_or_file, (str, Path)):
-        with open(path_or_file, "w", newline="") as fh:
-            _write(fh)
-    else:
-        _write(path_or_file)
-
-
-def distribution_csv_text(dist: InspectionDistribution) -> str:
-    buf = io.StringIO()
-    write_distribution_csv(buf, dist)
-    return buf.getvalue()

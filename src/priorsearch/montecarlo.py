@@ -17,7 +17,6 @@ workers; count merging is commutative.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -99,16 +98,15 @@ class EmpiricalResult:
         return np.cumsum(dense)[1:] / denom
 
 
-def sample_target_index(pop: Population, rng: np.random.Generator) -> int:
-    """Draw the hidden target's 1-based index: i with probability p_i.
+def _draw_targets(pop: Population, rng: np.random.Generator, m: int) -> np.ndarray:
+    """0-based indices of m hidden targets, index i drawn with probability p[i].
 
-    Consumes one uniform variate and inverts the cumulative priors, so the
-    cut points respect index order (u < p_1 selects item 1, and so on). When
+    Consumes m uniform variates and inverts the cumulative priors, so the
+    cut points respect index order (u < p[0] selects index 0, and so on). When
     rounding leaves the last cumulative prior below u, the draw goes to the
-    last item, as in the simulation kernel.
+    last item.
     """
-    u = rng.random()
-    return min(int(np.searchsorted(pop.cumulative_p, u, side="right")), pop.n - 1) + 1
+    return np.minimum(np.searchsorted(pop.cumulative_p, rng.random(m), side="right"), pop.n - 1)
 
 
 def _geometric_from_uniform(u: np.ndarray, rate: np.ndarray, max_steps: int) -> np.ndarray:
@@ -149,9 +147,7 @@ def _simulate_chunk(
     """
     s = pop.s
     n = pop.n
-    target = np.minimum(
-        np.searchsorted(pop.cumulative_p, rng.random(m), side="right"), n - 1
-    )
+    target = _draw_targets(pop, rng, m)
     if model.walk == "order":
         rank = np.empty(n, dtype=np.int64)
         rank[np.asarray(descending_prior_order(pop)) - 1] = np.arange(1, n + 1)
@@ -250,16 +246,13 @@ def dkw_check(emp: EmpiricalResult, exact: InspectionDistribution, alpha: float 
     return float(np.abs(emp_cdf - exact_cdf).max()) <= band
 
 
-def write_empirical_csv(
-    path_or_file, emp: EmpiricalResult, config_echo: Mapping | None = None
-) -> None:
+def write_empirical_csv(path: str | Path, emp: EmpiricalResult, config_echo: Mapping | None = None) -> None:
     """Rows `m,count` plus a trailing `censored,<n>` row.
 
     When given, the run configuration is echoed as a JSON comment on the
     first line so the file is self-describing.
     """
-
-    def _write(fh) -> None:
+    with open(path, "w", newline="") as fh:
         if config_echo is not None:
             fh.write("# config " + json.dumps(config_echo, sort_keys=True) + "\n")
         writer = csv.writer(fh)
@@ -267,15 +260,3 @@ def write_empirical_csv(
         for m in sorted(emp.counts):
             writer.writerow([m, emp.counts[m]])
         writer.writerow(["censored", emp.censored])
-
-    if isinstance(path_or_file, (str, Path)):
-        with open(path_or_file, "w", newline="") as fh:
-            _write(fh)
-    else:
-        _write(path_or_file)
-
-
-def empirical_csv_text(emp: EmpiricalResult, config_echo: Mapping | None = None) -> str:
-    buf = io.StringIO()
-    write_empirical_csv(buf, emp, config_echo)
-    return buf.getvalue()

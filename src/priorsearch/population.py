@@ -276,41 +276,56 @@ def load_population(path: str | Path) -> PopulationFile:
     return load_population_csv(path)
 
 
-def load_population_csv(path: str | Path) -> PopulationFile:
+def _read_columns(
+    path: str | Path, required: tuple[str, ...], optional: tuple[str, ...] = ()
+) -> dict[str, list]:
+    """The named columns of a CSV file with a header row, one entry per row.
+
+    ``id`` comes back as stripped strings and every other column as floats;
+    an optional column missing from the header is left out.
+    """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise PopulationError(f"{path}: empty file")
-        fields = [f.strip() for f in reader.fieldnames]
-        if "id" not in fields or "p" not in fields:
-            raise PopulationError(f"{path}: header must contain at least `id,p`")
+        header = [f.strip() for f in reader.fieldnames or ()]
+        if not set(required) <= set(header):
+            raise PopulationError(f"{path}: header must contain `{','.join(required)}`")
+        reader.fieldnames = header
         rows = list(reader)
     if not rows:
-        raise PopulationError(f"{path}: no items")
+        raise PopulationError(f"{path}: no rows")
+    names = [c for c in required + optional if c in header]
     try:
-        ids = [row["id"].strip() for row in rows]
-        p = [float(row["p"]) for row in rows]
-        s = [float(row["s"]) for row in rows] if "s" in fields else None
-        lam = [float(row["lambda"]) for row in rows] if "lambda" in fields else None
-    except (KeyError, TypeError, ValueError) as exc:
+        return {c: [row[c].strip() if c == "id" else float(row[c]) for row in rows] for c in names}
+    except (AttributeError, TypeError, ValueError) as exc:
         raise PopulationError(f"{path}: malformed row ({exc})") from exc
-    pop = validate_population(p, s, ids)
+
+
+def _population_file(p, s, ids, lam) -> PopulationFile:
     lam_arr = _normalized(lam, "lambda") if lam is not None else None
-    return PopulationFile(population=pop, lam=lam_arr)
+    return PopulationFile(population=validate_population(p, s, ids), lam=lam_arr)
+
+
+def load_population_csv(path: str | Path) -> PopulationFile:
+    cols = _read_columns(path, ("id", "p"), ("s", "lambda"))
+    return _population_file(cols["p"], cols.get("s"), cols["id"], cols.get("lambda"))
 
 
 def load_population_json(path: str | Path) -> PopulationFile:
-    with open(path) as fh:
-        data = json.load(fh)
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise PopulationError(f"{path}: malformed JSON ({exc})") from exc
     if not isinstance(data, dict) or "p" not in data:
         raise PopulationError(f"{path}: expected an object with a `p` array")
-    p = data["p"]
-    ids = data.get("id")
-    s = data.get("s")
-    lam = data.get("lambda")
-    pop = validate_population(p, s, ids)
-    lam_arr = _normalized(lam, "lambda") if lam is not None else None
-    return PopulationFile(population=pop, lam=lam_arr)
+    try:
+        p, s, lam = (
+            None if data.get(k) is None else np.asarray(data[k], dtype=float) for k in ("p", "s", "lambda")
+        )
+        ids = None if data.get("id") is None else [str(i) for i in data["id"]]
+    except (TypeError, ValueError) as exc:
+        raise PopulationError(f"{path}: malformed array ({exc})") from exc
+    return _population_file(p, s, ids, lam)
 
 
 def save_population_csv(path: str | Path, pop: Population, lam: np.ndarray | None = None) -> None:
@@ -327,33 +342,13 @@ def save_population_csv(path: str | Path, pop: Population, lam: np.ndarray | Non
 
 def load_weights_csv(path: str | Path) -> InspectionWeights:
     """Weights file: CSV with header `id,q`, one row per item, in item order."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "q" not in [f.strip() for f in reader.fieldnames]:
-            raise PopulationError(f"{path}: header must contain `q`")
-        rows = list(reader)
-    if not rows:
-        raise PopulationError(f"{path}: no rows")
-    try:
-        q = [float(row["q"]) for row in rows]
-    except (TypeError, ValueError) as exc:
-        raise PopulationError(f"{path}: malformed row ({exc})") from exc
-    return InspectionWeights(q=np.asarray(q))
+    return InspectionWeights(q=np.asarray(_read_columns(path, ("q",))["q"]))
 
 
 def load_likelihoods_csv(path: str | Path, pop: Population) -> np.ndarray:
     """Likelihood file: CSV with header `id,likelihood`, matched to the population by id."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise PopulationError(f"{path}: empty file")
-        fields = [f.strip() for f in reader.fieldnames]
-        if "id" not in fields or "likelihood" not in fields:
-            raise PopulationError(f"{path}: header must contain `id,likelihood`")
-        try:
-            by_id = {row["id"].strip(): float(row["likelihood"]) for row in reader}
-        except (TypeError, ValueError) as exc:
-            raise PopulationError(f"{path}: malformed row ({exc})") from exc
+    cols = _read_columns(path, ("id", "likelihood"))
+    by_id = dict(zip(cols["id"], cols["likelihood"]))
     missing = [i for i in pop.ids if i not in by_id]
     if missing:
         raise PopulationError(f"{path}: missing likelihoods for items {missing}")

@@ -41,6 +41,12 @@ def rng():
 
 POP_CSV_TEXT = "id,p,s\na,0.5,1\nb,0.3,1\nc,0.2,0.5\n"
 PERFECT_CSV_TEXT = "id,p\na,0.5\nb,0.3\nc,0.2\n"
+# Population JSON files that do not parse into numeric arrays, by test id.
+MALFORMED_JSON = {
+    "truncated": '{"p": [0.5, 0.5',
+    "p-not-numbers": '{"p": "abc"}',
+    "s-not-numbers": '{"p": [0.5, 0.5], "s": [1, "x"]}',
+}
 
 
 @pytest.fixture

@@ -13,8 +13,8 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .population import InspectionWeights, Population
-from .strategies import Schedule, ScheduleStep
+from priorsearch.population import InspectionWeights, Population
+from priorsearch.strategies import Schedule, ScheduleStep
 
 
 def ikl_mean_bruteforce(pop: Population, q: InspectionWeights) -> float:

@@ -39,15 +39,16 @@ from priorsearch import (
     validate_population,
 )
 from priorsearch.cli import main as cli_main
-from priorsearch.oracle import (
-    ef_best_schedule_bruteforce,
-    ikl_mean_bruteforce,
-    truncated_schedule_score,
-)
 from priorsearch.ordering import (
     EXPECTED_SMALLER,
     dominance_report,
     ef_op_incomparable_population,
+)
+
+from oracle import (
+    ef_best_schedule_bruteforce,
+    ikl_mean_bruteforce,
+    truncated_schedule_score,
 )
 
 SEED = 20260810

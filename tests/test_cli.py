@@ -8,6 +8,8 @@ from priorsearch.cli import main
 from priorsearch.ordering import ef_op_incomparable_population
 from priorsearch.population import load_population, save_population_csv
 
+from conftest import MALFORMED_JSON
+
 
 def get_line(output, prefix):
     for line in output.splitlines():
@@ -89,6 +91,14 @@ class TestEvaluate:
         path.write_text("id,p\na,0.5\nb,0.4\n")
         result = runner.invoke(main, ["evaluate", "--model", "ABCD", "--input", str(path)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("text", MALFORMED_JSON.values(), ids=MALFORMED_JSON)
+    def test_malformed_json_population_exit_code(self, runner, tmp_path, text):
+        path = tmp_path / "pop.json"
+        path.write_text(text)
+        result = runner.invoke(main, ["evaluate", "--model", "ABCD", "--input", str(path)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"error: {path}: malformed")
 
     def test_distribution_output_with_manifest(self, runner, perfect_csv, tmp_path):
         out = tmp_path / "out"
@@ -183,6 +193,15 @@ class TestSimulate:
             ],
         )
         assert result.exit_code == 2
+
+    def test_check_exact_alpha_out_of_range_exit_code(self, runner, pop_csv):
+        result = runner.invoke(
+            main,
+            ["simulate", "--model", "ABCD", "--input", pop_csv,
+             "--reps", "10", "--seed", "1", "--check-exact", "--alpha", "2"],
+        )
+        assert result.exit_code == 2
+        assert result.stderr == "error: alpha must be in (0, 1)\n"
 
     def test_eps_is_not_an_option(self, runner, pop_csv):
         result = runner.invoke(

@@ -22,10 +22,16 @@ from priorsearch import (
     uniform_weights,
     validate_population,
 )
-from priorsearch.distributions import HORIZON_CAP, InspectionDistribution, distribution_csv_text
+from priorsearch.distributions import HORIZON_CAP, InspectionDistribution, write_distribution_csv
 from priorsearch.ordering import ef_op_incomparable_population
 
 from conftest import random_population, random_simplex
+
+
+def csv_text(tmp_path, dist):
+    path = tmp_path / "dist.csv"
+    write_distribution_csv(path, dist)
+    return path.read_text()
 
 
 def make_weights(arr):
@@ -44,6 +50,13 @@ class TestInspectionDistribution:
     def test_negative_entry_rejected(self):
         with pytest.raises(ValueError, match=r"pmf\(2\) = -0.1 is negative"):
             InspectionDistribution(pmf=[0.6, -0.1, 0.5], atom_at_infinity=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        with pytest.raises(ValueError, match=rf"pmf\(1\) = {bad!r} is negative or not finite"):
+            InspectionDistribution(pmf=[bad], atom_at_infinity=0.0)
+        with pytest.raises(ValueError, match=r"pmf\(2\) = "):
+            InspectionDistribution(pmf=[0.5, bad, 0.5], atom_at_infinity=0.0)
 
     def test_pmf_is_read_only_copy(self):
         source = np.array([0.5, 0.5])
@@ -171,13 +184,13 @@ class TestDistJ:
             assert d.pmf[m - 1] == pytest.approx(0.5**m, abs=1e-15)
             assert d.cdf(m) == pytest.approx(1.0 - 0.5**m, abs=1e-12)
 
-    def test_underflowed_tail_is_trimmed(self):
+    def test_underflowed_tail_is_trimmed(self, tmp_path):
         # pmf(m) = 2^-m; from m = 1074 on the two halves round to 0.
         d = dist_j(validate_population([0.5, 0.5]), make_weights([0.5, 0.5]), horizon=5000)
         assert d.horizon == 1073
         assert d.pmf[-1] == 2.0**-1073
         assert d.atom_at_infinity == 0.0
-        lines = distribution_csv_text(d).strip().splitlines()
+        lines = csv_text(tmp_path, d).strip().splitlines()
         assert len(lines) == 1 + 1073 + 2
         assert lines[1073].startswith("1073,")
 
@@ -330,18 +343,18 @@ class TestThinByDetection:
 
 
 class TestCsvExport:
-    def test_round_trip_fields(self):
+    def test_round_trip_fields(self, tmp_path):
         pop = validate_population([0.5, 0.5], [0.5, 1.0])
-        text = distribution_csv_text(dist_gh(pop))
+        text = csv_text(tmp_path, dist_gh(pop))
         lines = text.strip().splitlines()
         assert lines[0] == "m,pmf,cdf"
         assert lines[1].startswith("1,0.25,")
         assert lines[-2].startswith("atom_at_infinity,0.25")
         assert lines[-1] == "truncated,false"
 
-    def test_cdf_column_cumulative(self):
+    def test_cdf_column_cumulative(self, tmp_path):
         pop = validate_population([0.5, 0.3, 0.2])
-        text = distribution_csv_text(dist_abcd(pop))
+        text = csv_text(tmp_path, dist_abcd(pop))
         rows = [line.split(",") for line in text.strip().splitlines()[1:-2]]
         cdf_vals = [float(r[2]) for r in rows]
         assert cdf_vals == sorted(cdf_vals)

@@ -1,16 +1,17 @@
 """Golden outputs: each CLI run below reproduces its committed stdout and files.
 
-Every case writes to an output directory; its stdout and every file written
-there are compared with ``tests/golden/<case>/``, after the temporary
-directory's path is replaced by ``<tmp>``. A deliberate output change shows
-up as a diff of those files. ``PYTHONPATH=src python tests/test_golden.py``
-captures them afresh.
+Every case's stdout and every file it writes to its output directory are
+compared with ``tests/golden/<case>/``, after the temporary directory's path
+is replaced by ``<tmp>``. A case that exits nonzero also records its exit
+code and stderr. A deliberate output change shows up as a diff of those
+files. ``PYTHONPATH=src python tests/test_golden.py`` captures them afresh.
 """
 
 import shutil
 from pathlib import Path
 
 import pytest
+from conftest import PERFECT_CSV_TEXT, POP_CSV_TEXT
 
 from priorsearch.cli import main
 
@@ -18,6 +19,18 @@ GOLDEN = Path(__file__).parent / "golden"
 
 LABELS = ("ABCD", "EF", "GH", "IKL", "J", "MN", "OP")
 UNIFORM_Q = ("IKL", "OP")  # no closed-form optimum; J and MN default to theirs
+OUT = ["--out", "out"]
+
+# Input files by the name the cases use for them.
+INPUTS = {
+    "pop_csv": POP_CSV_TEXT,
+    "perfect_csv": PERFECT_CSV_TEXT,
+    "lambda_csv": "id,p,s,lambda\na,0.5,1,0.2\nb,0.3,1,0.3\nc,0.2,0.5,0.5\n",
+    "pop11_csv": "id,p\n" + "".join(f"i{k},{1.0 / 11!r}\n" for k in range(1, 12)),
+    "q_short_csv": "id,q\na,0.5\nb,0.5\n",
+    "likelihood_csv": "id,likelihood\na,0.2\nb,0.5\nc,0.9\n",
+    "bad_likelihood_csv": "id,likelihood\na,0.2\nb,abc\nc,0.9\n",
+}
 
 
 def _flags(model):
@@ -26,34 +39,63 @@ def _flags(model):
 
 CASES = {
     **{
-        f"evaluate-{model}-{fixture}": ["evaluate", "--model", model, "--input", fixture, *_flags(model)]
+        f"evaluate-{model}-{fixture}": ["evaluate", "--model", model, "--input", fixture, *_flags(model), *OUT]
         for fixture in ("pop_csv", "perfect_csv")
         for model in LABELS
     },
     **{
         f"simulate-{model}": ["simulate", "--model", model, "--input", "pop_csv", *_flags(model),
-                              "--reps", "3000", "--seed", "17", "--check-exact"]
+                              "--reps", "3000", "--seed", "17", "--check-exact", *OUT]
         for model in LABELS
     },
-    "order-pop_csv": ["order", "--input", "pop_csv"],
-    "order-perfect_csv": ["order", "--input", "perfect_csv"],
+    "order-pop_csv": ["order", "--input", "pop_csv", *OUT],
+    "order-perfect_csv": ["order", "--input", "perfect_csv", *OUT],
+    "profile-bayes": ["profile", "bayes", "--input", "pop_csv", "--likelihood", "likelihood_csv"],
+    "profile-bayes-out": ["profile", "bayes", "--input", "lambda_csv", "--likelihood", "likelihood_csv", *OUT],
+    "profile-decompose-optimal-J": ["profile", "decompose", "--input", "lambda_csv", "--target", "optimal-J"],
+    "profile-decompose-uniform": ["profile", "decompose", "--input", "pop_csv", "--target", "uniform"],
+    "profile-decompose-out": ["profile", "decompose", "--input", "lambda_csv", "--target", "optimal-MN",
+                              "--scale", "0.5", *OUT],
+    # Error cases: one per subcommand.
+    "error-evaluate-IKL-N11": ["evaluate", "--model", "IKL", "--input", "pop11_csv", "--uniform-q", *OUT],
+    "error-simulate-OP-N11": ["simulate", "--model", "OP", "--input", "pop11_csv", "--uniform-q",
+                              "--reps", "100", "--seed", "1", "--check-exact", *OUT],
+    "error-order-N11": ["order", "--input", "pop11_csv", *OUT],
+    "error-profile-bayes-bad-likelihood": ["profile", "bayes", "--input", "pop_csv",
+                                           "--likelihood", "bad_likelihood_csv", *OUT],
+    "error-profile-decompose-q-size": ["profile", "decompose", "--input", "pop_csv",
+                                       "--q-file", "q_short_csv", *OUT],
 }
 
 
-def run_case(runner, argv, inputs, tmp_path):
-    """{file name: text} for stdout.txt and every file the run writes to tmp_path/out."""
+def write_inputs(root):
+    """Write every input file under root; {name: path} for the cases' argv."""
+    paths = {"out": str(root / "out")}
+    for name, text in INPUTS.items():
+        path = root / (name.removesuffix("_csv") + ".csv")
+        path.write_text(text)
+        paths[name] = str(path)
+    return paths
+
+
+def run_case(runner, argv, paths, tmp_path):
+    """{file name: text} for stdout.txt, every file the run writes, and exit code and stderr on failure."""
     out = tmp_path / "out"
     shutil.rmtree(out, ignore_errors=True)
-    result = runner.invoke(main, [inputs.get(a, a) for a in argv] + ["--out", str(out)])
-    assert result.exit_code == 0, result.output
-    texts = {"stdout.txt": result.output}
-    texts.update({f.name: f.read_text() for f in sorted(out.iterdir())})
+    result = runner.invoke(main, [paths.get(a, a) for a in argv])
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.output
+    texts = {"stdout.txt": result.stdout}
+    if result.exit_code != 0:
+        texts["exit_code.txt"] = f"{result.exit_code}\n"
+        texts["stderr.txt"] = result.stderr
+    if out.is_dir():
+        texts.update({f.name: f.read_text() for f in sorted(out.iterdir())})
     return {name: text.replace(str(tmp_path), "<tmp>") for name, text in texts.items()}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_cli_output_matches_golden(case, runner, pop_csv, perfect_csv, tmp_path):
-    got = run_case(runner, CASES[case], {"pop_csv": pop_csv, "perfect_csv": perfect_csv}, tmp_path)
+def test_cli_output_matches_golden(case, runner, tmp_path):
+    got = run_case(runner, CASES[case], write_inputs(tmp_path), tmp_path)
     want = {f.name: f.read_text() for f in sorted((GOLDEN / case).iterdir())}
     assert sorted(got) == sorted(want)
     for name in want:
@@ -65,15 +107,11 @@ if __name__ == "__main__":
 
     from click.testing import CliRunner
 
-    from conftest import PERFECT_CSV_TEXT, POP_CSV_TEXT
-
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        (root / "pop.csv").write_text(POP_CSV_TEXT)
-        (root / "perfect.csv").write_text(PERFECT_CSV_TEXT)
-        inputs = {"pop_csv": str(root / "pop.csv"), "perfect_csv": str(root / "perfect.csv")}
+        paths = write_inputs(root)
         for case, argv in CASES.items():
             shutil.rmtree(GOLDEN / case, ignore_errors=True)
             (GOLDEN / case).mkdir(parents=True)
-            for name, text in run_case(CliRunner(), argv, inputs, root).items():
+            for name, text in run_case(CliRunner(), argv, paths, root).items():
                 (GOLDEN / case / name).write_text(text)

@@ -17,12 +17,11 @@ from priorsearch import (
     dkw_check,
     ef_schedule,
     j_optimal_q,
-    sample_target_index,
     simulate,
     uniform_weights,
     validate_population,
 )
-from priorsearch.montecarlo import empirical_csv_text
+from priorsearch.montecarlo import _draw_targets, write_empirical_csv
 
 from conftest import random_population
 
@@ -55,42 +54,38 @@ class TestSimConfig:
             SimConfig(model="ABCD", reps=1, seed=0, max_steps=2**53)
 
 
+class FixedU:
+    """Stands in for a generator whose every uniform draw is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+
 class TestSampleTargetIndex:
     def test_single_item(self, rng):
         pop = validate_population([1.0])
-        assert sample_target_index(pop, rng) == 1
+        assert _draw_targets(pop, rng, 5).tolist() == [0] * 5
 
     def test_inverse_cdf_boundaries(self):
         pop = validate_population([0.5, 0.3, 0.2])
-
-        class FixedU:
-            def __init__(self, u):
-                self.u = u
-
-            def random(self):
-                return self.u
-
-        assert sample_target_index(pop, FixedU(0.3)) == 1
-        assert sample_target_index(pop, FixedU(0.6)) == 2
-        assert sample_target_index(pop, FixedU(0.95)) == 3
+        assert _draw_targets(pop, FixedU(0.3), 1).tolist() == [0]
+        assert _draw_targets(pop, FixedU(0.6), 1).tolist() == [1]
+        assert _draw_targets(pop, FixedU(0.95), 1).tolist() == [2]
 
     def test_largest_uniform_below_rounded_total_picks_last_item(self):
         pop = validate_population(np.full(10, 0.1))
         u = 1.0 - 2.0**-53
         assert pop.cumulative_p[-1] <= u
-
-        class FixedU:
-            def random(self):
-                return u
-
-        assert sample_target_index(pop, FixedU()) == 10
+        assert _draw_targets(pop, FixedU(u), 1).tolist() == [9]
 
     def test_frequencies_within_binomial_bound(self):
         # 4 sigma two-sided bound for a fair coin.
         pop = validate_population([0.5, 0.5])
-        rng = np.random.default_rng(42)
         draws = 10**6
-        ones = sum(1 for _ in range(draws) if sample_target_index(pop, rng) == 1)
+        ones = int(np.count_nonzero(_draw_targets(pop, np.random.default_rng(42), draws) == 0))
         sigma = math.sqrt(0.25 / draws)
         assert abs(ones / draws - 0.5) <= 4 * sigma
 
@@ -208,10 +203,12 @@ class TestDkw:
 
 
 class TestEmpiricalExport:
-    def test_csv_format(self):
+    def test_csv_format(self, tmp_path):
         pop = validate_population([0.5, 0.5], [0.8, 0.8])
         emp = simulate(pop, SimConfig(model="GH", reps=1000, seed=4))
-        text = empirical_csv_text(emp, config_echo={"model": "GH", "seed": 4})
+        path = tmp_path / "empirical.csv"
+        write_empirical_csv(path, emp, config_echo={"model": "GH", "seed": 4})
+        text = path.read_text()
         lines = text.strip().splitlines()
         assert lines[0].startswith("# config ")
         assert lines[1] == "m,count"

@@ -14,15 +14,15 @@ from priorsearch import (
     uniform_weights,
     validate_population,
 )
-from priorsearch.oracle import (
+from priorsearch.strategies import position_probabilities
+
+from oracle import (
     ef_best_schedule_bruteforce,
     geometric_mean_bruteforce,
     ikl_mean_bruteforce,
     position_probabilities_loop,
     truncated_schedule_score,
 )
-from priorsearch.strategies import position_probabilities
-
 from conftest import random_population, random_simplex
 
 

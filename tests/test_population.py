@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,8 @@ from priorsearch.population import (
     load_weights_csv,
     save_population_csv,
 )
+
+from conftest import MALFORMED_JSON
 
 probability_vectors = st.lists(
     st.floats(min_value=1e-3, max_value=10.0, allow_nan=False), min_size=1, max_size=12
@@ -247,3 +250,10 @@ class TestFiles:
         path.write_text("id,likelihood\na,0.1\n")
         with pytest.raises(PopulationError, match="missing likelihoods"):
             load_likelihoods_csv(path, pop)
+
+    @pytest.mark.parametrize("text", MALFORMED_JSON.values(), ids=MALFORMED_JSON)
+    def test_malformed_json_names_the_file(self, tmp_path, text):
+        path = tmp_path / "pop.json"
+        path.write_text(text)
+        with pytest.raises(PopulationError, match=f"^{re.escape(str(path))}: malformed"):
+            load_population(path)
