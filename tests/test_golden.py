@@ -25,6 +25,8 @@ OUT = ["--out", "out"]
 INPUTS = {
     "pop_csv": POP_CSV_TEXT,
     "perfect_csv": PERFECT_CSV_TEXT,
+    # s*p = (.1, .3, .2) is not in prior order, so GH's walk order matters here.
+    "gh_csv": "id,p,s\na,0.5,0.2\nb,0.3,1\nc,0.2,1\n",
     "lambda_csv": "id,p,s,lambda\na,0.5,1,0.2\nb,0.3,1,0.3\nc,0.2,0.5,0.5\n",
     "pop11_csv": "id,p\n" + "".join(f"i{k},{1.0 / 11!r}\n" for k in range(1, 12)),
     "q_short_csv": "id,q\na,0.5\nb,0.5\n",
@@ -48,7 +50,11 @@ CASES = {
                               "--reps", "3000", "--seed", "17", "--check-exact", *OUT]
         for model in LABELS
     },
+    "evaluate-GH-gh_csv": ["evaluate", "--model", "GH", "--input", "gh_csv", *OUT],
+    "simulate-GH-gh_csv": ["simulate", "--model", "GH", "--input", "gh_csv",
+                           "--reps", "3000", "--seed", "17", "--check-exact", *OUT],
     "order-pop_csv": ["order", "--input", "pop_csv", *OUT],
+    "order-gh_csv": ["order", "--input", "gh_csv", *OUT],
     "order-perfect_csv": ["order", "--input", "perfect_csv", *OUT],
     "profile-bayes": ["profile", "bayes", "--input", "pop_csv", "--likelihood", "likelihood_csv"],
     "profile-bayes-out": ["profile", "bayes", "--input", "lambda_csv", "--likelihood", "likelihood_csv", *OUT],
