@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print dominance reports for a random population and the EF/OP witness family.
+"""Print the dominance report for a random population.
 
 Usage: python scripts/dominance_demo.py [--seed SEED] [--size N]
 """
@@ -8,16 +8,7 @@ import argparse
 
 import numpy as np
 
-from priorsearch import (
-    dist_ef,
-    dist_ikl_exact,
-    ef_schedule,
-    mn_optimal_q,
-    stochastic_compare,
-    thin_by_detection,
-    validate_population,
-)
-from priorsearch.ordering import dominance_report, ef_op_incomparable_population
+from priorsearch import dominance_report, validate_population
 
 
 def show_report(title, report):
@@ -43,20 +34,6 @@ def main():
         rng.dirichlet(np.ones(args.size)), rng.uniform(0.3, 1.0, size=args.size)
     )
     show_report(f"random population (n={args.size}, seed={args.seed})", dominance_report(pop))
-
-    fam = ef_op_incomparable_population(5)
-    q = mn_optimal_q(fam)
-    show_report("incomparability family (n=5, q proportional to priors)",
-                dominance_report(fam, q=q))
-
-    d_ef = dist_ef(ef_schedule(fam, eps=1e-13))
-    d_op = thin_by_detection(dist_ikl_exact(fam, q), fam.detect_prob)
-    verdict = stochastic_compare(d_ef, d_op)
-    print("EF vs OP on the witness family:", verdict.relation)
-    print("  P(EF = 1)      =", d_ef.pmf[0])
-    print("  P(OP = 1)      =", d_op.pmf[0])
-    print("  P(OP = inf)    =", d_op.atom_at_infinity)
-    print("  witnesses      =", verdict.witnesses)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ from .distributions import (
     dist_j,
     dist_mn,
     dist_op_exact,
-    thin_by_detection,
     write_distribution_csv,
 )
 from .montecarlo import (
@@ -33,7 +32,6 @@ from .ordering import (
     DominanceVerdict,
     OrderingReport,
     dominance_report,
-    ef_op_incomparable_population,
     stochastic_compare,
 )
 from .population import (
@@ -76,7 +74,6 @@ __all__ = [
     "dist_j",
     "dist_mn",
     "dist_op_exact",
-    "thin_by_detection",
     "write_distribution_csv",
     "EmpiricalResult",
     "SimConfig",
@@ -88,7 +85,6 @@ __all__ = [
     "DominanceVerdict",
     "OrderingReport",
     "dominance_report",
-    "ef_op_incomparable_population",
     "stochastic_compare",
     "DecompositionError",
     "InspectionWeights",

@@ -44,7 +44,7 @@ from .strategies import (
     DEFAULT_EF_MAX_STEPS,
     EnumerationLimitError,
     ScheduleTruncationError,
-    descending_prior_order,
+    descending_order,
 )
 
 EXIT_VALIDATION = 2
@@ -101,10 +101,7 @@ def _resolve_q(
             raise ValueError(f"model {model.label} does not take inspection weights")
         return None, "none"
     if q_file:
-        q = load_weights_csv(q_file)
-        if q.n != pop.n:
-            raise ValueError(f"q file has {q.n} weights for {pop.n} items")
-        return q, f"file:{q_file}"
+        return load_weights_csv(q_file, pop), f"file:{q_file}"
     if q_source == "uniform":
         return uniform_weights(pop.n), "uniform"
     if model.optimal_q is not None:
@@ -136,7 +133,7 @@ def _summary_lines(
     model: Model, pop: Population, q: InspectionWeights | None, law: InspectionDistribution
 ) -> list[str]:
     """What evaluate prints about the model's inspection count, after the q line."""
-    if model.thins is not None:
+    if model.defective:
         detect = min(pop.detect_prob, 1.0)
         cond = law.conditional_on_detection().mean_finite()
         if detect < 1.0 - 1e-12:
@@ -153,7 +150,7 @@ def _summary_lines(
     mean = law.mean_finite() if model.closed_mean is None else model.closed_mean(pop, q)
     lines = [f"mean: {mean!r}"]
     if model.walk == "order":
-        lines.insert(0, "order: " + " ".join(pop.ids[i - 1] for i in descending_prior_order(pop)))
+        lines.insert(0, "order: " + " ".join(pop.ids[i] for i in descending_order(model.key(pop, q))))
     return lines
 
 
@@ -317,7 +314,7 @@ def decompose(input_path, target, q_file, scale, out):
         click.echo("note: no lambda column in input; assuming uniform attention")
         lam = np.full(pop.n, 1.0 / pop.n)
     if q_file:
-        target_q = load_weights_csv(q_file)
+        target_q = load_weights_csv(q_file, pop)
     elif target == "uniform":
         target_q = uniform_weights(pop.n)
     else:

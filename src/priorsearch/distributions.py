@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .population import InspectionWeights, Population
-from .strategies import Schedule, descending_prior_order, position_probabilities
+from .strategies import Schedule, descending_order, position_probabilities
 
 MASS_BALANCE_TOL = 1e-9
 DEFAULT_TAIL_EPS = 1e-12
@@ -93,8 +93,7 @@ class InspectionDistribution:
 
 def dist_abcd(pop: Population) -> InspectionDistribution:
     """Descending-prior order, perfect recognition: pmf(k) = k-th largest prior."""
-    order = np.asarray(descending_prior_order(pop)) - 1
-    return InspectionDistribution(pop.p[order], atom_at_infinity=0.0)
+    return InspectionDistribution(pop.p[descending_order(pop.p)], atom_at_infinity=0.0)
 
 
 def dist_ef(sched: Schedule) -> InspectionDistribution:
@@ -111,15 +110,15 @@ def dist_ef(sched: Schedule) -> InspectionDistribution:
 
 
 def dist_gh(pop: Population) -> InspectionDistribution:
-    """Exact law of the one-pass descending-prior walk with imperfect recognition.
+    """Exact law of the one-pass walk in descending s_i p_i order.
 
-    The item at position k is the target and gets recognized there with
-    probability s_(k) p_(k); undetected mass sum_i (1-s_i) p_i is a genuine
-    atom at infinity.
+    The target is found at step k when the k-th item walked is the target and
+    gets recognized there, so pmf(k) is the k-th largest detection mass
+    s_i p_i; undetected mass sum_i (1-s_i) p_i is a genuine atom at infinity.
     """
-    order = np.asarray(descending_prior_order(pop)) - 1
+    mass = pop.s * pop.p
     atom = math.fsum(((1.0 - pop.s) * pop.p).tolist())
-    return InspectionDistribution(pop.p[order] * pop.s[order], atom_at_infinity=atom)
+    return InspectionDistribution(mass[descending_order(mass)], atom_at_infinity=atom)
 
 
 def _geometric_mixture_dist(
@@ -128,18 +127,21 @@ def _geometric_mixture_dist(
     """Law of a mixture of geometrics: P(T <= m) = 1 - sum_k p_k (1-rate_k)^m.
 
     The law stops at the last step whose mass is nonzero in floating point.
+    An item whose rate is so small that 1 - rate rounds to 1 is never found
+    within any horizon the law could reach; its whole prior goes to the
+    truncation atom.
     """
     fail = 1.0 - rates
+    live = fail < 1.0
+    p, rates, fail = pop.p[live], rates[live], fail[live]
     if horizon is None:
-        # Smallest horizon with tail mass below DEFAULT_TAIL_EPS, capped. A rate
-        # so small that 1 - rate rounds to 1 has log(1 - rate) = 0; log1p keeps
-        # it finite, and such a rate takes the capped horizon.
-        slowest = float(rates.min())
+        # Smallest horizon with tail mass below DEFAULT_TAIL_EPS, capped.
+        slowest = float(rates.min(initial=1.0))
         if slowest >= 1.0:
             horizon = 1
         else:
             horizon = int(min(HORIZON_CAP, max(1, math.ceil(math.log(DEFAULT_TAIL_EPS) / math.log1p(-slowest)))))
-            while horizon < HORIZON_CAP and float(pop.p @ fail**horizon) >= DEFAULT_TAIL_EPS:
+            while horizon < HORIZON_CAP and float(p @ fail**horizon) >= DEFAULT_TAIL_EPS:
                 horizon = min(HORIZON_CAP, horizon * 2)
     elif horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon!r}")
@@ -150,8 +152,8 @@ def _geometric_mixture_dist(
     block = 1 << 15
     for start in range(0, horizon, block):
         m = np.arange(start, min(horizon, start + block))
-        pmf[start : start + len(m)] = fail[None, :] ** m[:, None] @ (pop.p * rates)
-    tail = float(pop.p @ fail**horizon)
+        pmf[start : start + len(m)] = fail[None, :] ** m[:, None] @ (p * rates)
+    tail = float(p @ fail**horizon) + math.fsum(pop.p[~live].tolist())
     return InspectionDistribution(np.trim_zeros(pmf, "b"), atom_at_infinity=tail, truncated=tail > 0.0)
 
 
@@ -183,29 +185,11 @@ def dist_op_exact(pop: Population, q: InspectionWeights) -> InspectionDistributi
     is recognized with its own probability s_i, so pmf(k) weights each item's
     position probability by s_i p_i. The atom sum_i (1-s_i) p_i does not
     depend on q.
-
-    Note the ordering module compares model OP through a coarser
-    detection-thinned representation (see ordering.py); the two coincide
-    exactly when all s_i are equal.
     """
     if pop.n != q.n:
         raise ValueError(f"population size {pop.n} != weights size {q.n}")
     atom = math.fsum(((1.0 - pop.s) * pop.p).tolist())
     return InspectionDistribution((pop.s * pop.p) @ position_probabilities(q), atom_at_infinity=atom)
-
-
-def thin_by_detection(dist: InspectionDistribution, detect_prob: float) -> InspectionDistribution:
-    """Law of the count when an independent coin decides whether detection ever works.
-
-    With probability ``detect_prob`` the count follows ``dist``; otherwise it
-    is infinite. This is the representation the ordering analysis uses for
-    the defective models; it matches their exact process laws exactly when
-    recognition probabilities are constant across items.
-    """
-    if not (0.0 < detect_prob <= 1.0):
-        raise ValueError(f"detect_prob {detect_prob!r} outside (0, 1]")
-    atom = 1.0 - detect_prob * (1.0 - dist.atom_at_infinity)
-    return InspectionDistribution(dist.pmf * detect_prob, atom_at_infinity=atom, truncated=dist.truncated)
 
 
 def write_distribution_csv(path: str | Path, dist: InspectionDistribution) -> None:

@@ -4,8 +4,7 @@ Each replication hides the target at an index drawn from the priors, then
 runs the model's actual inspection process until detection, exhaustion, or
 the step cap; exhausted and capped replications are censored. The engine
 simulates the exact processes, so empirical laws converge to the exact
-per-item distributions (not the detection-thinned representations used by
-the ordering analysis).
+per-item distributions.
 
 Determinism contract: a run is fully determined by (population, config).
 Replications are processed in fixed-size chunks of 4096, and chunk c draws
@@ -32,7 +31,7 @@ from .strategies import (
     DEFAULT_EF_EPS,
     DEFAULT_EF_MAX_STEPS,
     Schedule,
-    descending_prior_order,
+    descending_order,
     ef_schedule,
 )
 
@@ -150,7 +149,7 @@ def _simulate_chunk(
     target = _draw_targets(pop, rng, m)
     if model.walk == "order":
         rank = np.empty(n, dtype=np.int64)
-        rank[np.asarray(descending_prior_order(pop)) - 1] = np.arange(1, n + 1)
+        rank[descending_order(model.key(pop, cfg.q))] = np.arange(1, n + 1)
         steps = rank[target]
     elif model.walk == "schedule":
         attempts = _geometric_from_uniform(rng.random(m), s[target], cfg.max_steps)
@@ -159,7 +158,7 @@ def _simulate_chunk(
             idx = np.flatnonzero((target == i) & (attempts <= table.size))
             steps[idx] = table[attempts[idx] - 1]
     elif model.walk == "geometric":
-        steps = _geometric_from_uniform(rng.random(m), model.rate(pop, cfg.q)[target], cfg.max_steps)
+        steps = _geometric_from_uniform(rng.random(m), model.key(pop, cfg.q)[target], cfg.max_steps)
     else:
         # Successive sampling as an exponential race: item i is drawn in
         # ascending order of E_i / q_i with E_i iid standard exponential,
@@ -167,7 +166,7 @@ def _simulate_chunk(
         keys = rng.standard_exponential((m, n)) / cfg.q.q
         steps = (keys <= keys[np.arange(m), target][:, None]).sum(axis=1)
     detected = steps <= cfg.max_steps
-    if model.thins is not None:
+    if model.defective:
         detected &= rng.random(m) < s[target]
     return steps[detected], int(m - detected.sum())
 

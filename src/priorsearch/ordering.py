@@ -5,29 +5,18 @@ The seven optimal-strategy inspection counts admit a documented partial
 order: the descending-prior perfect-recognition law (ABCD) is smallest;
 adding imperfect recognition (EF), dropping enumeration (IKL), allowing
 resampling (J), or both (MN) can only slow the search; and the defective
-no-replacement laws (GH, OP) sit above their perfect-recognition
-counterparts. Twelve ordered pairs follow; the remaining nine pairs are
-genuinely incomparable in general, and this module can also construct a
-witness family certifying the EF/OP incomparability.
+one-pass laws (GH, OP) sit above their perfect-recognition counterparts and
+above EF. A one-pass walk finds the target within m steps with probability
+equal to the sum of the detection masses s_i p_i it has walked, so GH, which
+walks the largest masses first, sits below OP. Fourteen ordered pairs follow; the
+remaining seven pairs are not ordered in general.
 
-Two modeling conventions matter for the comparisons:
-
-* All four democratic laws (IKL, J, MN, OP) are evaluated at one common
-  weight vector q (default uniform). The coupling arguments behind the
-  IKL <= J <= MN chain hold at any shared q, but not across different
-  weight choices per model: at its mean-optimal weights the J law starts
-  strictly faster than the uniform-weight IKL law for every nonuniform
-  prior, so mixing per-model optima would break the chain at m = 1.
-
-* The defective models GH and OP enter the comparisons through their
-  detection-thinned representations: the perfect-recognition law scaled by
-  the overall detection probability sum_i s_i p_i, the remainder at
-  infinity (distributions.thin_by_detection). This coarser law matches the
-  exact per-item process laws (distributions.dist_gh / dist_op_exact)
-  exactly when all s_i are equal; when they differ, the exact process laws
-  can order the other way, while the thinned representations always obey
-  the partial order above. The exact laws remain the ground truth for
-  simulation cross-checks.
+All four democratic laws (IKL, J, MN, OP) are evaluated at one common
+weight vector q (default uniform). The coupling arguments behind the
+IKL <= J <= MN chain hold at any shared q, but not across different weight
+choices per model: at its mean-optimal weights the J law starts strictly
+faster than the uniform-weight IKL law for every nonuniform prior, so mixing
+per-model optima would break the chain at m = 1.
 """
 
 from __future__ import annotations
@@ -38,10 +27,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .distributions import InspectionDistribution, thin_by_detection
+from .distributions import InspectionDistribution
 from .models import LABELS as MODEL_LABELS
 from .models import MODELS
-from .population import InspectionWeights, Population, uniform_weights, validate_population
+from .population import InspectionWeights, Population, uniform_weights
 from .strategies import DEFAULT_EF_MAX_STEPS
 
 DEFAULT_COMPARE_TOL = 1e-9
@@ -49,7 +38,7 @@ DEFAULT_COMPARE_TOL = 1e-9
 # float-noise resolution, far below the comparison tolerance.
 CONDITION_TOL = 1e-12
 
-# The twelve ordered pairs (x, y) with x stochastically smaller than y.
+# The fourteen ordered pairs (x, y) with x stochastically smaller than y.
 EXPECTED_SMALLER: tuple[tuple[str, str], ...] = (
     ("ABCD", "EF"),
     ("ABCD", "GH"),
@@ -57,7 +46,9 @@ EXPECTED_SMALLER: tuple[tuple[str, str], ...] = (
     ("ABCD", "J"),
     ("ABCD", "MN"),
     ("ABCD", "OP"),
+    ("EF", "GH"),
     ("EF", "MN"),
+    ("EF", "OP"),
     ("GH", "OP"),
     ("IKL", "J"),
     ("IKL", "MN"),
@@ -66,8 +57,10 @@ EXPECTED_SMALLER: tuple[tuple[str, str], ...] = (
 )
 
 # Pairs that collapse to distributional equality under each condition.
-EQUAL_WHEN_PERFECT_DETECTION = (("ABCD", "EF"), ("ABCD", "GH"), ("J", "MN"), ("IKL", "OP"))
-EQUAL_WHEN_UNIFORM_PRIOR = (("ABCD", "IKL"), ("GH", "OP"))
+EQUAL_WHEN_PERFECT_DETECTION = (("ABCD", "EF"), ("ABCD", "GH"), ("EF", "GH"), ("J", "MN"), ("IKL", "OP"))
+EQUAL_WHEN_UNIFORM_PRIOR = (("ABCD", "IKL"),)
+# Every one-pass walk, in whatever order, then has the cdf m s_1 p_1.
+EQUAL_WHEN_EQUAL_DETECTION_MASS = (("GH", "OP"),)
 EQUAL_WHEN_SINGLE_ITEM = (("EF", "MN"), ("IKL", "J"))
 
 
@@ -160,7 +153,6 @@ class OrderingReport:
             "q": [float(x) for x in self.q],
             "tolerance": self.tolerance,
             "ef_residual": self.ef_residual,
-            "defective_representation": "detection-thinned",
             "verdicts": verdicts,
             "expected": {f"{a},{b}": e for (a, b), e in self.expected.items()},
             "mismatches": list(self.mismatches),
@@ -171,10 +163,11 @@ class OrderingReport:
 def expected_relations(pop: Population) -> dict[tuple[str, str], str]:
     """Expected verdict per model pair for this population.
 
-    The twelve ordered pairs expect "smaller" (weak dominance, so an exact
+    The fourteen ordered pairs expect "smaller" (weak dominance, so an exact
     tie also satisfies them) and tighten to "equal" when the matching
     structural condition holds: full detection probability, uniform priors,
-    or a single item. All other pairs are unconstrained.
+    equal detection masses s_i p_i, or a single item. All other pairs are
+    unconstrained.
     """
     expected: dict[tuple[str, str], str] = {}
     for i, a in enumerate(MODEL_LABELS):
@@ -187,6 +180,9 @@ def expected_relations(pop: Population) -> dict[tuple[str, str], str]:
             expected[pair] = "equal"
     if float(np.max(np.abs(pop.p - 1.0 / pop.n))) <= CONDITION_TOL:
         for pair in EQUAL_WHEN_UNIFORM_PRIOR:
+            expected[pair] = "equal"
+    if float(np.ptp(pop.s * pop.p)) <= CONDITION_TOL:
+        for pair in EQUAL_WHEN_EQUAL_DETECTION_MASS:
             expected[pair] = "equal"
     if pop.n == 1:
         for pair in EQUAL_WHEN_SINGLE_ITEM:
@@ -204,22 +200,16 @@ def dominance_report(
     """Build all seven laws, run the 21 comparisons, and check the partial order.
 
     The democratic models share the single weight vector ``q`` (uniform when
-    omitted); GH and OP enter through their detection-thinned
-    representations. See the module docstring for why both conventions are
-    required for the documented partial order.
+    omitted); see the module docstring for why.
     """
     if q is None:
         q = uniform_weights(pop.n)
     if q.n != pop.n:
         raise ValueError(f"weights size {q.n} != population size {pop.n}")
-    detect = min(pop.detect_prob, 1.0)
-    laws: dict[str, InspectionDistribution] = {}
-    # GH and OP come after ABCD and IKL, the laws they thin, in table order.
-    for m in MODELS.values():
-        if m.thins is None:
-            laws[m.label] = m.law(pop, q, eps=ef_eps, max_steps=DEFAULT_EF_MAX_STEPS, horizon=horizon)
-        else:
-            laws[m.label] = thin_by_detection(laws[m.thins], detect)
+    laws = {
+        m.label: m.law(pop, q, eps=ef_eps, max_steps=DEFAULT_EF_MAX_STEPS, horizon=horizon)
+        for m in MODELS.values()
+    }
     verdicts: dict[tuple[str, str], DominanceVerdict] = {}
     for i, a in enumerate(MODEL_LABELS):
         for b in MODEL_LABELS[i + 1 :]:
@@ -243,19 +233,3 @@ def dominance_report(
         distributions=laws,
     )
 
-
-def ef_op_incomparable_population(n: int) -> Population:
-    """Population family on which the EF and OP laws cannot be ordered.
-
-    With priors p_i = 2i / (N (N+1)) and recognition s_i = 1 / i every
-    per-item detection mass s_i p_i equals 2 / (N (N+1)), the overall
-    detection probability is 2 / (N+1), and at prior-proportional sampling
-    weights the thinned OP law starts strictly faster than the greedy
-    schedule while the schedule eventually overtakes it, certifying
-    incomparability for every N >= 2.
-    """
-    if n < 2:
-        raise ValueError("need at least 2 items for the incomparability family")
-    p = np.array([2.0 * i / (n * (n + 1)) for i in range(1, n + 1)])
-    s = np.array([1.0 / i for i in range(1, n + 1)])
-    return validate_population(p, s)

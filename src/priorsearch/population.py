@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -340,16 +341,26 @@ def save_population_csv(path: str | Path, pop: Population, lam: np.ndarray | Non
             writer.writerow(row)
 
 
-def load_weights_csv(path: str | Path) -> InspectionWeights:
-    """Weights file: CSV with header `id,q`, one row per item, in item order."""
-    return InspectionWeights(q=np.asarray(_read_columns(path, ("q",))["q"]))
+def _column_by_id(path: str | Path, column: str, what: str, pop: Population) -> np.ndarray:
+    """A CSV's `column` in item order, from exactly one row per item, matched by `id`."""
+    cols = _read_columns(path, ("id", column))
+    by_id = dict(zip(cols["id"], cols[column]))
+    known = set(pop.ids)
+    for problem, bad in (
+        ("duplicate ids", [i for i, k in Counter(cols["id"]).items() if k > 1]),
+        (f"missing {what} for items", [i for i in pop.ids if i not in by_id]),
+        ("unknown ids", [i for i in by_id if i not in known]),
+    ):
+        if bad:
+            raise PopulationError(f"{path}: {problem} {bad}")
+    return np.asarray([by_id[i] for i in pop.ids], dtype=float)
+
+
+def load_weights_csv(path: str | Path, pop: Population) -> InspectionWeights:
+    """Weights file: CSV with header `id,q`, matched to the population by id."""
+    return InspectionWeights(q=_column_by_id(path, "q", "weights", pop))
 
 
 def load_likelihoods_csv(path: str | Path, pop: Population) -> np.ndarray:
     """Likelihood file: CSV with header `id,likelihood`, matched to the population by id."""
-    cols = _read_columns(path, ("id", "likelihood"))
-    by_id = dict(zip(cols["id"], cols["likelihood"]))
-    missing = [i for i in pop.ids if i not in by_id]
-    if missing:
-        raise PopulationError(f"{path}: missing likelihoods for items {missing}")
-    return np.asarray([by_id[i] for i in pop.ids], dtype=float)
+    return _column_by_id(path, "likelihood", "likelihoods", pop)

@@ -9,8 +9,9 @@ Seven model families, labeled by the assumption combinations they serve:
           detection mass p_i (1-s_i)^{m_i} s_i, where m_i counts attempts
           so far.
     GH    enumerable items, imperfect recognition, no replacement. Walk the
-          descending-prior order once; the target may escape detection, so
-          the inspection count is defective (positive mass at infinity).
+          items once in descending order of detection mass s_i p_i; the
+          target may escape detection, so the inspection count is defective
+          (positive mass at infinity).
     IKL   democratic sampling without replacement (or with memory), perfect
           recognition. The inspection order is a random permutation drawn
           by successive sampling with weights q.
@@ -81,15 +82,17 @@ class Schedule:
     attempts: tuple[int, ...]  # per-item attempt counts after the last step
 
 
-def descending_prior_order(pop: Population) -> tuple[int, ...]:
-    """1-based item indices sorted by prior descending, ties by lowest index."""
-    idx = sorted(range(pop.n), key=lambda i: (-pop.p[i], i))
-    return tuple(i + 1 for i in idx)
+def descending_order(mass: np.ndarray) -> np.ndarray:
+    """0-based item indices sorted by ``mass`` descending, ties by lowest index.
+
+    Walked once in this order, the items' masses accumulate fastest at every step.
+    """
+    return np.argsort(-np.asarray(mass), kind="stable")
 
 
 def abcd_policy(pop: Population) -> tuple[OrderedPolicy, float]:
     """Descending-prior inspection order and its exact mean sum_j j p_(j)."""
-    order = descending_prior_order(pop)
+    order = tuple(int(i) + 1 for i in descending_order(pop.p))
     mean = math.fsum((j + 1) * pop.p[item - 1] for j, item in enumerate(order))
     return OrderedPolicy(order=order), mean
 

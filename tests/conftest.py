@@ -34,6 +34,12 @@ def random_simplex(rng: np.random.Generator, n: int, floor: float = 1e-3) -> np.
     return q / q.sum()
 
 
+def equal_mass_population(n: int) -> Population:
+    """p_i = 2i / (N (N+1)) and s_i = 1 / i: every detection mass s_i p_i is 2 / (N (N+1))."""
+    i = np.arange(1, n + 1)
+    return validate_population(2.0 * i / (n * (n + 1)), 1.0 / i)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)

@@ -43,6 +43,25 @@ def ikl_mean_bruteforce(pop: Population, q: InspectionWeights) -> float:
     return math.fsum(terms)
 
 
+def one_pass_cdf_envelope_bruteforce(pop: Population) -> np.ndarray:
+    """Pointwise largest cdf at 1..N over the one-pass walks in all N! orders.
+
+    A walk that inspects each item once, in a fixed order, and recognizes
+    the target with probability s_i finds it within m steps with probability
+    sum of s_i p_i over its first m items. The GH law is stochastically
+    smallest among these walks exactly when its cdf equals this envelope.
+    """
+    n = pop.n
+    if n > 6:
+        raise ValueError(f"brute force limited to 6 items, got {n}")
+    mass = (pop.s * pop.p).tolist()
+    envelope = np.zeros(n)
+    for perm in permutations(range(n)):
+        cdf = np.array([math.fsum(mass[i] for i in perm[: m + 1]) for m in range(n)])
+        envelope = np.maximum(envelope, cdf)
+    return envelope
+
+
 def position_probabilities_loop(q: InspectionWeights) -> np.ndarray:
     """Scalar form of strategies.position_probabilities: M[i, k] = P(item i at position k+1).
 

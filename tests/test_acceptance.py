@@ -33,23 +33,18 @@ from priorsearch import (
     profile_to_weights,
     simulate,
     solve_conditional_inspection,
-    stochastic_compare,
-    thin_by_detection,
     uniform_weights,
     validate_population,
 )
 from priorsearch.cli import main as cli_main
-from priorsearch.ordering import (
-    EXPECTED_SMALLER,
-    dominance_report,
-    ef_op_incomparable_population,
-)
+from priorsearch.ordering import EXPECTED_SMALLER, dominance_report
 
 from oracle import (
     ef_best_schedule_bruteforce,
     ikl_mean_bruteforce,
     truncated_schedule_score,
 )
+from conftest import equal_mass_population
 
 SEED = 20260810
 
@@ -120,7 +115,7 @@ def test_criterion_3_imperfect_recognition_optimum():
 
 
 def test_criterion_4_partial_order_on_random_populations():
-    with criterion(4, "all 12 ordered relations hold on 100 random populations"):
+    with criterion(4, "all 14 ordered relations hold on 100 random populations"):
         rng = np.random.default_rng(SEED)
         start = time.perf_counter()
         for _ in range(100):
@@ -137,50 +132,44 @@ def test_criterion_4_partial_order_on_random_populations():
 
 
 def test_criterion_5_equality_conditions():
-    with criterion(5, "distributional equalities under full detection and uniform priors"):
+    with criterion(5, "distributional equalities under full detection, uniform priors and equal s_i p_i"):
         rng = np.random.default_rng(SEED)
         # Full detection probability: perfect recognition everywhere.
         pop = validate_population(rng.dirichlet(np.ones(5)))
-        report = dominance_report(pop)
-        for pair in (("ABCD", "EF"), ("ABCD", "GH"), ("J", "MN"), ("IKL", "OP")):
-            assert report.verdicts[pair].relation == "equal"
-            dx = report.distributions[pair[0]]
-            dy = report.distributions[pair[1]]
-            assert dx.sup_cdf_distance(dy) < 1e-12
         # Uniform priors with uniform weights, heterogeneous recognition.
         pop_u = validate_population(np.full(4, 0.25), rng.uniform(0.3, 1.0, size=4))
-        report_u = dominance_report(pop_u, q=uniform_weights(4))
-        for pair in (("ABCD", "IKL"), ("GH", "OP")):
-            assert report_u.verdicts[pair].relation == "equal"
-            dx = report_u.distributions[pair[0]]
-            dy = report_u.distributions[pair[1]]
-            assert dx.sup_cdf_distance(dy) < 1e-12
+        # Equal detection masses s_i p_i, at nonuniform weights.
+        s = rng.uniform(0.3, 1.0, size=4)
+        pop_m = validate_population((1 / s) / (1 / s).sum(), s)
+        cases = (
+            (dominance_report(pop),
+             (("ABCD", "EF"), ("ABCD", "GH"), ("EF", "GH"), ("J", "MN"), ("IKL", "OP"))),
+            (dominance_report(pop_u, q=uniform_weights(4)), (("ABCD", "IKL"),)),
+            (dominance_report(pop_m, q=mn_optimal_q(pop_m)), (("GH", "OP"),)),
+        )
+        for report, pairs in cases:
+            assert report.ok, report.mismatches
+            for pair in pairs:
+                assert report.verdicts[pair].relation == "equal"
+                dx = report.distributions[pair[0]]
+                dy = report.distributions[pair[1]]
+                assert dx.sup_cdf_distance(dy) < 1e-12
 
 
 def test_criterion_6_incomparability_family():
-    with criterion(6, "EF/OP incomparability certified on the witness family"):
-        for n in (2, 3, 4, 5, 6):
-            pop = ef_op_incomparable_population(n)
-            q = mn_optimal_q(pop)
-            d_ef = dist_ef(ef_schedule(pop, eps=1e-13))
-            d_op = thin_by_detection(dist_ikl_exact(pop, q), pop.detect_prob)
-            assert abs(d_op.atom_at_infinity - (1.0 - 2.0 / (n + 1))) <= 1e-12
-            assert abs(d_ef.pmf[0] - 2.0 / (n * (n + 1))) <= 1e-12
-            assert d_op.pmf[0] > d_ef.pmf[0] + 1e-12
-            upto = d_ef.horizon
-            fe = d_ef.cdf_array(upto)
-            fo = d_op.cdf_array(upto)
-            assert np.all(fe[n:] > fo[n:])
-            verdict = stochastic_compare(d_ef, d_op, tol=1e-9)
-            assert verdict.relation == "incomparable"
-            m1, m2 = verdict.witnesses
-            assert fe[m1 - 1] > fo[m1 - 1] + 1e-9
-            assert fe[m2 - 1] < fo[m2 - 1] - 1e-9
-        pop5 = ef_op_incomparable_population(5)
-        assert abs(
-            dist_op_exact(pop5, mn_optimal_q(pop5)).atom_at_infinity - 2.0 / 3.0
-        ) <= 1e-12
-        assert abs(dist_ef(ef_schedule(pop5, eps=1e-13)).pmf[0] - 1.0 / 15.0) <= 1e-12
+    with criterion(6, "p_i ~ i, s_i = 1/i: GH = OP and EF < OP, while MN and OP cannot be ordered"):
+        for n in range(2, 11):
+            pop = equal_mass_population(n)
+            c = 2.0 / (n * (n + 1))
+            for q in (uniform_weights(n), mn_optimal_q(pop)):
+                report = dominance_report(pop, q=q)
+                assert report.ok, report.mismatches
+                assert report.verdicts[("GH", "OP")].relation == "equal"
+                assert report.verdicts[("EF", "OP")].relation == "smaller"
+                assert report.verdicts[("MN", "OP")].relation == "incomparable"
+                d_op = report.distributions["OP"]
+                assert abs(d_op.atom_at_infinity - (1.0 - 2.0 / (n + 1))) <= 1e-12
+                assert np.max(np.abs(d_op.cdf_array(n) - c * np.arange(1, n + 1))) <= 1e-12
 
 
 def test_criterion_7_oracle_equivalence():

@@ -5,10 +5,9 @@ import pytest
 
 from priorsearch import ikl_mean_exact, mn_optimal_q, uniform_weights
 from priorsearch.cli import main
-from priorsearch.ordering import ef_op_incomparable_population
 from priorsearch.population import load_population, save_population_csv
 
-from conftest import MALFORMED_JSON
+from conftest import MALFORMED_JSON, equal_mass_population
 
 
 def get_line(output, prefix):
@@ -127,6 +126,15 @@ class TestEvaluate:
         assert result.exit_code == 0, result.output
         assert get_line(result.output, "mean:") == "5e+16"
 
+    def test_j_tiny_rate_law_is_one_step_and_an_atom(self, runner, tmp_path):
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, ["evaluate", "--model", "J", *tiny_rate_inputs(tmp_path), "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        rows = (out / "dist_J.csv").read_text().splitlines()
+        assert rows == ["m,pmf,cdf", "1,0.5,0.5", "atom_at_infinity,0.5", "truncated,true"]
+
 
 class TestSimulate:
     def test_single_replication(self, runner, perfect_csv):
@@ -161,7 +169,7 @@ class TestSimulate:
         assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
 
     def test_op_censored_fraction_incomparable_family(self, runner, tmp_path):
-        pop = ef_op_incomparable_population(5)
+        pop = equal_mass_population(5)
         path = tmp_path / "fam.csv"
         save_population_csv(path, pop)
         result = runner.invoke(
@@ -272,7 +280,7 @@ class TestOrder:
         assert result.exit_code == 4
 
     def test_incomparable_family_reports_witnesses(self, runner, tmp_path):
-        pop = ef_op_incomparable_population(5)
+        pop = equal_mass_population(5)
         pop_path = tmp_path / "fam.csv"
         save_population_csv(pop_path, pop)
         q = mn_optimal_q(pop)
@@ -284,7 +292,9 @@ class TestOrder:
             main, ["order", "--input", str(pop_path), "--q-file", str(q_path)]
         )
         assert result.exit_code == 0
-        assert "EF vs OP: incomparable (expected unconstrained) witnesses=" in result.output
+        assert "MN vs OP: incomparable (expected unconstrained) witnesses=" in result.output
+        assert "EF vs OP: smaller (expected smaller)" in result.output
+        assert "GH vs OP: equal (expected equal)" in result.output
 
 
 class TestProfile:
@@ -349,3 +359,42 @@ class TestProfile:
         w = lam * pi
         q = w / w.sum()
         assert np.max(np.abs(q - 0.5)) <= 1e-12
+
+
+WEIGHTS_COMMANDS = {
+    "evaluate": ["evaluate", "--model", "IKL"],
+    "simulate": ["simulate", "--model", "IKL", "--reps", "100", "--seed", "1"],
+    "order": ["order"],
+    "decompose": ["profile", "decompose"],
+}
+
+
+class TestWeightsFile:
+    def test_rows_are_matched_to_items_by_id(self, runner, pop_csv, tmp_path):
+        q_path = tmp_path / "q.csv"
+        q_path.write_text("id,q\nc,0.2\nb,0.3\na,0.5\n")
+        result = runner.invoke(
+            main, ["evaluate", "--model", "IKL", "--input", pop_csv, "--q-file", str(q_path)]
+        )
+        assert result.exit_code == 0, result.output
+        assert get_line(result.output, f"q (file:{q_path}):") == "0.500000 0.300000 0.200000"
+
+    @pytest.mark.parametrize("command", WEIGHTS_COMMANDS)
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("x,0.5\ny,0.3\nz,0.2\n", "missing weights for items ['a', 'b', 'c']"),
+            ("a,0.5\nb,0.3\n", "missing weights for items ['c']"),
+            ("a,0.4\nb,0.3\nc,0.2\nd,0.1\n", "unknown ids ['d']"),
+            ("a,0.4\nb,0.3\nc,0.2\na,0.1\n", "duplicate ids ['a']"),
+        ],
+        ids=["foreign", "missing", "unknown", "duplicate"],
+    )
+    def test_unmatched_ids_exit_code(self, runner, pop_csv, tmp_path, command, rows, message):
+        q_path = tmp_path / "q.csv"
+        q_path.write_text("id,q\n" + rows)
+        result = runner.invoke(
+            main, [*WEIGHTS_COMMANDS[command], "--input", pop_csv, "--q-file", str(q_path)]
+        )
+        assert result.exit_code == 2, result.output
+        assert f"error: {q_path}: {message}" in result.stderr

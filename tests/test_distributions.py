@@ -18,14 +18,12 @@ from priorsearch import (
     j_mean,
     mn_mean,
     mn_optimal_q,
-    thin_by_detection,
     uniform_weights,
     validate_population,
 )
-from priorsearch.distributions import HORIZON_CAP, InspectionDistribution, write_distribution_csv
-from priorsearch.ordering import ef_op_incomparable_population
+from priorsearch.distributions import InspectionDistribution, write_distribution_csv
 
-from conftest import random_population, random_simplex
+from conftest import equal_mass_population, random_population, random_simplex
 
 
 def csv_text(tmp_path, dist):
@@ -142,13 +140,20 @@ class TestDistGh:
         assert np.array_equal(dist_gh(pop).pmf, dist_abcd(pop).pmf)
 
     def test_per_item_detection_example(self):
+        # Equal priors: the item with the larger detection mass s_i p_i goes first.
         d = dist_gh(validate_population([0.5, 0.5], [0.5, 1.0]))
-        assert d.pmf[0] == pytest.approx(0.25, abs=1e-15)
-        assert d.pmf[1] == pytest.approx(0.5, abs=1e-15)
+        assert d.pmf[0] == pytest.approx(0.5, abs=1e-15)
+        assert d.pmf[1] == pytest.approx(0.25, abs=1e-15)
         assert d.atom_at_infinity == pytest.approx(0.25, abs=1e-15)
 
+    def test_walks_detection_masses_not_priors(self):
+        # Masses (.1, .3, .2): walking b, c, a beats the prior order a, b, c at every step.
+        d = dist_gh(validate_population([0.5, 0.3, 0.2], [0.2, 1.0, 1.0]))
+        assert d.pmf.tolist() == pytest.approx([0.3, 0.2, 0.1], abs=1e-15)
+        assert d.conditional_on_detection().mean_finite() == pytest.approx(5 / 3, abs=1e-15)
+
     def test_incomparable_family_atom(self):
-        d = dist_gh(ef_op_incomparable_population(5))
+        d = dist_gh(equal_mass_population(5))
         assert abs(d.atom_at_infinity - 2 / 3) <= 1e-12
 
     def test_conditional_equals_abcd_for_constant_s(self, rng):
@@ -203,11 +208,18 @@ class TestDistJ:
             expected = 1.0 - float(pop.p @ (1.0 - q.q) ** m)
             assert abs(cdf[m - 1] - expected) <= 1e-12
 
-    def test_tiny_rate_takes_capped_horizon(self):
+    def test_tiny_rate_goes_to_the_atom(self):
+        # 1 - 1e-17 rounds to 1: item 1 never turns up, and item 2 is found at step 1.
         d = dist_j(validate_population([0.5, 0.5]), make_weights([1e-17, 1.0]))
-        assert d.horizon == HORIZON_CAP
+        assert d.pmf.tolist() == [0.5]
         assert d.truncated
         assert d.atom_at_infinity == 0.5
+
+    def test_only_tiny_rates_leave_an_empty_law(self):
+        d = dist_mn(validate_population([0.5, 0.5], [1e-300, 1e-300]), uniform_weights(2))
+        assert d.horizon == 0
+        assert d.truncated
+        assert d.atom_at_infinity == 1.0
 
     def test_bad_horizon(self):
         pop = validate_population([1.0])
@@ -287,7 +299,7 @@ class TestDistOp:
         assert np.array_equal(dist_op_exact(pop, q).pmf, dist_ikl_exact(pop, q).pmf)
 
     def test_incomparable_family_atom(self):
-        pop = ef_op_incomparable_population(5)
+        pop = equal_mass_population(5)
         d = dist_op_exact(pop, mn_optimal_q(pop))
         assert abs(d.atom_at_infinity - 2 / 3) <= 1e-12
 
@@ -311,44 +323,14 @@ class TestDistOp:
         assert abs(d.total_finite_mass + d.atom_at_infinity - 1.0) <= 1e-12
 
 
-class TestThinByDetection:
-    def test_matches_exact_law_when_s_constant(self, rng):
-        p = rng.dirichlet(np.ones(4))
-        pop = validate_population(p, np.full(4, 0.7))
-        q = uniform_weights(4)
-        thinned = thin_by_detection(dist_ikl_exact(pop, q), pop.detect_prob)
-        exact = dist_op_exact(pop, q)
-        assert thinned.sup_cdf_distance(exact) <= 1e-12
-        assert abs(thinned.atom_at_infinity - exact.atom_at_infinity) <= 1e-12
-
-    def test_differs_from_exact_law_when_s_varies(self):
-        # At uniform weights every position is equally likely for every item,
-        # which hides the difference; a skewed q exposes it.
-        pop = validate_population([0.6, 0.4], [0.3, 1.0])
-        q = make_weights([0.8, 0.2])
-        thinned = thin_by_detection(dist_ikl_exact(pop, q), pop.detect_prob)
-        exact = dist_op_exact(pop, q)
-        assert thinned.sup_cdf_distance(exact) > 1e-3
-
-    def test_atom_composition(self):
-        base = InspectionDistribution(pmf=[0.5, 0.5], atom_at_infinity=0.0)
-        thinned = thin_by_detection(base, 0.8)
-        assert thinned.pmf[0] == pytest.approx(0.4)
-        assert thinned.atom_at_infinity == pytest.approx(0.2)
-
-    def test_detect_prob_validation(self):
-        base = InspectionDistribution(pmf=[1.0], atom_at_infinity=0.0)
-        with pytest.raises(ValueError):
-            thin_by_detection(base, 0.0)
-
-
 class TestCsvExport:
     def test_round_trip_fields(self, tmp_path):
         pop = validate_population([0.5, 0.5], [0.5, 1.0])
         text = csv_text(tmp_path, dist_gh(pop))
         lines = text.strip().splitlines()
         assert lines[0] == "m,pmf,cdf"
-        assert lines[1].startswith("1,0.25,")
+        assert lines[1] == "1,0.5,0.5"
+        assert lines[2] == "2,0.25,0.75"
         assert lines[-2].startswith("atom_at_infinity,0.25")
         assert lines[-1] == "truncated,false"
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from priorsearch import (
     InspectionWeights,
     abcd_policy,
+    dist_gh,
     ef_schedule,
     ikl_mean_exact,
     uniform_weights,
@@ -20,6 +21,7 @@ from oracle import (
     ef_best_schedule_bruteforce,
     geometric_mean_bruteforce,
     ikl_mean_bruteforce,
+    one_pass_cdf_envelope_bruteforce,
     position_probabilities_loop,
     truncated_schedule_score,
 )
@@ -163,6 +165,25 @@ class TestEfBruteforce:
             if len(greedy.steps) < 6:
                 continue  # exhausted all mass before the horizon (all s = 1)
             assert truncated_schedule_score(pop, greedy, 6) <= best_score + 1e-12
+
+
+class TestOnePassBruteforce:
+    def test_hand_example(self):
+        # Detection masses (.1, .3, .2): the best walk is b, c, a, not the prior order.
+        pop = validate_population([0.5, 0.3, 0.2], [0.2, 1.0, 1.0])
+        assert one_pass_cdf_envelope_bruteforce(pop) == pytest.approx([0.3, 0.5, 0.6], abs=1e-15)
+        assert dist_gh(pop).pmf.tolist() == pytest.approx([0.3, 0.2, 0.1], abs=1e-15)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_gh_walk_is_smallest_of_all_orders(self, rng, n):
+        for _ in range(5):
+            pop = random_population(rng, n, s_lo=0.05)
+            envelope = one_pass_cdf_envelope_bruteforce(pop)
+            assert np.max(np.abs(dist_gh(pop).cdf_array() - envelope)) <= 1e-14
+
+    def test_guard(self):
+        with pytest.raises(ValueError, match="limited to 6"):
+            one_pass_cdf_envelope_bruteforce(validate_population(np.full(7, 1 / 7)))
 
 
 class TestGeometricBruteforce:

@@ -3,16 +3,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from priorsearch import (
     ComparisonTruncationError,
+    InspectionWeights,
     dist_abcd,
-    dist_ef,
     dist_ikl_exact,
-    ef_schedule,
+    dist_mn,
+    dist_op_exact,
     mn_optimal_q,
     stochastic_compare,
-    thin_by_detection,
     uniform_weights,
     validate_population,
 )
@@ -21,11 +23,10 @@ from priorsearch.ordering import (
     EXPECTED_SMALLER,
     MODEL_LABELS,
     dominance_report,
-    ef_op_incomparable_population,
     expected_relations,
 )
 
-from conftest import random_population
+from conftest import equal_mass_population, random_population
 
 
 class TestStochasticCompare:
@@ -51,17 +52,18 @@ class TestStochasticCompare:
             assert backward.relation == flip[forward.relation]
 
     def test_incomparable_with_witnesses(self):
-        pop = ef_op_incomparable_population(5)
-        d_ef = dist_ef(ef_schedule(pop, eps=1e-13))
-        d_op = thin_by_detection(dist_ikl_exact(pop, mn_optimal_q(pop)), pop.detect_prob)
-        verdict = stochastic_compare(d_ef, d_op)
+        pop = equal_mass_population(5)
+        q = mn_optimal_q(pop)
+        d_mn = dist_mn(pop, q)
+        d_op = dist_op_exact(pop, q)
+        verdict = stochastic_compare(d_mn, d_op)
         assert verdict.relation == "incomparable"
         m1, m2 = verdict.witnesses
-        upto = max(d_ef.horizon, d_op.horizon)
-        fe = d_ef.cdf_array(upto)
+        upto = max(d_mn.horizon, d_op.horizon)
+        fm = d_mn.cdf_array(upto)
         fo = d_op.cdf_array(upto)
-        assert fe[m1 - 1] > fo[m1 - 1] + verdict.tolerance
-        assert fe[m2 - 1] < fo[m2 - 1] - verdict.tolerance
+        assert fm[m1 - 1] > fo[m1 - 1] + verdict.tolerance
+        assert fm[m2 - 1] < fo[m2 - 1] - verdict.tolerance
 
     def test_truncation_guard(self):
         good = InspectionDistribution(pmf=[1.0], atom_at_infinity=0.0)
@@ -76,24 +78,30 @@ class TestStochasticCompare:
 
 
 class TestExpectedRelations:
-    def test_generic_population_constrains_twelve_pairs(self, rng):
+    def test_generic_population_constrains_fourteen_pairs(self, rng):
         pop = random_population(rng, 4, s_lo=0.3, s_hi=0.9)
         expected = expected_relations(pop)
         smaller = {pair for pair, rel in expected.items() if rel == "smaller"}
         assert smaller == set(EXPECTED_SMALLER)
-        assert sum(1 for rel in expected.values() if rel == "unconstrained") == 9
+        assert len(smaller) == 14
+        assert sum(1 for rel in expected.values() if rel == "unconstrained") == 7
 
     def test_perfect_detection_equalities(self, rng):
         pop = random_population(rng, 4, perfect=True)
         expected = expected_relations(pop)
-        for pair in (("ABCD", "EF"), ("ABCD", "GH"), ("J", "MN"), ("IKL", "OP")):
+        for pair in (("ABCD", "EF"), ("ABCD", "GH"), ("EF", "GH"), ("J", "MN"), ("IKL", "OP")):
             assert expected[pair] == "equal"
 
     def test_uniform_prior_equalities(self):
         pop = validate_population(np.full(4, 0.25), [0.4, 0.6, 0.8, 1.0])
         expected = expected_relations(pop)
         assert expected[("ABCD", "IKL")] == "equal"
+        assert expected[("GH", "OP")] == "smaller"
+
+    def test_equal_detection_mass_equalities(self):
+        expected = expected_relations(equal_mass_population(4))
         assert expected[("GH", "OP")] == "equal"
+        assert expected[("ABCD", "IKL")] == "smaller"
 
     def test_single_item_equalities(self):
         pop = validate_population([1.0], [0.5])
@@ -114,7 +122,7 @@ class TestDominanceReport:
         pop = random_population(rng, 4, perfect=True)
         report = dominance_report(pop)
         assert report.ok
-        for pair in (("ABCD", "EF"), ("ABCD", "GH"), ("J", "MN"), ("IKL", "OP")):
+        for pair in (("ABCD", "EF"), ("ABCD", "GH"), ("EF", "GH"), ("J", "MN"), ("IKL", "OP")):
             assert report.verdicts[pair].relation == "equal"
             assert (
                 report.distributions[pair[0]].sup_cdf_distance(report.distributions[pair[1]])
@@ -125,12 +133,10 @@ class TestDominanceReport:
         pop = validate_population(np.full(4, 0.25), [0.4, 0.6, 0.8, 1.0])
         report = dominance_report(pop)
         assert report.ok
-        for pair in (("ABCD", "IKL"), ("GH", "OP")):
-            assert report.verdicts[pair].relation == "equal"
-            assert (
-                report.distributions[pair[0]].sup_cdf_distance(report.distributions[pair[1]])
-                <= 1e-12
-            )
+        assert report.verdicts[("ABCD", "IKL")].relation == "equal"
+        assert report.distributions["ABCD"].sup_cdf_distance(report.distributions["IKL"]) <= 1e-12
+        # GH walks the largest detection masses first; OP's uniform order does not.
+        assert report.verdicts[("GH", "OP")].relation == "smaller"
 
     def test_single_item_report(self):
         pop = validate_population([1.0], [0.6])
@@ -145,10 +151,12 @@ class TestDominanceReport:
         assert report.ok
 
     def test_incomparable_family_cell(self):
-        pop = ef_op_incomparable_population(5)
+        pop = equal_mass_population(5)
         report = dominance_report(pop, q=mn_optimal_q(pop))
-        assert report.ok  # EF/OP is unconstrained, so no mismatch
-        assert report.verdicts[("EF", "OP")].relation == "incomparable"
+        assert report.ok  # MN/OP is unconstrained, so no mismatch
+        assert report.verdicts[("MN", "OP")].relation == "incomparable"
+        assert report.verdicts[("GH", "OP")].relation == "equal"
+        assert report.verdicts[("EF", "OP")].relation == "smaller"
 
     def test_transitivity_across_laws(self, rng):
         pop = random_population(rng, 5, s_lo=0.4)
@@ -181,7 +189,6 @@ class TestDominanceReport:
         payload = json.loads(report.to_json())
         assert payload["labels"] == list(MODEL_LABELS)
         assert payload["mismatches"] == []
-        assert payload["defective_representation"] == "detection-thinned"
         assert len(payload["verdicts"]) == 21
         assert payload["verdicts"]["ABCD,EF"]["relation"] in (
             "smaller", "equal", "larger", "incomparable"
@@ -194,37 +201,62 @@ class TestDominanceReport:
 
 
 class TestIncomparableFamily:
+    """p_i = 2i / (N (N+1)), s_i = 1 / i at q proportional to p: MN and OP cannot be ordered.
+
+    Every detection mass s_i p_i and every MN rate s_i q_i equals c = 2 / (N (N+1)),
+    so OP's cdf is m c up to N and MN's is 1 - (1-c)^m.
+    """
+
     def test_construction(self):
-        pop = ef_op_incomparable_population(5)
+        pop = equal_mass_population(5)
         assert np.allclose(pop.p, [1 / 15, 2 / 15, 3 / 15, 4 / 15, 5 / 15])
         assert np.allclose(pop.s, [1, 1 / 2, 1 / 3, 1 / 4, 1 / 5])
 
-    def test_minimum_size(self):
-        with pytest.raises(ValueError):
-            ef_op_incomparable_population(1)
-
     def test_constant_detection_mass(self):
-        pop = ef_op_incomparable_population(6)
+        pop = equal_mass_population(6)
         mass = pop.s * pop.p
         assert np.max(np.abs(mass - 2 / (6 * 7))) <= 1e-15
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_certified_incomparable(self, n):
-        pop = ef_op_incomparable_population(n)
-        d_ef = dist_ef(ef_schedule(pop, eps=1e-13))
-        d_op = thin_by_detection(dist_ikl_exact(pop, mn_optimal_q(pop)), pop.detect_prob)
-        # The greedy schedule always finds the target; the thinned democratic
-        # law misses it with probability 1 - 2/(n+1).
+        pop = equal_mass_population(n)
+        q = mn_optimal_q(pop)
+        d_mn = dist_mn(pop, q)
+        d_op = dist_op_exact(pop, q)
+        c = 2 / (n * (n + 1))
+        # OP never finds the target with probability 1 - 2/(n+1); MN always does.
         assert abs(d_op.atom_at_infinity - (1 - 2 / (n + 1))) <= 1e-12
-        assert d_ef.atom_at_infinity < 1e-12
-        # First step: all detection masses tie at 2/(n(n+1)).
-        assert abs(d_ef.pmf[0] - 2 / (n * (n + 1))) <= 1e-12
-        assert d_op.pmf[0] > d_ef.pmf[0] + 1e-9
-        verdict = stochastic_compare(d_ef, d_op)
-        assert verdict.relation == "incomparable"
-        # Beyond the population size the schedule keeps accumulating mass
-        # while the democratic law is exhausted.
-        upto = d_ef.horizon
-        fe = d_ef.cdf_array(upto)
-        fo = d_op.cdf_array(upto)
-        assert np.all(fe[n:] > fo[n:])
+        assert d_mn.atom_at_infinity < 1e-12
+        fm = d_mn.cdf_array(d_mn.horizon)
+        fo = d_op.cdf_array(d_mn.horizon)
+        assert np.max(np.abs(fo[:n] - c * np.arange(1, n + 1))) <= 1e-12
+        # Both start at c; OP leads at step 2 by c^2, and MN leads once OP is exhausted.
+        assert abs(fm[0] - c) <= 1e-12
+        assert fo[1] - fm[1] == pytest.approx(c * c, abs=1e-12)
+        assert np.all(fm[n:] > fo[n:])
+        assert stochastic_compare(d_mn, d_op).relation == "incomparable"
+
+
+@st.composite
+def populations_and_weights(draw, max_n=7):
+    """A population with s in [0.05, 1] and uniform, prior-like or arbitrary weights."""
+    n = draw(st.integers(2, max_n))
+    p = np.asarray(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    s = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    pop = validate_population(p / p.sum(), s)
+    kind = draw(st.sampled_from(["uniform", "mn-optimal", "arbitrary"]))
+    if kind == "uniform":
+        return pop, uniform_weights(n)
+    if kind == "mn-optimal":
+        return pop, mn_optimal_q(pop)
+    raw = np.asarray(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    return pop, InspectionWeights(q=raw / raw.sum())
+
+
+@given(populations_and_weights())
+def test_fourteen_pairs_hold_on_exact_laws(case):
+    pop, q = case
+    report = dominance_report(pop, q=q)
+    for pair in EXPECTED_SMALLER:
+        assert report.verdicts[pair].relation in ("smaller", "equal"), pair
+    assert report.ok, report.mismatches

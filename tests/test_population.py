@@ -233,8 +233,8 @@ class TestFiles:
 
     def test_weights_csv(self, tmp_path):
         path = tmp_path / "q.csv"
-        path.write_text("id,q\na,0.25\nb,0.75\n")
-        q = load_weights_csv(path)
+        path.write_text("id,q\nb,0.75\na,0.25\n")
+        q = load_weights_csv(path, validate_population([0.5, 0.5], ids=["a", "b"]))
         assert np.allclose(q.q, [0.25, 0.75])
 
     def test_likelihood_csv_alignment(self, tmp_path):

@@ -24,10 +24,9 @@ from priorsearch import (
     uniform_weights,
     validate_population,
 )
-from priorsearch.ordering import ef_op_incomparable_population
 from priorsearch.strategies import Schedule, ScheduleStep
 
-from conftest import random_population, random_simplex
+from conftest import equal_mass_population, random_population, random_simplex
 
 probability_vectors = st.lists(
     st.floats(min_value=1e-3, max_value=10.0, allow_nan=False), min_size=1, max_size=12
@@ -346,7 +345,7 @@ class TestOpSummary:
         assert conditional_mean(law) == pytest.approx(ikl_mean_exact(pop, q), abs=1e-15)
 
     def test_incomparable_family_detect_prob(self):
-        pop = ef_op_incomparable_population(5)
+        pop = equal_mass_population(5)
         law = dist_op_exact(pop, mn_optimal_q(pop))
         assert abs(pop.detect_prob - 1 / 3) <= 1e-12
         assert abs(law.total_finite_mass - 1 / 3) <= 1e-12
