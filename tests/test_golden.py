@@ -27,6 +27,10 @@ INPUTS = {
     "perfect_csv": PERFECT_CSV_TEXT,
     # s*p = (.1, .3, .2) is not in prior order, so GH's walk order matters here.
     "gh_csv": "id,p,s\na,0.5,0.2\nb,0.3,1\nc,0.2,1\n",
+    # Dyadic priors, so that a (.25 * .5) and c (.125 * 1) tie on s*p exactly, as do a's
+    # third attempt and h; c and h have s = 1 and e (s = .1) is revisited long after.
+    "ten_csv": "id,p,s\na,0.25,0.5\nb,0.1875,0.7\nc,0.125,1\nd,0.125,0.3\ne,0.09375,0.1\n"
+               "f,0.0625,0.9\ng,0.0625,0.45\nh,0.03125,1\ni,0.03125,0.6\nj,0.03125,0.8\n",
     "lambda_csv": "id,p,s,lambda\na,0.5,1,0.2\nb,0.3,1,0.3\nc,0.2,0.5,0.5\n",
     "pop11_csv": "id,p\n" + "".join(f"i{k},{1.0 / 11!r}\n" for k in range(1, 12)),
     "q_short_csv": "id,q\na,0.5\nb,0.5\n",
@@ -53,6 +57,13 @@ CASES = {
     "evaluate-GH-gh_csv": ["evaluate", "--model", "GH", "--input", "gh_csv", *OUT],
     "simulate-GH-gh_csv": ["simulate", "--model", "GH", "--input", "gh_csv",
                            "--reps", "3000", "--seed", "17", "--check-exact", *OUT],
+    **{
+        f"simulate-{model}-ten_csv": ["simulate", "--model", model, "--input", "ten_csv", *_flags(model),
+                                      "--reps", "10000", "--seed", "17", "--check-exact", *OUT]
+        for model in ("EF", "IKL", "OP")
+    },
+    "evaluate-EF-ten_csv": ["evaluate", "--model", "EF", "--input", "ten_csv", *OUT],
+    "order-ten_csv": ["order", "--input", "ten_csv", *OUT],
     "order-pop_csv": ["order", "--input", "pop_csv", *OUT],
     "order-gh_csv": ["order", "--input", "gh_csv", *OUT],
     "order-perfect_csv": ["order", "--input", "perfect_csv", *OUT],
