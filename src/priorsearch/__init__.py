@@ -50,12 +50,9 @@ from .population import (
 )
 from .strategies import (
     EnumerationLimitError,
-    OrderedPolicy,
     Schedule,
     ScheduleTruncationError,
-    abcd_policy,
     ef_schedule,
-    ef_swap_check,
     ikl_mean_exact,
     ikl_search_q,
     j_mean,
@@ -99,12 +96,9 @@ __all__ = [
     "uniform_weights",
     "validate_population",
     "EnumerationLimitError",
-    "OrderedPolicy",
     "Schedule",
     "ScheduleTruncationError",
-    "abcd_policy",
     "ef_schedule",
-    "ef_swap_check",
     "ikl_mean_exact",
     "ikl_search_q",
     "j_mean",

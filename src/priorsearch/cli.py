@@ -24,9 +24,9 @@ import click
 import numpy as np
 
 from . import __version__
-from .distributions import InspectionDistribution, write_distribution_csv
+from .distributions import InspectionDistribution, dist_ef, write_distribution_csv
 from .models import LABELS, MODELS, Model
-from .montecarlo import SimConfig, dkw_check, simulate, write_empirical_csv
+from .montecarlo import SimConfig, dkw_check, simulate, walk_schedule, write_empirical_csv
 from .ordering import ComparisonTruncationError, dominance_report
 from .population import (
     InspectionWeights,
@@ -39,13 +39,7 @@ from .population import (
     solve_conditional_inspection,
     uniform_weights,
 )
-from .strategies import (
-    DEFAULT_EF_EPS,
-    DEFAULT_EF_MAX_STEPS,
-    EnumerationLimitError,
-    ScheduleTruncationError,
-    descending_order,
-)
+from .strategies import EnumerationLimitError, ScheduleTruncationError, descending_order
 
 EXIT_VALIDATION = 2
 EXIT_MISMATCH = 3
@@ -210,7 +204,9 @@ def simulate_cmd(model, input_path, reps, seed, max_steps, horizon, alpha, q_sou
     pop = load_population(input_path).population
     m = MODELS[model]
     q, q_desc = _resolve_q(m, pop, q_source, q_file)
-    emp = simulate(pop, SimConfig(model=model, reps=reps, seed=seed, max_steps=max_steps, q=q))
+    cfg = SimConfig(model=model, reps=reps, seed=seed, max_steps=max_steps, q=q)
+    sched = walk_schedule(pop, cfg)
+    emp = simulate(pop, cfg, sched)
     click.echo(f"model: {model}")
     click.echo(f"reps: {emp.reps}")
     click.echo(f"detected: {emp.detected}")
@@ -230,10 +226,8 @@ def simulate_cmd(model, input_path, reps, seed, max_steps, horizon, alpha, q_sou
         _write_out(out, "simulate", input_path, parameters, "empirical.csv",
                    lambda path: write_empirical_csv(path, emp, config_echo=parameters))
     if check_exact:
-        # The law of the schedule the simulation walks (see montecarlo.simulate).
-        exact = m.law(
-            pop, q, eps=DEFAULT_EF_EPS, max_steps=min(max_steps, DEFAULT_EF_MAX_STEPS), horizon=horizon
-        )
+        # EF is checked against the law of the schedule the simulation walked.
+        exact = dist_ef(sched) if sched is not None else m.law(pop, q, horizon=horizon)
         ok = dkw_check(emp, exact, alpha)
         click.echo(f"dkw check: {'PASS' if ok else 'FAIL'} (alpha={alpha})")
         if not ok:

@@ -68,9 +68,6 @@ class InspectionDistribution:
         dense[: self.horizon] = self.pmf[:upto]
         return np.cumsum(dense)
 
-    def cdf(self, m: int) -> float:
-        return math.fsum(self.pmf[: max(int(m), 0)].tolist())
-
     @property
     def total_finite_mass(self) -> float:
         return math.fsum(self.pmf.tolist())
@@ -86,10 +83,6 @@ class InspectionDistribution:
             raise ValueError("no finite mass to condition on")
         return InspectionDistribution(self.pmf / finite, atom_at_infinity=0.0, truncated=self.truncated)
 
-    def sup_cdf_distance(self, other: "InspectionDistribution") -> float:
-        upto = max(self.horizon, other.horizon)
-        return float(np.abs(self.cdf_array(upto) - other.cdf_array(upto)).max())
-
 
 def dist_abcd(pop: Population) -> InspectionDistribution:
     """Descending-prior order, perfect recognition: pmf(k) = k-th largest prior."""
@@ -102,11 +95,7 @@ def dist_ef(sched: Schedule) -> InspectionDistribution:
     The residual schedule mass lands in the atom flagged as truncation; it
     vanishes as the schedule extends since detection is eventually certain.
     """
-    return InspectionDistribution(
-        [st.detect_prob for st in sched.steps],
-        atom_at_infinity=sched.residual_mass,
-        truncated=sched.residual_mass > 0.0,
-    )
+    return InspectionDistribution(sched.masses, sched.residual_mass, truncated=sched.residual_mass > 0.0)
 
 
 def dist_gh(pop: Population) -> InspectionDistribution:
@@ -171,25 +160,30 @@ def dist_mn(pop: Population, q: InspectionWeights, horizon: int | None = None) -
     return _geometric_mixture_dist(pop, pop.s * q.q, horizon)
 
 
+def race_law(pop: Population, positions: np.ndarray, defective: bool) -> InspectionDistribution:
+    """Law of a successive-sampling walk from M[i, k] = P(item i is drawn at position k+1).
+
+    IKL weights item i's row by p_i; OP, ``defective``, by s_i p_i, leaving the
+    atom sum_i (1-s_i) p_i, which does not depend on the weights.
+    """
+    if not defective:
+        return InspectionDistribution(pop.p @ positions, atom_at_infinity=0.0)
+    atom = math.fsum(((1.0 - pop.s) * pop.p).tolist())
+    return InspectionDistribution((pop.s * pop.p) @ positions, atom_at_infinity=atom)
+
+
 def dist_ikl_exact(pop: Population, q: InspectionWeights) -> InspectionDistribution:
     """Exact law of the without-replacement democratic model at weights q."""
     if pop.n != q.n:
         raise ValueError(f"population size {pop.n} != weights size {q.n}")
-    return InspectionDistribution(pop.p @ position_probabilities(q), atom_at_infinity=0.0)
+    return race_law(pop, position_probabilities(q), defective=False)
 
 
 def dist_op_exact(pop: Population, q: InspectionWeights) -> InspectionDistribution:
-    """Exact process law of model OP at weights q.
-
-    The target sits at a random permutation position; when inspected there it
-    is recognized with its own probability s_i, so pmf(k) weights each item's
-    position probability by s_i p_i. The atom sum_i (1-s_i) p_i does not
-    depend on q.
-    """
+    """Exact process law of model OP at weights q: a defective race_law."""
     if pop.n != q.n:
         raise ValueError(f"population size {pop.n} != weights size {q.n}")
-    atom = math.fsum(((1.0 - pop.s) * pop.p).tolist())
-    return InspectionDistribution((pop.s * pop.p) @ position_probabilities(q), atom_at_infinity=atom)
+    return race_law(pop, position_probabilities(q), defective=True)
 
 
 def write_distribution_csv(path: str | Path, dist: InspectionDistribution) -> None:

@@ -2,9 +2,10 @@
 
 Each replication hides the target at an index drawn from the priors, then
 runs the model's actual inspection process until detection, exhaustion, or
-the step cap; exhausted and capped replications are censored. The engine
+the step cap; undetected and capped replications are censored. The engine
 simulates the exact processes, so empirical laws converge to the exact
-per-item distributions.
+per-item distributions. Each walk is whole-array code over a chunk: EF looks
+each detecting step up in the schedule's steps grouped by item.
 
 Determinism contract: a run is fully determined by (population, config).
 Replications are processed in fixed-size chunks of 4096, and chunk c draws
@@ -68,14 +69,22 @@ class SimConfig:
 class EmpiricalResult:
     """Simulation outcome: detection-step counts plus censoring.
 
-    ``mean_detected`` and ``stderr`` cover detected replications only;
-    with zero detections they are NaN.
+    A censored replication is ``undetected`` when a defective model reached the
+    target and missed it, ``capped`` when the walk did not reach it within
+    ``max_steps`` steps (or, for EF, the schedule). ``mean_detected`` and
+    ``stderr`` cover detected replications only; with none they are NaN.
     """
 
     counts: Mapping[int, int]
-    censored: int
+    undetected: int
+    capped: int
+    max_steps: int
     mean_detected: float
     stderr: float
+
+    @property
+    def censored(self) -> int:
+        return self.undetected + self.capped
 
     @property
     def reps(self) -> int:
@@ -123,12 +132,10 @@ def _geometric_from_uniform(u: np.ndarray, rate: np.ndarray, max_steps: int) -> 
     return out
 
 
-def _ef_attempt_table(sched: Schedule, n: int) -> list[np.ndarray]:
-    """Per item, the schedule step of each attempt (attempt j at entry j-1)."""
-    table: list[list[int]] = [[] for _ in range(n)]
-    for st in sched.steps:
-        table[st.item - 1].append(st.t)
-    return [np.asarray(ts, dtype=np.int64) for ts in table]
+def _ef_attempt_table(sched: Schedule, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(flat, start, size): item i's attempt j <= size[i] is step flat[start[i] + j - 1]."""
+    size = np.bincount(sched.steps, minlength=n)
+    return np.argsort(sched.steps, kind="stable") + 1, np.cumsum(size) - size, size
 
 
 def _simulate_chunk(
@@ -137,9 +144,9 @@ def _simulate_chunk(
     cfg: SimConfig,
     rng: np.random.Generator,
     m: int,
-    ef_table: list[np.ndarray] | None,
-) -> tuple[np.ndarray, int]:
-    """Detected steps for one chunk (censored replications dropped).
+    ef_table: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
+) -> tuple[np.ndarray, int, int]:
+    """Detected steps for one chunk, then its undetected and capped counts.
 
     The chunk draws the target uniforms, then the walk's own draws, then a
     defective model's recognition coins.
@@ -153,44 +160,51 @@ def _simulate_chunk(
         steps = rank[target]
     elif model.walk == "schedule":
         attempts = _geometric_from_uniform(rng.random(m), s[target], cfg.max_steps)
+        flat, start, size = ef_table
         steps = np.full(m, NEVER)
-        for i, table in enumerate(ef_table):
-            idx = np.flatnonzero((target == i) & (attempts <= table.size))
-            steps[idx] = table[attempts[idx] - 1]
+        hit = attempts <= size[target]
+        steps[hit] = flat[start[target[hit]] + attempts[hit] - 1]
     elif model.walk == "geometric":
         steps = _geometric_from_uniform(rng.random(m), model.key(pop, cfg.q)[target], cfg.max_steps)
     else:
         # Successive sampling as an exponential race: item i is drawn in
         # ascending order of E_i / q_i with E_i iid standard exponential,
         # which reproduces the without-replacement law exactly.
-        keys = rng.standard_exponential((m, n)) / cfg.q.q
-        steps = (keys <= keys[np.arange(m), target][:, None]).sum(axis=1)
-    detected = steps <= cfg.max_steps
-    if model.defective:
-        detected &= rng.random(m) < s[target]
-    return steps[detected], int(m - detected.sum())
+        keys = rng.standard_exponential((m, n))
+        keys /= cfg.q.q
+        steps = np.count_nonzero(keys <= keys[np.arange(m), target][:, None], axis=1)
+    reached = steps <= cfg.max_steps
+    detected = reached & (rng.random(m) < s[target]) if model.defective else reached
+    return steps[detected], int(np.count_nonzero(reached & ~detected)), int(m - np.count_nonzero(reached))
 
 
-def simulate(pop: Population, cfg: SimConfig) -> EmpiricalResult:
-    """Run ``cfg.reps`` independent replications of the model's process."""
+def walk_schedule(pop: Population, cfg: SimConfig) -> Schedule | None:
+    """The EF schedule a simulation of ``cfg.model`` walks; None for the other models."""
+    if MODELS[cfg.model].walk != "schedule":
+        return None
+    return ef_schedule(pop, eps=DEFAULT_EF_EPS, max_steps=min(cfg.max_steps, DEFAULT_EF_MAX_STEPS))
+
+
+def simulate(pop: Population, cfg: SimConfig, sched: Schedule | None = None) -> EmpiricalResult:
+    """Run ``cfg.reps`` replications of the model's process; EF walks ``walk_schedule(pop, cfg)``.
+
+    A caller that has built that schedule passes it as ``sched``.
+    """
     if cfg.q is not None and cfg.q.n != pop.n:
         raise ValueError(f"weights size {cfg.q.n} != population size {pop.n}")
     model = MODELS[cfg.model]
-    ef_table = None
-    if model.walk == "schedule":
-        sched = ef_schedule(
-            pop, eps=DEFAULT_EF_EPS, max_steps=min(cfg.max_steps, DEFAULT_EF_MAX_STEPS)
-        )
-        ef_table = _ef_attempt_table(sched, pop.n)
+    sched = walk_schedule(pop, cfg) if sched is None else sched
+    ef_table = None if sched is None else _ef_attempt_table(sched, pop.n)
     counts: dict[int, int] = {}
-    censored = 0
+    undetected = capped = 0
     seed = int(cfg.seed) % (1 << 64)
     n_chunks = (cfg.reps + CHUNK - 1) // CHUNK
     for c in range(n_chunks):
         size = min(CHUNK, cfg.reps - c * CHUNK)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(c,)))
-        steps, cens = _simulate_chunk(pop, model, cfg, rng, size, ef_table)
-        censored += cens
+        steps, missed, cut = _simulate_chunk(pop, model, cfg, rng, size, ef_table)
+        undetected += missed
+        capped += cut
         if steps.size:
             values, reps_at = np.unique(steps, return_counts=True)
             for step_val, cnt in zip(values, reps_at):
@@ -206,7 +220,8 @@ def simulate(pop: Population, cfg: SimConfig) -> EmpiricalResult:
             stderr = math.sqrt(var / (detected - 1) / detected)
         else:
             stderr = math.nan
-    return EmpiricalResult(counts=counts, censored=censored, mean_detected=mean, stderr=stderr)
+    return EmpiricalResult(counts=counts, undetected=undetected, capped=capped, max_steps=cfg.max_steps,
+                           mean_detected=mean, stderr=stderr)
 
 
 def dkw_band(n: int, alpha: float) -> float:
@@ -221,27 +236,30 @@ def dkw_band(n: int, alpha: float) -> float:
 def dkw_check(emp: EmpiricalResult, exact: InspectionDistribution, alpha: float = 0.001) -> bool:
     """Whether the empirical law is DKW-consistent with the exact law.
 
-    The censored fraction must match the exact atom within the band for the
-    full replication count; detected steps are then compared through
-    detection-conditioned cdfs with the band for the detected count. With
-    tiny replication counts the bands exceed 1 and the check is vacuously
-    true.
+    The exact law's mass beyond ``emp.max_steps`` first moves to its atom, as
+    capped replications are censored. The censored fraction must match that
+    atom within the band for the full replication count; detected steps are
+    then compared through detection-conditioned cdfs with the band for the
+    detected count. With tiny replication counts the bands exceed 1 and the
+    check is vacuously true.
     """
+    pmf = exact.pmf[: emp.max_steps]
+    atom = exact.atom_at_infinity + math.fsum(exact.pmf[emp.max_steps :].tolist())
     reps = emp.reps
     band_all = dkw_band(reps, alpha)
     emp_atom = emp.censored / reps
-    if abs(emp_atom - exact.atom_at_infinity) > band_all:
+    if abs(emp_atom - atom) > band_all:
         return False
     detected = emp.detected
     if detected == 0:
         return True
-    finite = 1.0 - exact.atom_at_infinity
+    finite = 1.0 - atom
     if finite <= 0.0:
         return False
     band = dkw_band(detected, alpha)
-    upto = max(exact.horizon, max(emp.counts, default=1))
+    upto = max(pmf.size, max(emp.counts, default=1))
     emp_cdf = emp.cdf_array(upto, conditional=True)
-    exact_cdf = exact.cdf_array(upto) / finite
+    exact_cdf = np.cumsum(np.pad(pmf, (0, upto - pmf.size))) / finite
     return float(np.abs(emp_cdf - exact_cdf).max()) <= band
 
 

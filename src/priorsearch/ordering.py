@@ -27,11 +27,11 @@ from typing import Mapping
 
 import numpy as np
 
-from .distributions import InspectionDistribution
+from .distributions import InspectionDistribution, race_law
 from .models import LABELS as MODEL_LABELS
 from .models import MODELS
 from .population import InspectionWeights, Population, uniform_weights
-from .strategies import DEFAULT_EF_MAX_STEPS
+from .strategies import DEFAULT_EF_MAX_STEPS, position_probabilities
 
 DEFAULT_COMPARE_TOL = 1e-9
 # Equality conditions are structural (exact zeros), so they are detected at
@@ -206,8 +206,10 @@ def dominance_report(
         q = uniform_weights(pop.n)
     if q.n != pop.n:
         raise ValueError(f"weights size {q.n} != population size {pop.n}")
+    positions = position_probabilities(q)  # one subset DP for both race laws
     laws = {
-        m.label: m.law(pop, q, eps=ef_eps, max_steps=DEFAULT_EF_MAX_STEPS, horizon=horizon)
+        m.label: race_law(pop, positions, m.defective) if m.walk == "race"
+        else m.law(pop, q, eps=ef_eps, max_steps=DEFAULT_EF_MAX_STEPS, horizon=horizon)
         for m in MODELS.values()
     }
     verdicts: dict[tuple[str, str], DominanceVerdict] = {}

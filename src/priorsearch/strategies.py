@@ -6,8 +6,8 @@ Seven model families, labeled by the assumption combinations they serve:
           prior order; replacement and memory make no difference.
     EF    enumerable items, imperfect recognition. A deterministic greedy
           schedule that always inspects the item with the largest current
-          detection mass p_i (1-s_i)^{m_i} s_i, where m_i counts attempts
-          so far.
+          detection mass p_i (1-s_i)^{m_i} s_i (m_i attempts so far): one
+          merge of the items' falling attempt masses, held in arrays.
     GH    enumerable items, imperfect recognition, no replacement. Walk the
           items once in descending order of detection mass s_i p_i; the
           target may escape detection, so the inspection count is defective
@@ -29,7 +29,6 @@ law (distributions.dist_gh, dist_op_exact).
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -53,33 +52,20 @@ class ScheduleTruncationError(RuntimeError):
     """Greedy schedule hit its step budget while far from covering the mass."""
 
 
-@dataclass(frozen=True)
-class OrderedPolicy:
-    """A deterministic inspection order (1-based item indices), priors descending."""
-
-    order: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ScheduleStep:
-    t: int            # step number, starting at 1
-    item: int         # 1-based item index
-    attempt: int      # how many times this item has been inspected, this one included
-    detect_prob: float  # p_i (1-s_i)^(attempt-1) s_i
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Schedule:
     """Greedy deterministic schedule for imperfect-recognition enumerable search.
 
-    ``residual_mass`` is the probability the target is still undetected
-    after the final generated step; it is a truncation artifact, not a model
-    property, and callers combine it with the partial mean as they see fit.
+    Step t+1 inspects the 0-based item ``steps[t]`` and finds the target there
+    with probability ``masses[t]`` = p_i (1-s_i)^(a-1) s_i, at its a-th attempt.
+    ``residual_mass``, the probability the target is still undetected after
+    the last step, is a truncation artifact, not a model property; callers
+    combine it with the partial mean as they see fit.
     """
 
-    steps: tuple[ScheduleStep, ...]
+    steps: np.ndarray
+    masses: np.ndarray
     residual_mass: float
-    attempts: tuple[int, ...]  # per-item attempt counts after the last step
 
 
 def descending_order(mass: np.ndarray) -> np.ndarray:
@@ -90,13 +76,6 @@ def descending_order(mass: np.ndarray) -> np.ndarray:
     return np.argsort(-np.asarray(mass), kind="stable")
 
 
-def abcd_policy(pop: Population) -> tuple[OrderedPolicy, float]:
-    """Descending-prior inspection order and its exact mean sum_j j p_(j)."""
-    order = tuple(int(i) + 1 for i in descending_order(pop.p))
-    mean = math.fsum((j + 1) * pop.p[item - 1] for j, item in enumerate(order))
-    return OrderedPolicy(order=order), mean
-
-
 def ef_schedule(
     pop: Population,
     eps: float = DEFAULT_EF_EPS,
@@ -104,71 +83,90 @@ def ef_schedule(
 ) -> Schedule:
     """Greedy schedule: each step inspects the item maximizing its detection mass.
 
-    Generation stops once the undetected mass falls below ``eps`` or after
-    ``max_steps`` steps. Reaching the budget while the residual is still at
-    least min(0.5, sqrt(eps)) signals a hopeless truncation budget and
-    raises ScheduleTruncationError.
+    Each item's attempt masses p_i (1-s_i)^j s_i fall as j grows, so the greedy
+    walk is a merge: one sort of the attempt masses, descending, ties to the
+    lower item. It stops at the first step where the running residual (1 minus
+    the masses, subtracted one at a time) is below ``eps`` and the exact sum of
+    the per-item remainders confirms it, or after ``max_steps`` steps; there a
+    residual of at least min(0.5, sqrt(eps)) raises ScheduleTruncationError.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must be in (0, 1), got {eps!r}")
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps!r}")
-    p = pop.p.tolist()
-    s = pop.s.tolist()
-    n = pop.n
-    # rem[i] = p_i (1-s_i)^{m_i}: the mass still hiding behind item i.
-    rem = list(p)
-    attempts = [0] * n
-    # Max-heap on the next-attempt detection mass rem_i * s_i; ties resolve
-    # to the lowest item index.
-    heap = [(-rem[i] * s[i], i) for i in range(n)]
-    heapq.heapify(heap)
-    steps: list[ScheduleStep] = []
-    # Cheap running estimate of the residual; every stop decision is
-    # confirmed against the exact per-item sum so the returned residual is
-    # genuinely below eps whenever the schedule converged.
-    residual = 1.0
-    exact_residual: float | None = None
-    while heap and len(steps) < max_steps:
-        if residual < eps:
-            residual = math.fsum(rem)
-            if residual < eps:
-                exact_residual = residual
+    with np.errstate(divide="ignore"):
+        lead, decay = np.log(pop.p * pop.s), np.log1p(-pop.s)
+
+    def attempts_above(floor: float) -> np.ndarray:
+        """Per item, about how many attempts have mass >= floor, at most max_steps."""
+        return np.clip(np.floor((math.log(floor) - lead) / decay) + 1, 0, max_steps).astype(np.int64)
+
+    # With residual R left, the next mass is >= R / sum_i (1/s_i), as R = sum_i (rem_i s_i) / s_i.
+    floor = max(0.5 * eps / math.fsum((1.0 / pop.s).tolist()), math.ulp(0.0))
+    while (count := attempts_above(floor)).sum() > 2 * max_steps + pop.n:  # more than the budget can use
+        floor *= 2.0
+    while True:
+        steps, masses, residual_after, exhausted = _merge(pop, count, max_steps)
+        # The running residual restarts from the exact one where that does not confirm it.
+        stop, left = 0, 1.0
+        while left >= eps:
+            below = np.flatnonzero(np.subtract.accumulate(np.concatenate(([left], masses[stop:]))) < eps)
+            if not below.size:
                 break
-        neg_mass, i = heapq.heappop(heap)
-        mass = -neg_mass
-        if mass <= 0.0:
-            exact_residual = math.fsum(rem)
+            stop += int(below[0])
+            left = residual_after(stop)
+        if left < eps or steps.size == max_steps or exhausted:
+            stop = stop if left < eps else steps.size
             break
-        attempts[i] += 1
-        steps.append(
-            ScheduleStep(t=len(steps) + 1, item=i + 1, attempt=attempts[i], detect_prob=mass)
-        )
-        rem[i] *= 1.0 - s[i]
-        nxt = rem[i] * s[i]
-        if nxt > 0.0:
-            heapq.heappush(heap, (-nxt, i))
-        residual = max(residual - mass, 0.0)
-    residual = math.fsum(rem) if exact_residual is None else exact_residual
-    if residual >= eps and len(steps) >= max_steps and residual >= min(0.5, math.sqrt(eps)):
+        count = np.minimum(2 * count + 1, max_steps)  # the stop lies past the settled steps
+    residual = residual_after(stop)
+    if residual >= eps and stop >= max_steps and residual >= min(0.5, math.sqrt(eps)):
         raise ScheduleTruncationError(
-            f"schedule budget of {max_steps} steps exhausted with residual mass "
-            f"{residual:.3g} >= {min(0.5, math.sqrt(eps)):.3g}; the truncation "
-            "budget does not converge for this population"
+            f"schedule budget of {max_steps} steps exhausted with residual mass {residual:.3g} >= "
+            f"{min(0.5, math.sqrt(eps)):.3g}; the truncation budget does not converge for this population"
         )
-    return Schedule(steps=tuple(steps), residual_mass=residual, attempts=tuple(attempts))
+    return Schedule(steps=steps[:stop], masses=masses[:stop], residual_mass=residual)
 
 
-def ef_swap_check(sched: Schedule) -> bool:
-    """True iff no adjacent swap of distinct items would lower the truncated mean.
+def _merge(pop: Population, count: np.ndarray, max_steps: int):
+    """The greedy's first steps, at most max_steps, that item i's first count[i] attempts settle.
 
-    Equivalent to the detection masses being non-increasing across every
-    adjacent pair of steps that inspect different items.
+    A candidate settles when it sorts before every item's next attempt, bar
+    items with max_steps candidates, which the budget never reaches. Returns
+    the steps' items and masses, the exact residual after k steps as a
+    function of k, and whether no later attempt can come within the budget.
     """
-    for a, b in zip(sched.steps, sched.steps[1:]):
-        if a.item != b.item and a.detect_prob < b.detect_prob:
-            return False
-    return True
+    s, width = pop.s, count + 1
+    # Repeated multiplication along the rows of one table per band of widths within
+    # a factor 2 (or below 256), so memory stays within twice the remainders (plus 256 N).
+    band = np.maximum(np.frexp(width)[1], 8)
+    order = np.argsort(band, kind="stable")
+    parts = []
+    for b in np.flatnonzero(np.bincount(band)):
+        rows = np.flatnonzero(band == b)
+        table = np.empty((rows.size, int(width[rows].max())))
+        table[:, 0], table[:, 1:] = pop.p[rows], (1.0 - s[rows])[:, None]
+        np.multiply.accumulate(table, axis=1, out=table)
+        parts.append(table[np.arange(table.shape[1]) < width[rows, None]])
+    rem, item = np.concatenate(parts), np.repeat(order, width[order])
+    first = np.empty(pop.n, dtype=np.int64)
+    first[order] = np.cumsum(width[order]) - width[order]
+    mass = rem * s[item]
+    settled = (np.arange(rem.size) - first[item] < count[item]) & (mass > 0.0)
+    nxt = mass[first + count]
+    pending = (nxt > 0.0) & (count < max_steps)
+    if pending.any():  # the first pending attempt: largest mass, then lowest item
+        rival = np.flatnonzero(pending)[np.argmax(nxt[pending])]
+        settled &= (mass > nxt[rival]) | ((mass == nxt[rival]) & (item < rival))
+    idx = np.flatnonzero(settled)
+    # lexsort is stable, so one item's equal masses keep their attempt order.
+    idx = idx[np.lexsort((item[idx], -mass[idx]))][:max_steps]
+    steps = item[idx]
+
+    def residual_after(k: int) -> float:
+        return math.fsum(rem[first + np.bincount(steps[:k], minlength=pop.n)].tolist())
+
+    return steps, mass[idx], residual_after, not pending.any()
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,112 @@
 """Brute-force oracles used by the test suite.
 
-These re-derive means and schedules by literal enumeration, independently of
-the formulas and dynamic programs in strategies/distributions, so agreement
-between the two routes is meaningful. They are intentionally slow and are
+These re-derive means and schedules by literal enumeration or by loops that
+take one step at a time, independently of the formulas, dynamic programs and
+merges in strategies/distributions, so agreement between the two routes is
+meaningful. They are intentionally slow and are
 not part of the CLI surface.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+from dataclasses import dataclass
 from itertools import permutations, product
 
 import numpy as np
 
+from priorsearch.distributions import InspectionDistribution
 from priorsearch.population import InspectionWeights, Population
-from priorsearch.strategies import Schedule, ScheduleStep
+from priorsearch.strategies import Schedule, ScheduleTruncationError, descending_order
+
+
+@dataclass(frozen=True)
+class OrderedPolicy:
+    """A deterministic inspection order (1-based item indices), priors descending."""
+
+    order: tuple[int, ...]
+
+
+def abcd_policy(pop: Population) -> tuple[OrderedPolicy, float]:
+    """Descending-prior inspection order and its exact mean sum_j j p_(j)."""
+    order = tuple(int(i) + 1 for i in descending_order(pop.p))
+    mean = math.fsum((j + 1) * pop.p[item - 1] for j, item in enumerate(order))
+    return OrderedPolicy(order=order), mean
+
+
+@dataclass(frozen=True)
+class ScheduleStep:
+    t: int            # step number, starting at 1
+    item: int         # 1-based item index
+    attempt: int      # how many times this item has been inspected, this one included
+    detect_prob: float  # p_i (1-s_i)^(attempt-1) s_i
+
+
+def ef_schedule_heap(pop: Population, eps: float, max_steps: int) -> tuple[tuple[ScheduleStep, ...], float]:
+    """Greedy EF schedule one step at a time from a max-heap, and its residual mass.
+
+    The loop form of strategies.ef_schedule, with the same stop rule: a
+    running residual, 1 minus the masses so far, is confirmed against the
+    exact sum of the per-item remainders once it falls below eps. Every
+    floating-point operation matches the merge, so the two agree bit for bit.
+    """
+    p = pop.p.tolist()
+    s = pop.s.tolist()
+    n = pop.n
+    # rem[i] = p_i (1-s_i)^{m_i}: the mass still hiding behind item i.
+    rem = list(p)
+    attempts = [0] * n
+    # Max-heap on the next-attempt detection mass rem_i * s_i; ties resolve
+    # to the lowest item index.
+    heap = [(-rem[i] * s[i], i) for i in range(n)]
+    heapq.heapify(heap)
+    steps: list[ScheduleStep] = []
+    residual = 1.0
+    exact_residual: float | None = None
+    while heap and len(steps) < max_steps:
+        if residual < eps:
+            residual = math.fsum(rem)
+            if residual < eps:
+                exact_residual = residual
+                break
+        neg_mass, i = heapq.heappop(heap)
+        mass = -neg_mass
+        if mass <= 0.0:
+            exact_residual = math.fsum(rem)
+            break
+        attempts[i] += 1
+        steps.append(ScheduleStep(t=len(steps) + 1, item=i + 1, attempt=attempts[i], detect_prob=mass))
+        rem[i] *= 1.0 - s[i]
+        nxt = rem[i] * s[i]
+        if nxt > 0.0:
+            heapq.heappush(heap, (-nxt, i))
+        residual = max(residual - mass, 0.0)
+    residual = math.fsum(rem) if exact_residual is None else exact_residual
+    if residual >= eps and len(steps) >= max_steps and residual >= min(0.5, math.sqrt(eps)):
+        raise ScheduleTruncationError(f"budget of {max_steps} steps exhausted with residual {residual:.3g}")
+    return tuple(steps), residual
+
+
+def ef_swap_check(sched: Schedule) -> bool:
+    """True iff no adjacent swap of distinct items would lower the truncated mean.
+
+    Equivalent to the detection masses being non-increasing across every
+    adjacent pair of steps that inspect different items.
+    """
+    items, masses = sched.steps, sched.masses
+    return not np.any((items[:-1] != items[1:]) & (masses[:-1] < masses[1:]))
+
+
+def cdf(d: InspectionDistribution, m: int) -> float:
+    """P(T <= m), summed exactly."""
+    return math.fsum(d.pmf[: max(int(m), 0)].tolist())
+
+
+def sup_cdf_distance(a: InspectionDistribution, b: InspectionDistribution) -> float:
+    """Largest gap between the two cdfs over every step either law covers."""
+    upto = max(a.horizon, b.horizon)
+    return float(np.abs(a.cdf_array(upto) - b.cdf_array(upto)).max())
 
 
 def ikl_mean_bruteforce(pop: Population, q: InspectionWeights) -> float:
@@ -138,18 +230,13 @@ def ef_best_schedule_bruteforce(pop: Population, horizon: int) -> tuple[float, S
             best_seq = seq
     assert best_seq is not None
     _, masses = _sequence_score_and_masses(pop, best_seq)
-    attempts = [0] * pop.n
-    steps = []
-    for t, (i, mass) in enumerate(zip(best_seq, masses), start=1):
-        attempts[i] += 1
-        steps.append(ScheduleStep(t=t, item=i + 1, attempt=attempts[i], detect_prob=mass))
     residual = 1.0 - math.fsum(masses)
-    return best_score, Schedule(steps=tuple(steps), residual_mass=residual, attempts=tuple(attempts))
+    return best_score, Schedule(steps=np.array(best_seq), masses=np.array(masses), residual_mass=residual)
 
 
 def truncated_schedule_score(pop: Population, sched: Schedule, horizon: int) -> float:
     """Score a schedule's first ``horizon`` steps on the brute-force scale."""
-    seq = tuple(st.item - 1 for st in sched.steps[:horizon])
+    seq = tuple(sched.steps[:horizon].tolist())
     if len(seq) < horizon:
         raise ValueError(f"schedule has only {len(seq)} steps, need {horizon}")
     score, _ = _sequence_score_and_masses(pop, seq)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from priorsearch import ikl_mean_exact, mn_optimal_q, uniform_weights
+from priorsearch import ikl_mean_exact, mn_optimal_q, models, montecarlo, strategies, uniform_weights
 from priorsearch.cli import main
 from priorsearch.population import load_population, save_population_csv
 
@@ -234,6 +234,37 @@ class TestSimulate:
             )
             assert result.exit_code == 0, (model, result.output)
             assert "dkw check: PASS" in result.output
+
+    def test_ef_check_exact_builds_one_schedule(self, runner, pop_csv, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return strategies.ef_schedule(*args, **kwargs)
+
+        for module in (montecarlo, models):
+            monkeypatch.setattr(module, "ef_schedule", counted)
+        result = runner.invoke(
+            main,
+            ["simulate", "--model", "EF", "--input", pop_csv, "--reps", "1000", "--seed", "3", "--check-exact"],
+        )
+        assert result.exit_code == 0, result.output
+        assert "dkw check: PASS" in result.output
+        assert len(calls) == 1
+
+    def test_check_exact_cuts_the_exact_law_at_max_steps(self, runner, tmp_path):
+        # An eighth of the replications outlast the cap of 3 steps; the exact
+        # law's mass beyond it counts as censored, as those replications do.
+        path = tmp_path / "two.csv"
+        path.write_text("id,p\na,0.5\nb,0.5\n")
+        result = runner.invoke(
+            main,
+            ["simulate", "--model", "J", "--input", str(path), "--uniform-q", "--max-steps", "3",
+             "--reps", "20000", "--seed", "1", "--check-exact"],
+        )
+        assert result.exit_code == 0, result.output
+        assert "dkw check: PASS" in result.output
+        assert 0.11 < int(get_line(result.output, "censored:")) / 20000 < 0.14
 
     def test_check_exact_j_tiny_rate(self, runner, tmp_path):
         result = runner.invoke(

@@ -158,6 +158,27 @@ class TestSimulate:
         assert emp.censored > 0
 
 
+class TestCensoring:
+    def test_undetected_and_capped_are_counted_apart(self):
+        # GH walks b (s p = .5) before a (s p = .25): a cap of 1 step never
+        # reaches a, so no replication is both reached and missed.
+        pop = validate_population([0.5, 0.5], [0.5, 1.0])
+        full = simulate(pop, SimConfig(model="GH", reps=10_000, seed=3))
+        assert full.undetected > 0 and full.capped == 0
+        cut = simulate(pop, SimConfig(model="GH", reps=10_000, seed=3, max_steps=1))
+        assert cut.undetected == 0 and cut.capped > 0
+        assert cut.censored == cut.capped and cut.max_steps == 1
+
+    def test_dkw_check_moves_the_mass_beyond_the_cap_to_the_atom(self):
+        pop = validate_population([0.5, 0.5])
+        q = uniform_weights(2)
+        emp = simulate(pop, SimConfig(model="J", reps=20_000, seed=1, q=q, max_steps=3))
+        assert emp.undetected == 0 and emp.capped > 0
+        assert dkw_check(emp, dist_j(pop, q), alpha=0.001)
+        # The law the cut replications are compared with is J's, not ABCD's.
+        assert not dkw_check(emp, dist_abcd(pop), alpha=0.001)
+
+
 class TestDkw:
     def test_band_formula(self):
         assert dkw_band(100_000, 0.001) == pytest.approx(

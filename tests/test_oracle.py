@@ -3,22 +3,25 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from priorsearch import (
     InspectionWeights,
-    abcd_policy,
+    ScheduleTruncationError,
     dist_gh,
     ef_schedule,
     ikl_mean_exact,
     uniform_weights,
     validate_population,
 )
+from priorsearch import strategies
 from priorsearch.strategies import position_probabilities
 
 from oracle import (
+    abcd_policy,
     ef_best_schedule_bruteforce,
+    ef_schedule_heap,
     geometric_mean_bruteforce,
     ikl_mean_bruteforce,
     one_pass_cdf_envelope_bruteforce,
@@ -132,7 +135,7 @@ class TestEfBruteforce:
     def test_greedy_sequence_attains_minimum(self):
         pop = validate_population([0.6, 0.4], [0.5, 1.0])
         best_score, best_sched = ef_best_schedule_bruteforce(pop, horizon=6)
-        assert [st.item for st in best_sched.steps] == [2, 1, 1, 1, 1, 1]
+        assert best_sched.steps.tolist() == [1, 0, 0, 0, 0, 0]
         greedy = ef_schedule(pop, eps=1e-15, max_steps=10**4)
         assert truncated_schedule_score(pop, greedy, 6) <= best_score + 1e-12
 
@@ -140,12 +143,12 @@ class TestEfBruteforce:
         pop = validate_population([0.5, 0.3, 0.2])
         _, sched = ef_best_schedule_bruteforce(pop, horizon=3)
         order, _ = abcd_policy(pop)
-        assert tuple(st.item for st in sched.steps) == order.order
+        assert tuple(sched.steps + 1) == order.order
 
     def test_single_item(self):
         pop = validate_population([1.0], [0.7])
         score, sched = ef_best_schedule_bruteforce(pop, horizon=4)
-        assert all(st.item == 1 for st in sched.steps)
+        assert sched.steps.tolist() == [0, 0, 0, 0]
         assert score == pytest.approx(truncated_schedule_score(pop, sched, 4), abs=1e-15)
 
     def test_guards(self):
@@ -162,9 +165,93 @@ class TestEfBruteforce:
             pop = random_population(rng, n, s_lo=0.2)
             best_score, _ = ef_best_schedule_bruteforce(pop, horizon=6)
             greedy = ef_schedule(pop, eps=1e-15, max_steps=10**4)
-            if len(greedy.steps) < 6:
+            if greedy.steps.size < 6:
                 continue  # exhausted all mass before the horizon (all s = 1)
             assert truncated_schedule_score(pop, greedy, 6) <= best_score + 1e-12
+
+
+def assert_matches_heap(pop, eps, max_steps):
+    """ef_schedule equals the heap walk bit for bit, or both raise ScheduleTruncationError."""
+    try:
+        want, residual = ef_schedule_heap(pop, eps, max_steps)
+    except ScheduleTruncationError:
+        with pytest.raises(ScheduleTruncationError):
+            ef_schedule(pop, eps=eps, max_steps=max_steps)
+        return
+    sched = ef_schedule(pop, eps=eps, max_steps=max_steps)
+    assert sched.steps.tolist() == [st.item - 1 for st in want]
+    assert sched.masses.tolist() == [st.detect_prob for st in want]
+    assert sched.residual_mass == residual
+
+
+# (weight, s, kind): "copy" adds a second item equal to this one, so every
+# attempt mass ties; "twin" adds (2 weight, s/2), whose first attempt ties.
+ef_items = st.lists(
+    st.tuples(
+        st.floats(0.01, 1.0),
+        st.one_of(st.just(1.0), st.floats(1e-3, 1.0)),
+        st.sampled_from(["one", "copy", "twin"]),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def tied_population(items):
+    weights, s = [], []
+    for w, si, kind in items:
+        weights.append(w)
+        s.append(si)
+        if kind != "one":
+            weights.append(w if kind == "copy" else 2 * w)
+            s.append(si if kind == "copy" else si / 2)
+    weights = np.asarray(weights)
+    return validate_population(weights / weights.sum(), s)
+
+
+class TestEfHeap:
+    """The merge in strategies.ef_schedule against the heap walk it replaced."""
+
+    @given(ef_items, st.sampled_from([1e-12, 1e-13]), st.one_of(st.integers(1, 40), st.just(20_000)))
+    @example([(1.0, 0.5, "copy")] * 15 + [(0.5, 1.0, "twin")] * 15, 1e-13, 10**6)
+    def test_merge_equals_heap(self, items, eps, max_steps):
+        assert_matches_heap(tied_population(items), eps, max_steps)
+
+    def test_thousand_items_with_one_slow_item(self, rng):
+        s = rng.uniform(0.3, 1.0, 1000)
+        s[int(rng.integers(1000))] = 1e-3
+        pop = validate_population(rng.dirichlet(np.ones(1000)), s)
+        assert_matches_heap(pop, 1e-12, 10**6)
+
+    def test_short_candidate_lists_are_extended(self, rng, monkeypatch):
+        merge = strategies._merge
+        calls = []
+
+        def short(pop, count, max_steps):
+            # At most 1, 3, 7, ... candidates per item on the first calls.
+            calls.append(count)
+            return merge(pop, np.minimum(count, 2 ** len(calls) - 1), max_steps)
+
+        monkeypatch.setattr(strategies, "_merge", short)
+        for eps, max_steps in ((1e-12, 10**6), (1e-13, 50)):
+            calls.clear()
+            assert_matches_heap(random_population(rng, 8, s_lo=0.05), eps, max_steps)
+            assert len(calls) > 1
+
+    def test_attempts_beyond_the_budget_are_not_built(self, monkeypatch):
+        # Every item would need about 10^7 attempts to reach eps; only the
+        # budget's worth of candidates is built, and the heap walk agrees.
+        merge = strategies._merge
+        sizes = []
+
+        def counted(pop, count, max_steps):
+            sizes.append(int(count.sum()))
+            return merge(pop, count, max_steps)
+
+        monkeypatch.setattr(strategies, "_merge", counted)
+        pop = validate_population(np.full(60, 1 / 60), np.full(60, 3e-6))
+        assert_matches_heap(pop, 1e-12, 2000)
+        assert sizes and max(sizes) <= 2 * 2000 + 60
 
 
 class TestOnePassBruteforce:

@@ -18,6 +18,7 @@ from priorsearch import (
     uniform_weights,
     validate_population,
 )
+from priorsearch import distributions, ordering, strategies
 from priorsearch.distributions import InspectionDistribution
 from priorsearch.ordering import (
     EXPECTED_SMALLER,
@@ -27,6 +28,7 @@ from priorsearch.ordering import (
 )
 
 from conftest import equal_mass_population, random_population
+from oracle import sup_cdf_distance
 
 
 class TestStochasticCompare:
@@ -125,7 +127,7 @@ class TestDominanceReport:
         for pair in (("ABCD", "EF"), ("ABCD", "GH"), ("EF", "GH"), ("J", "MN"), ("IKL", "OP")):
             assert report.verdicts[pair].relation == "equal"
             assert (
-                report.distributions[pair[0]].sup_cdf_distance(report.distributions[pair[1]])
+                sup_cdf_distance(report.distributions[pair[0]], report.distributions[pair[1]])
                 <= 1e-12
             )
 
@@ -134,7 +136,7 @@ class TestDominanceReport:
         report = dominance_report(pop)
         assert report.ok
         assert report.verdicts[("ABCD", "IKL")].relation == "equal"
-        assert report.distributions["ABCD"].sup_cdf_distance(report.distributions["IKL"]) <= 1e-12
+        assert sup_cdf_distance(report.distributions["ABCD"], report.distributions["IKL"]) <= 1e-12
         # GH walks the largest detection masses first; OP's uniform order does not.
         assert report.verdicts[("GH", "OP")].relation == "smaller"
 
@@ -198,6 +200,24 @@ class TestDominanceReport:
         pop = validate_population([0.5, 0.5])
         with pytest.raises(ValueError, match="size"):
             dominance_report(pop, q=uniform_weights(3))
+
+    def test_one_subset_dp_serves_both_race_laws(self, rng, monkeypatch):
+        pop = random_population(rng, 6, s_lo=0.3)
+        q = InspectionWeights(q=rng.dirichlet(np.ones(6)))
+        calls = []
+
+        def counted(weights):
+            calls.append(weights)
+            return strategies.position_probabilities(weights)
+
+        for module in (ordering, distributions):
+            monkeypatch.setattr(module, "position_probabilities", counted)
+        report = dominance_report(pop, q=q)
+        assert len(calls) == 1
+        assert report.distributions["IKL"].pmf.tolist() == dist_ikl_exact(pop, q).pmf.tolist()
+        op = dist_op_exact(pop, q)
+        assert report.distributions["OP"].pmf.tolist() == op.pmf.tolist()
+        assert report.distributions["OP"].atom_at_infinity == op.atom_at_infinity
 
 
 class TestIncomparableFamily:

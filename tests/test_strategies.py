@@ -9,12 +9,10 @@ from priorsearch import (
     EnumerationLimitError,
     InspectionWeights,
     ScheduleTruncationError,
-    abcd_policy,
     dist_ef,
     dist_gh,
     dist_op_exact,
     ef_schedule,
-    ef_swap_check,
     ikl_mean_exact,
     ikl_search_q,
     j_mean,
@@ -24,9 +22,10 @@ from priorsearch import (
     uniform_weights,
     validate_population,
 )
-from priorsearch.strategies import Schedule, ScheduleStep
+from priorsearch.strategies import Schedule
 
 from conftest import equal_mass_population, random_population, random_simplex
+from oracle import abcd_policy, ef_swap_check
 
 probability_vectors = st.lists(
     st.floats(min_value=1e-3, max_value=10.0, allow_nan=False), min_size=1, max_size=12
@@ -92,21 +91,20 @@ class TestEfSchedule:
     def test_priority_example(self):
         pop = validate_population([0.6, 0.4], [0.5, 1.0])
         sched = ef_schedule(pop, eps=1e-10)
-        assert (sched.steps[0].item, sched.steps[0].attempt) == (2, 1)
-        assert all(st.item == 1 for st in sched.steps[1:])
-        assert [st.attempt for st in sched.steps[1:]] == list(range(1, len(sched.steps)))
+        assert sched.steps[0] == 1
+        assert sched.steps[1:].tolist() == [0] * (sched.steps.size - 1)
+        assert sched.masses.tolist() == [0.4] + [0.6 * 0.5**j for j in range(1, sched.steps.size)]
 
     def test_perfect_recognition_reduces_to_descending_order(self):
         pop = validate_population([0.5, 0.3, 0.2])
         sched = ef_schedule(pop)
-        assert [st.item for st in sched.steps] == [1, 2, 3]
-        assert [st.attempt for st in sched.steps] == [1, 1, 1]
+        assert sched.steps.tolist() == [0, 1, 2]
         assert sched.residual_mass == 0.0
 
     def test_tie_breaks_to_lowest_index(self):
         pop = validate_population([0.5, 0.5], [1.0, 1.0])
         sched = ef_schedule(pop)
-        assert sched.steps[0].item == 1
+        assert sched.steps[0] == 0
 
     def test_greedy_argmax_invariant(self, rng):
         for _ in range(20):
@@ -114,19 +112,19 @@ class TestEfSchedule:
             pop = random_population(rng, n, s_lo=0.25)
             sched = ef_schedule(pop, eps=1e-8)
             counts = [0] * n
-            for step in sched.steps:
+            for item, mass in zip(sched.steps.tolist(), sched.masses.tolist()):
                 masses = [
                     pop.p[i] * (1.0 - pop.s[i]) ** counts[i] * pop.s[i] for i in range(n)
                 ]
                 best = max(range(n), key=lambda i: (masses[i], -i))
-                assert step.item - 1 == best
-                assert abs(step.detect_prob - masses[best]) <= 1e-15
-                counts[step.item - 1] += 1
+                assert item == best
+                assert abs(mass - masses[best]) <= 1e-15
+                counts[item] += 1
 
     def test_mass_accounting(self, rng):
         pop = random_population(rng, 4, s_lo=0.4)
         sched = ef_schedule(pop, eps=1e-12)
-        covered = math.fsum(st.detect_prob for st in sched.steps)
+        covered = math.fsum(sched.masses.tolist())
         assert abs(covered + sched.residual_mass - 1.0) <= 1e-12
 
     def test_truncation_budget_error(self):
@@ -174,12 +172,8 @@ class TestEfSwapCheck:
     def test_reversed_pair_fails(self):
         pop = validate_population([0.6, 0.4], [0.5, 1.0])
         sched = ef_schedule(pop, eps=1e-6)
-        first, second = sched.steps[0], sched.steps[1]
-        swapped = (
-            ScheduleStep(t=1, item=second.item, attempt=1, detect_prob=second.detect_prob),
-            ScheduleStep(t=2, item=first.item, attempt=1, detect_prob=first.detect_prob),
-        ) + sched.steps[2:]
-        bad = Schedule(steps=swapped, residual_mass=sched.residual_mass, attempts=sched.attempts)
+        swap = [1, 0, *range(2, sched.steps.size)]
+        bad = Schedule(steps=sched.steps[swap], masses=sched.masses[swap], residual_mass=sched.residual_mass)
         assert not ef_swap_check(bad)
 
     def test_single_item_trivially_passes(self):
