@@ -179,10 +179,10 @@ def _simulate_chunk(
 
 
 def walk_schedule(pop: Population, cfg: SimConfig) -> Schedule | None:
-    """The EF schedule a simulation of ``cfg.model`` walks; None for the other models."""
+    """The EF schedule a simulation of ``cfg.model`` walks, whatever its cap; None for the other models."""
     if MODELS[cfg.model].walk != "schedule":
         return None
-    return ef_schedule(pop, eps=DEFAULT_EF_EPS, max_steps=min(cfg.max_steps, DEFAULT_EF_MAX_STEPS))
+    return ef_schedule(pop, eps=DEFAULT_EF_EPS, max_steps=DEFAULT_EF_MAX_STEPS)
 
 
 def simulate(pop: Population, cfg: SimConfig, sched: Schedule | None = None) -> EmpiricalResult:

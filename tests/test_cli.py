@@ -266,6 +266,21 @@ class TestSimulate:
         assert "dkw check: PASS" in result.output
         assert 0.11 < int(get_line(result.output, "censored:")) / 20000 < 0.14
 
+    def test_ef_replications_past_max_steps_are_capped(self, runner, tmp_path):
+        # The schedule needs hundreds of steps; a cap of 3 censors the rest of
+        # the replications instead of failing the schedule's budget.
+        path = tmp_path / "slow.csv"
+        path.write_text("id,p,s\na,0.5,0.1\nb,0.5,0.1\n")
+        result = runner.invoke(
+            main,
+            ["simulate", "--model", "EF", "--input", str(path), "--max-steps", "3",
+             "--reps", "20000", "--seed", "1", "--check-exact"],
+        )
+        assert result.exit_code == 0, result.output
+        assert "dkw check: PASS" in result.output
+        # Three attempts find the target with probability .05 + .05 + .045.
+        assert 0.13 < int(get_line(result.output, "detected:")) / 20000 < 0.16
+
     def test_check_exact_j_tiny_rate(self, runner, tmp_path):
         result = runner.invoke(
             main,
