@@ -28,13 +28,7 @@ import numpy as np
 from .distributions import InspectionDistribution
 from .models import LABELS, MODELS, Model
 from .population import InspectionWeights, Population
-from .strategies import (
-    DEFAULT_EF_EPS,
-    DEFAULT_EF_MAX_STEPS,
-    Schedule,
-    descending_order,
-    ef_schedule,
-)
+from .strategies import Schedule, descending_order, ef_schedule
 
 CHUNK = 4096
 # Step of a replication whose walk never reaches the target; above any max_steps.
@@ -179,10 +173,8 @@ def _simulate_chunk(
 
 
 def walk_schedule(pop: Population, cfg: SimConfig) -> Schedule | None:
-    """The EF schedule a simulation of ``cfg.model`` walks, whatever its cap; None for the other models."""
-    if MODELS[cfg.model].walk != "schedule":
-        return None
-    return ef_schedule(pop, eps=DEFAULT_EF_EPS, max_steps=DEFAULT_EF_MAX_STEPS)
+    """The EF schedule, at its defaults whatever the cap, that ``cfg.model`` walks; else None."""
+    return ef_schedule(pop) if MODELS[cfg.model].walk == "schedule" else None
 
 
 def simulate(pop: Population, cfg: SimConfig, sched: Schedule | None = None) -> EmpiricalResult:
