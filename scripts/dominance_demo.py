@@ -1,26 +1,20 @@
 #!/usr/bin/env python3
 """Print the dominance report for a random population.
 
+Runs `priorsearch order` on the population and exits with its exit code.
+
 Usage: python scripts/dominance_demo.py [--seed SEED] [--size N]
 """
 
 import argparse
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
-from priorsearch import dominance_report, validate_population
-
-
-def show_report(title, report):
-    print(f"== {title} ==")
-    print(f"   common q: {np.round(report.q, 4)}")
-    for (a, b), verdict in report.verdicts.items():
-        expected = report.expected[(a, b)]
-        mark = "*" if expected != "unconstrained" else " "
-        extra = f"  witnesses={verdict.witnesses}" if verdict.witnesses else ""
-        print(f" {mark} {a:>4} vs {b:<4} {verdict.relation:<12} (expected {expected}){extra}")
-    print(f"   mismatches: {list(report.mismatches) or 'none'}")
-    print()
+from priorsearch import save_population_csv, validate_population
 
 
 def main():
@@ -33,8 +27,11 @@ def main():
     pop = validate_population(
         rng.dirichlet(np.ones(args.size)), rng.uniform(0.3, 1.0, size=args.size)
     )
-    show_report(f"random population (n={args.size}, seed={args.seed})", dominance_report(pop))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "population.csv"
+        save_population_csv(path, pop)
+        return subprocess.run([sys.executable, "-m", "priorsearch.cli", "order", "--input", str(path)]).returncode
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -88,16 +88,15 @@ class EmpiricalResult:
     def detected(self) -> int:
         return sum(self.counts.values())
 
-    def cdf_array(self, upto: int, conditional: bool = True) -> np.ndarray:
-        """Empirical cdf at 1..upto, by default conditioned on detection."""
-        denom = self.detected if conditional else self.reps
+    def cdf_array(self, upto: int) -> np.ndarray:
+        """Empirical cdf at 1..upto, conditioned on detection."""
         dense = np.zeros(upto + 1)
         for m, c in self.counts.items():
             if m <= upto:
                 dense[m] = c
-        if denom == 0:
+        if self.detected == 0:
             return np.zeros(upto)
-        return np.cumsum(dense)[1:] / denom
+        return np.cumsum(dense)[1:] / self.detected
 
 
 def _draw_targets(pop: Population, rng: np.random.Generator, m: int) -> np.ndarray:
@@ -235,7 +234,6 @@ def dkw_check(emp: EmpiricalResult, exact: InspectionDistribution, alpha: float 
     detected count. With tiny replication counts the bands exceed 1 and the
     check is vacuously true.
     """
-    pmf = exact.pmf[: emp.max_steps]
     atom = exact.atom_at_infinity + math.fsum(exact.pmf[emp.max_steps :].tolist())
     reps = emp.reps
     band_all = dkw_band(reps, alpha)
@@ -249,21 +247,18 @@ def dkw_check(emp: EmpiricalResult, exact: InspectionDistribution, alpha: float 
     if finite <= 0.0:
         return False
     band = dkw_band(detected, alpha)
-    upto = max(pmf.size, max(emp.counts, default=1))
-    emp_cdf = emp.cdf_array(upto, conditional=True)
-    exact_cdf = np.cumsum(np.pad(pmf, (0, upto - pmf.size))) / finite
-    return float(np.abs(emp_cdf - exact_cdf).max()) <= band
+    upto = max(min(exact.horizon, emp.max_steps), max(emp.counts, default=1))
+    return float(np.abs(emp.cdf_array(upto) - exact.cdf_array(upto) / finite).max()) <= band
 
 
-def write_empirical_csv(path: str | Path, emp: EmpiricalResult, config_echo: Mapping | None = None) -> None:
+def write_empirical_csv(path: str | Path, emp: EmpiricalResult, config_echo: Mapping) -> None:
     """Rows `m,count` plus a trailing `censored,<n>` row.
 
-    When given, the run configuration is echoed as a JSON comment on the
-    first line so the file is self-describing.
+    The run configuration is echoed as a JSON comment on the first line so
+    the file is self-describing.
     """
     with open(path, "w", newline="") as fh:
-        if config_echo is not None:
-            fh.write("# config " + json.dumps(config_echo, sort_keys=True) + "\n")
+        fh.write("# config " + json.dumps(config_echo, sort_keys=True) + "\n")
         writer = csv.writer(fh)
         writer.writerow(["m", "count"])
         for m in sorted(emp.counts):

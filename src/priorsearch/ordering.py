@@ -97,8 +97,10 @@ def stochastic_compare(
     cdfs are compared at every integer up to the larger horizon; atoms at
     infinity never enter any finite cdf value. Laws whose truncation tail
     reaches tol/10 are refused, since the unresolved mass could flip a
-    verdict at the tolerance in use.
+    verdict at the tolerance in use. ``tol`` must lie in (0, 1).
     """
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must be in (0, 1), got {tol!r}")
     for d, name in ((dx, "X"), (dy, "Y")):
         if d.truncated and d.atom_at_infinity >= tol / 10.0:
             raise ComparisonTruncationError(
@@ -141,7 +143,7 @@ class OrderingReport:
     def ok(self) -> bool:
         return not self.mismatches
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self) -> str:
         verdicts = {}
         for (a, b), v in self.verdicts.items():
             verdicts[f"{a},{b}"] = {
@@ -157,7 +159,7 @@ class OrderingReport:
             "expected": {f"{a},{b}": e for (a, b), e in self.expected.items()},
             "mismatches": list(self.mismatches),
         }
-        return json.dumps(payload, indent=indent, sort_keys=True)
+        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def expected_relations(pop: Population) -> dict[tuple[str, str], str]:

@@ -116,9 +116,6 @@ class Population:
         """Probability the target is ever found under one-shot-per-item models."""
         return math.fsum((self.s * self.p).tolist())
 
-    def perfect_recognition(self, tol: float = 1e-12) -> bool:
-        return abs(self.detect_prob - 1.0) <= tol
-
 
 @dataclass(frozen=True, eq=False)
 class InspectionWeights:
@@ -319,6 +316,9 @@ def load_population_json(path: str | Path) -> PopulationFile:
         raise PopulationError(f"{path}: malformed JSON ({exc})") from exc
     if not isinstance(data, dict) or "p" not in data:
         raise PopulationError(f"{path}: expected an object with a `p` array")
+    for k in ("id", "p", "s", "lambda"):
+        if data.get(k) is not None and not isinstance(data[k], list):
+            raise PopulationError(f"{path}: malformed population (`{k}` is not an array)")
     try:
         p, s, lam = (
             None if data.get(k) is None else np.asarray(data[k], dtype=float) for k in ("p", "s", "lambda")

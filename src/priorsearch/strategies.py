@@ -234,11 +234,15 @@ def ikl_search_q(
 ) -> tuple[InspectionWeights, float]:
     """Heuristic search for good without-replacement sampling weights.
 
-    No closed-form optimum is known for this model, so this runs a
+    The model has no optimal weights: its mean at any q is at least the
+    ABCD mean, with equality only when all priors are equal, and tends to it
+    along q ∝ p^k as k → ∞, which does better than this search. It runs a
     multi-start coordinate search on the simplex: multiplicative single-
     coordinate perturbations with renormalization and shrinking step sizes,
     scored by the exact mean. The uniform weights are always one of the
-    starts, so the result is never worse than uniform.
+    starts, so the result is never worse than uniform. It stays only until
+    the benchmark's `weight-search` workload and its tracer entry, which look
+    it up by name, are retired.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")

@@ -52,6 +52,8 @@ MALFORMED_JSON = {
     "truncated": '{"p": [0.5, 0.5',
     "p-not-numbers": '{"p": "abc"}',
     "s-not-numbers": '{"p": [0.5, 0.5], "s": [1, "x"]}',
+    "id-string": '{"p": [0.5, 0.5], "id": "ab"}',
+    "id-object": '{"p": [0.5, 0.5], "id": {"x": 1, "y": 2}}',
 }
 
 

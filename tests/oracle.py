@@ -135,6 +135,18 @@ def ikl_mean_bruteforce(pop: Population, q: InspectionWeights) -> float:
     return math.fsum(terms)
 
 
+def ikl_mean_pairwise(pop: Population, q: InspectionWeights) -> float:
+    """Mean of the without-replacement democratic model from its pair orders, in O(N^2).
+
+    The target's position is 1 plus the number of items drawn before it, and
+    item j is drawn before item i with the Plackett-Luce probability
+    q_j / (q_i + q_j), so E[T] = 1 + sum_{i<j} (p_i q_j + p_j q_i) / (q_i + q_j).
+    """
+    p, qv = pop.p.tolist(), q.q.tolist()
+    pairs = ((i, j) for i in range(pop.n) for j in range(i + 1, pop.n))
+    return 1.0 + math.fsum((p[i] * qv[j] + p[j] * qv[i]) / (qv[i] + qv[j]) for i, j in pairs)
+
+
 def one_pass_cdf_envelope_bruteforce(pop: Population) -> np.ndarray:
     """Pointwise largest cdf at 1..N over the one-pass walks in all N! orders.
 

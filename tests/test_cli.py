@@ -325,6 +325,12 @@ class TestOrder:
         result = runner.invoke(main, ["order", "--input", str(path)])
         assert result.exit_code == 4
 
+    @pytest.mark.parametrize("tol", ["nan", "0"])
+    def test_tolerance_outside_unit_interval_exits_2(self, runner, pop_csv, tol):
+        result = runner.invoke(main, ["order", "--input", pop_csv, "--tol", tol])
+        assert result.exit_code == 2
+        assert result.stderr == f"error: tol must be in (0, 1), got {float(tol)!r}\n"
+
     def test_incomparable_family_reports_witnesses(self, runner, tmp_path):
         pop = equal_mass_population(5)
         pop_path = tmp_path / "fam.csv"

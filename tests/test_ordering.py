@@ -73,6 +73,13 @@ class TestStochasticCompare:
         with pytest.raises(ComparisonTruncationError):
             stochastic_compare(good, sloppy, tol=1e-9)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0, 1.0])
+    def test_tolerance_outside_unit_interval_rejected_before_truncation_guard(self, tol):
+        good = InspectionDistribution(pmf=[1.0], atom_at_infinity=0.0)
+        sloppy = InspectionDistribution(pmf=[0.99], atom_at_infinity=0.01, truncated=True)
+        with pytest.raises(ValueError, match=r"tol must be in \(0, 1\)"):
+            stochastic_compare(good, sloppy, tol=tol)
+
     def test_genuine_defect_mass_is_not_truncation(self):
         defective = InspectionDistribution(pmf=[0.5], atom_at_infinity=0.5)
         full = InspectionDistribution(pmf=[1.0], atom_at_infinity=0.0)

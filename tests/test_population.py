@@ -55,7 +55,6 @@ class TestValidatePopulation:
     def test_s_defaults_to_ones(self):
         pop = validate_population([0.6, 0.4])
         assert np.all(pop.s == 1.0)
-        assert pop.perfect_recognition()
 
     def test_s_out_of_range(self):
         with pytest.raises(PopulationError, match="s_i"):

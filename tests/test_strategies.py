@@ -9,6 +9,7 @@ from priorsearch import (
     EnumerationLimitError,
     InspectionWeights,
     ScheduleTruncationError,
+    dist_abcd,
     dist_ef,
     dist_gh,
     dist_op_exact,
@@ -25,11 +26,20 @@ from priorsearch import (
 from priorsearch.strategies import Schedule
 
 from conftest import equal_mass_population, random_population, random_simplex
-from oracle import abcd_policy, ef_swap_check
+from oracle import abcd_policy, ef_swap_check, ikl_mean_pairwise
 
 probability_vectors = st.lists(
     st.floats(min_value=1e-3, max_value=10.0, allow_nan=False), min_size=1, max_size=12
 ).map(lambda xs: np.asarray(xs) / np.sum(xs))
+
+
+@st.composite
+def priors_and_weights(draw):
+    """A population of 1..8 items with priors bounded below, and arbitrary weights q."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    p = np.asarray(draw(st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=n, max_size=n)))
+    q = np.asarray(draw(st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=n, max_size=n)))
+    return validate_population(p / p.sum()), InspectionWeights(q=q / q.sum())
 
 
 class TestAbcd:
@@ -229,6 +239,29 @@ class TestIkl:
         pop = validate_population(np.full(11, 1.0 / 11))
         with pytest.raises(EnumerationLimitError, match="enumeration limit"):
             ikl_mean_exact(pop, uniform_weights(11))
+
+
+class TestIklBound:
+    """E[T_IKL] = 1 + sum_{i<j} (p_i q_j + p_j q_i)/(q_i+q_j) >= 1 + sum_{i<j} min(p_i, p_j), the ABCD mean."""
+
+    @given(priors_and_weights())
+    def test_pairwise_oracle_matches_exact_mean(self, case):
+        pop, q = case
+        assert ikl_mean_pairwise(pop, q) == pytest.approx(ikl_mean_exact(pop, q), rel=1e-12, abs=0.0)
+
+    @given(priors_and_weights())
+    def test_abcd_mean_is_a_lower_bound(self, case):
+        pop, q = case
+        assert ikl_mean_exact(pop, q) >= dist_abcd(pop).mean_finite() - 1e-12
+
+    @given(priors_and_weights())
+    def test_gap_shrinks_along_powers_of_the_priors(self, case):
+        # Each pair term is increasing in (p_j/p_i)^k, which falls with k when p_i > p_j.
+        pop, _ = case
+        abcd = dist_abcd(pop).mean_finite()
+        gaps = [ikl_mean_exact(pop, InspectionWeights(q=pop.p**k / np.sum(pop.p**k))) - abcd
+                for k in (0, 1, 2, 5, 10, 20, 40)]
+        assert all(later <= earlier + 1e-12 for earlier, later in zip(gaps, gaps[1:]))
 
 
 class TestIklSearch:
