@@ -27,7 +27,7 @@ from . import __version__
 from .distributions import InspectionDistribution, dist_ef, write_distribution_csv
 from .models import LABELS, MODELS, Model
 from .montecarlo import SimConfig, dkw_check, simulate, walk_schedule, write_empirical_csv
-from .ordering import ComparisonTruncationError, dominance_report
+from .ordering import DEFAULT_COMPARE_TOL, ComparisonTruncationError, dominance_report
 from .population import (
     InspectionWeights,
     Population,
@@ -157,29 +157,23 @@ def main():
 @main.command()
 @click.option("--model", type=click.Choice(LABELS), required=True)
 @_input
-@click.option("--eps", type=float, default=1e-12, show_default=True,
-              help="EF schedule truncation target.")
-@click.option("--max-steps", type=int, default=10**6, show_default=True)
-@click.option("--horizon", type=int, default=None, help="Horizon for the J/MN distribution CSV.")
 @_q_flags
 @click.option("--out", type=click.Path(file_okay=False), help="Directory for distribution CSV and manifest.")
 @_exit_codes("; use `priorsearch simulate` for this population")
-def evaluate(model, input_path, eps, max_steps, horizon, q_source, q_file, out):
+def evaluate(model, input_path, q_source, q_file, out):
     """Optimal policy, exact mean, and optionally the exact distribution."""
     pop = load_population(input_path).population
     m = MODELS[model]
     q, q_desc = _resolve_q(m, pop, q_source, q_file)
     click.echo(f"model: {model}")
     click.echo(f"items: {pop.n}")
-    dist = m.law(pop, q, eps=eps, max_steps=max_steps, horizon=horizon)
+    dist = m.law(pop, q)
     if q is not None:
         click.echo(f"q ({q_desc}): {_format_q(q)}")
     for line in _summary_lines(m, pop, q, dist):
         click.echo(line)
     if out:
-        parameters = {
-            "model": model, "eps": eps, "max_steps": max_steps, "horizon": horizon, "q_source": q_desc
-        }
+        parameters = {"model": model, "q_source": q_desc}
         _write_out(out, "evaluate", input_path, parameters, f"dist_{model}.csv",
                    lambda path: write_distribution_csv(path, dist))
 
@@ -190,8 +184,7 @@ def evaluate(model, input_path, eps, max_steps, horizon, q_source, q_file, out):
 @click.option("--reps", type=int, required=True)
 @click.option("--seed", type=int, required=True,
               help="Replication streams derive from this seed; no entropy defaults.")
-@click.option("--max-steps", type=int, default=10**7, show_default=True)
-@click.option("--horizon", type=int, default=None, help="Horizon for the exact J/MN law in --check-exact.")
+@click.option("--max-steps", type=int, default=SimConfig.max_steps, show_default=True)
 @click.option("--alpha", type=float, default=0.001, show_default=True,
               help="DKW band level for --check-exact.")
 @_q_flags
@@ -199,7 +192,7 @@ def evaluate(model, input_path, eps, max_steps, horizon, q_source, q_file, out):
 @click.option("--check-exact", is_flag=True,
               help="Compare the empirical law against the exact one (exit 3 on mismatch).")
 @_exit_codes("; no exact law available to check against")
-def simulate_cmd(model, input_path, reps, seed, max_steps, horizon, alpha, q_source, q_file, out, check_exact):
+def simulate_cmd(model, input_path, reps, seed, max_steps, alpha, q_source, q_file, out, check_exact):
     """Seeded Monte Carlo simulation of a model's inspection process."""
     pop = load_population(input_path).population
     m = MODELS[model]
@@ -219,7 +212,6 @@ def simulate_cmd(model, input_path, reps, seed, max_steps, horizon, alpha, q_sou
             "reps": reps,
             "seed": seed,
             "max_steps": max_steps,
-            "horizon": horizon,
             "alpha": alpha,
             "q_source": q_desc,
         }
@@ -227,7 +219,7 @@ def simulate_cmd(model, input_path, reps, seed, max_steps, horizon, alpha, q_sou
                    lambda path: write_empirical_csv(path, emp, config_echo=parameters))
     if check_exact:
         # EF is checked against the law of the schedule the simulation walked.
-        exact = dist_ef(sched) if sched is not None else m.law(pop, q, horizon=horizon)
+        exact = dist_ef(sched) if sched is not None else m.law(pop, q)
         ok = dkw_check(emp, exact, alpha)
         click.echo(f"dkw check: {'PASS' if ok else 'FAIL'} (alpha={alpha})")
         if not ok:
@@ -236,25 +228,22 @@ def simulate_cmd(model, input_path, reps, seed, max_steps, horizon, alpha, q_sou
 
 @main.command()
 @_input
-@click.option("--tol", type=float, default=1e-9, show_default=True)
-@click.option("--eps", type=float, default=1e-13, show_default=True,
-              help="EF schedule truncation target; must stay below tol/10.")
-@click.option("--horizon", type=int, default=None)
+@click.option("--tol", type=float, default=DEFAULT_COMPARE_TOL, show_default=True)
 @_q_flags
 @click.option("--out", type=click.Path(file_okay=False), help="Directory for the report JSON and manifest.")
 @_exit_codes()
-def order(input_path, tol, eps, horizon, q_source, q_file, out):
+def order(input_path, tol, q_source, q_file, out):
     """Pairwise dominance report; exit 3 if any expected relation fails."""
     pop = load_population(input_path).population
     # One q for all four democratic models: uniform unless asked for MN's optimum.
     q, q_desc = _resolve_q(MODELS["MN"], pop, q_source or "uniform", q_file)
-    report = dominance_report(pop, q=q, tol=tol, ef_eps=eps, horizon=horizon)
+    report = dominance_report(pop, q=q, tol=tol)
     for (a, b), verdict in report.verdicts.items():
         exp = report.expected[(a, b)]
         extra = f" witnesses={verdict.witnesses}" if verdict.witnesses else ""
         click.echo(f"{a} vs {b}: {verdict.relation} (expected {exp}){extra}")
     if out:
-        parameters = {"tol": tol, "eps": eps, "horizon": horizon, "q_source": q_desc}
+        parameters = {"tol": tol, "q_source": q_desc}
         _write_out(out, "order", input_path, parameters, "ordering_report.json",
                    lambda path: path.write_text(report.to_json() + "\n"))
     if report.mismatches:

@@ -47,15 +47,14 @@ class Model:
     rate ``key``). A ``defective`` model recognizes the target, once its walk
     reaches it, only with probability s_i.
 
-    ``law(pop, q, eps=, max_steps=, horizon=)`` builds the exact law;
-    ``eps`` and ``max_steps`` bound the EF schedule, ``horizon`` the J/MN
-    laws. ``closed_mean`` is the exact mean of a model whose law is cut at a
-    horizon.
+    ``law(pop, q)`` builds the exact law at the library's fixed truncation
+    targets. ``closed_mean`` is the exact mean of a model whose law is cut
+    at a horizon.
     """
 
     label: str
     walk: str
-    law: Callable[..., InspectionDistribution]
+    law: Callable[[Population, InspectionWeights | None], InspectionDistribution]
     defective: bool = False
     takes_q: bool = False
     optimal_q: Callable[[Population], InspectionWeights] | None = None
@@ -66,17 +65,16 @@ class Model:
 MODELS: dict[str, Model] = {
     m.label: m
     for m in (
-        Model("ABCD", "order", lambda pop, q, **_: dist_abcd(pop), key=lambda pop, q: pop.p),
-        Model("EF", "schedule",
-              lambda pop, q, eps, max_steps, **_: dist_ef(ef_schedule(pop, eps=eps, max_steps=max_steps))),
-        Model("GH", "order", lambda pop, q, **_: dist_gh(pop), defective=True,
+        Model("ABCD", "order", lambda pop, q: dist_abcd(pop), key=lambda pop, q: pop.p),
+        Model("EF", "schedule", lambda pop, q: dist_ef(ef_schedule(pop))),
+        Model("GH", "order", lambda pop, q: dist_gh(pop), defective=True,
               key=lambda pop, q: pop.s * pop.p),
-        Model("IKL", "race", lambda pop, q, **_: dist_ikl_exact(pop, q), takes_q=True),
-        Model("J", "geometric", lambda pop, q, horizon, **_: dist_j(pop, q, horizon), takes_q=True,
+        Model("IKL", "race", lambda pop, q: dist_ikl_exact(pop, q), takes_q=True),
+        Model("J", "geometric", lambda pop, q: dist_j(pop, q), takes_q=True,
               optimal_q=j_optimal_q, closed_mean=j_mean, key=lambda pop, q: q.q),
-        Model("MN", "geometric", lambda pop, q, horizon, **_: dist_mn(pop, q, horizon), takes_q=True,
+        Model("MN", "geometric", lambda pop, q: dist_mn(pop, q), takes_q=True,
               optimal_q=mn_optimal_q, closed_mean=mn_mean, key=lambda pop, q: q.q * pop.s),
-        Model("OP", "race", lambda pop, q, **_: dist_op_exact(pop, q), defective=True, takes_q=True),
+        Model("OP", "race", lambda pop, q: dist_op_exact(pop, q), defective=True, takes_q=True),
     )
 }
 LABELS = tuple(MODELS)

@@ -27,13 +27,16 @@ from typing import Mapping
 
 import numpy as np
 
-from .distributions import InspectionDistribution, race_law
+from .distributions import InspectionDistribution, dist_ef, race_law
 from .models import LABELS as MODEL_LABELS
 from .models import MODELS
 from .population import InspectionWeights, Population, uniform_weights
-from .strategies import DEFAULT_EF_MAX_STEPS, position_probabilities
+from .strategies import ef_schedule, position_probabilities
 
 DEFAULT_COMPARE_TOL = 1e-9
+# The report's EF schedule stops once its residual mass is below this, a
+# tenth of the library default, far under the tol/10 a comparison allows.
+EF_EPS = 1e-13
 # Equality conditions are structural (exact zeros), so they are detected at
 # float-noise resolution, far below the comparison tolerance.
 CONDITION_TOL = 1e-12
@@ -196,8 +199,6 @@ def dominance_report(
     pop: Population,
     q: InspectionWeights | None = None,
     tol: float = DEFAULT_COMPARE_TOL,
-    ef_eps: float = 1e-13,
-    horizon: int | None = None,
 ) -> OrderingReport:
     """Build all seven laws, run the 21 comparisons, and check the partial order.
 
@@ -211,7 +212,8 @@ def dominance_report(
     positions = position_probabilities(q)  # one subset DP for both race laws
     laws = {
         m.label: race_law(pop, positions, m.defective) if m.walk == "race"
-        else m.law(pop, q, eps=ef_eps, max_steps=DEFAULT_EF_MAX_STEPS, horizon=horizon)
+        else dist_ef(ef_schedule(pop, eps=EF_EPS)) if m.walk == "schedule"
+        else m.law(pop, q)
         for m in MODELS.values()
     }
     verdicts: dict[tuple[str, str], DominanceVerdict] = {}

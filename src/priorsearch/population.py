@@ -319,6 +319,10 @@ def load_population_json(path: str | Path) -> PopulationFile:
     for k in ("id", "p", "s", "lambda"):
         if data.get(k) is not None and not isinstance(data[k], list):
             raise PopulationError(f"{path}: malformed population (`{k}` is not an array)")
+    for k in ("p", "s", "lambda"):
+        # numpy would read true and false as 1.0 and 0.0.
+        if any(isinstance(v, bool) for v in data.get(k) or ()):
+            raise PopulationError(f"{path}: malformed array (`{k}` holds true or false)")
     try:
         p, s, lam = (
             None if data.get(k) is None else np.asarray(data[k], dtype=float) for k in ("p", "s", "lambda")

@@ -54,6 +54,8 @@ MALFORMED_JSON = {
     "s-not-numbers": '{"p": [0.5, 0.5], "s": [1, "x"]}',
     "id-string": '{"p": [0.5, 0.5], "id": "ab"}',
     "id-object": '{"p": [0.5, 0.5], "id": {"x": 1, "y": 2}}',
+    "p-s-booleans": '{"p": [true], "s": [true]}',
+    "s-booleans": '{"p": [0.5, 0.5], "s": [true, false]}',
 }
 
 

@@ -124,7 +124,7 @@ def test_criterion_4_partial_order_on_random_populations():
             pop = validate_population(
                 rng.dirichlet(np.ones(n)), rng.uniform(0.3, 1.0, size=n)
             )
-            report = dominance_report(pop, tol=1e-9, ef_eps=1e-13)
+            report = dominance_report(pop, tol=1e-9)
             assert report.ef_residual < 1e-13
             assert report.ok, report.mismatches
             for pair in EXPECTED_SMALLER:

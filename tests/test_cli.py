@@ -211,12 +211,20 @@ class TestSimulate:
         assert result.exit_code == 2
         assert result.stderr == "error: alpha must be in (0, 1)\n"
 
-    def test_eps_is_not_an_option(self, runner, pop_csv):
-        result = runner.invoke(
-            main,
-            ["simulate", "--model", "EF", "--input", pop_csv,
-             "--reps", "10", "--seed", "1", "--eps", "1e-2"],
-        )
+    @pytest.mark.parametrize(
+        "command, option",
+        [("simulate", "--eps"), ("simulate", "--horizon"), ("evaluate", "--eps"), ("evaluate", "--max-steps"),
+         ("evaluate", "--horizon"), ("order", "--eps"), ("order", "--horizon")],
+        ids=lambda s: s.lstrip("-"),
+    )
+    def test_eps_is_not_an_option(self, runner, pop_csv, command, option):
+        # Exact laws are built at the library's fixed truncation targets.
+        argv = {
+            "simulate": ["simulate", "--model", "EF", "--reps", "10", "--seed", "1"],
+            "evaluate": ["evaluate", "--model", "EF"],
+            "order": ["order"],
+        }[command]
+        result = runner.invoke(main, [*argv, "--input", pop_csv, option, "1"])
         assert result.exit_code == 2
         assert "No such option" in result.output
 
@@ -289,6 +297,37 @@ class TestSimulate:
         )
         assert result.exit_code == 0, result.output
         assert "dkw check: PASS" in result.output
+
+
+class TestOneItem:
+    """A one-item population with s = 0.4 on every CLI path."""
+
+    Q_FLAGS = {"IKL": ["--uniform-q"], "OP": ["--uniform-q"]}
+
+    @pytest.fixture
+    def one_csv(self, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("id,p,s\na,1,0.4\n")
+        return str(path)
+
+    @pytest.mark.parametrize("model", models.LABELS)
+    def test_evaluate(self, runner, one_csv, model):
+        result = runner.invoke(main, ["evaluate", "--model", model, "--input", one_csv,
+                                      *self.Q_FLAGS.get(model, [])])
+        assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize("model", models.LABELS)
+    def test_simulate_check_exact(self, runner, one_csv, model):
+        result = runner.invoke(main, ["simulate", "--model", model, "--input", one_csv,
+                                      *self.Q_FLAGS.get(model, []),
+                                      "--reps", "5000", "--seed", "1", "--check-exact"])
+        assert result.exit_code == 0, result.output
+        assert "dkw check: PASS" in result.output
+
+    def test_order(self, runner, one_csv):
+        result = runner.invoke(main, ["order", "--input", one_csv])
+        assert result.exit_code == 0, result.output
+        assert "all expected relations hold" in result.output
 
 
 class TestOrder:
