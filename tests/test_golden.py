@@ -7,6 +7,7 @@ code and stderr. A deliberate output change shows up as a diff of those
 files. ``PYTHONPATH=src python tests/test_golden.py`` captures them afresh.
 """
 
+import math
 import shutil
 from pathlib import Path
 
@@ -20,6 +21,7 @@ GOLDEN = Path(__file__).parent / "golden"
 LABELS = ("ABCD", "EF", "GH", "IKL", "J", "MN", "OP")
 UNIFORM_Q = ("IKL", "OP")  # no closed-form optimum; J and MN default to theirs
 OUT = ["--out", "out"]
+ZIPF_NORM = math.fsum(1.0 / k for k in range(1, 101))
 
 # Input files by the name the cases use for them.
 INPUTS = {
@@ -32,6 +34,10 @@ INPUTS = {
     "ten_csv": "id,p,s\na,0.25,0.5\nb,0.1875,0.7\nc,0.125,1\nd,0.125,0.3\ne,0.09375,0.1\n"
                "f,0.0625,0.9\ng,0.0625,0.45\nh,0.03125,1\ni,0.03125,0.6\nj,0.03125,0.8\n",
     "lambda_csv": "id,p,s,lambda\na,0.5,1,0.2\nb,0.3,1,0.3\nc,0.2,0.5,0.5\n",
+    # Zipf priors over 100 items, s cycling through 1, .9, ..., .4: target draws span a
+    # hundredfold range of priors, and 70,000 replications run past 16 chunks of 4096.
+    "zipf100_csv": "id,p,s\n" + "".join(f"z{k},{1.0 / (k * ZIPF_NORM)!r},{(10 - k % 7) / 10}\n"
+                                        for k in range(1, 101)),
     "pop11_csv": "id,p\n" + "".join(f"i{k},{1.0 / 11!r}\n" for k in range(1, 12)),
     "q_short_csv": "id,q\na,0.5\nb,0.5\n",
     "likelihood_csv": "id,likelihood\na,0.2\nb,0.5\nc,0.9\n",
@@ -61,6 +67,11 @@ CASES = {
         f"simulate-{model}-ten_csv": ["simulate", "--model", model, "--input", "ten_csv", *_flags(model),
                                       "--reps", "10000", "--seed", "17", "--check-exact", *OUT]
         for model in ("EF", "IKL", "OP")
+    },
+    **{
+        f"simulate-{model}-zipf100_csv": ["simulate", "--model", model, "--input", "zipf100_csv",
+                                          "--reps", "70000", "--seed", "17", "--check-exact", *OUT]
+        for model in ("ABCD", "GH")
     },
     "evaluate-EF-ten_csv": ["evaluate", "--model", "EF", "--input", "ten_csv", *OUT],
     "order-ten_csv": ["order", "--input", "ten_csv", *OUT],
