@@ -42,7 +42,6 @@ from .population import (
     ProfileDecomposition,
     bayes_update,
     load_population,
-    profile_to_weights,
     save_population_csv,
     solve_conditional_inspection,
     uniform_weights,
@@ -90,7 +89,6 @@ __all__ = [
     "ProfileDecomposition",
     "bayes_update",
     "load_population",
-    "profile_to_weights",
     "save_population_csv",
     "solve_conditional_inspection",
     "uniform_weights",

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .distributions import InspectionDistribution, dist_ef, write_distribution_csv
 from .models import LABELS, MODELS, Model
-from .montecarlo import SimConfig, dkw_check, simulate, walk_schedule, write_empirical_csv
+from .montecarlo import SimConfig, check_alpha, dkw_check, simulate, walk_schedule, write_empirical_csv
 from .ordering import DEFAULT_COMPARE_TOL, ComparisonTruncationError, dominance_report
 from .population import (
     InspectionWeights,
@@ -194,6 +194,7 @@ def evaluate(model, input_path, q_source, q_file, out):
 @_exit_codes("; no exact law available to check against")
 def simulate_cmd(model, input_path, reps, seed, max_steps, alpha, q_source, q_file, out, check_exact):
     """Seeded Monte Carlo simulation of a model's inspection process."""
+    check_alpha(alpha)
     pop = load_population(input_path).population
     m = MODELS[model]
     q, q_desc = _resolve_q(m, pop, q_source, q_file)

@@ -44,6 +44,19 @@ class DecompositionError(PopulationError):
     """No valid conditional-inspection decomposition exists for the request."""
 
 
+class _NotPositive(PopulationError):
+    """Entry ``index`` (0-based) of the vector ``what`` is zero or negative."""
+
+    def __init__(self, what: str, index: int, value: float):
+        super().__init__(f"{what}[{index + 1}] = {value!r} is not strictly positive")
+        self.what, self.index, self.value = what, index, value
+
+    def by_id(self, path: str | Path, ids: Sequence[str] | None) -> PopulationError:
+        """The same error for the file at ``path``, naming the item by its id (1..N when there are none)."""
+        item = ids[self.index] if ids is not None and self.index < len(ids) else self.index + 1
+        return PopulationError(f"{path}: {self.what} for item {item} is {self.value!r}, not strictly positive")
+
+
 def _normalized(raw: Sequence[float], what: str) -> np.ndarray:
     arr = np.asarray(raw, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
@@ -51,8 +64,8 @@ def _normalized(raw: Sequence[float], what: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise PopulationError(f"{what} contains non-finite entries")
     if np.any(arr <= 0.0):
-        bad = int(np.argmin(arr)) + 1
-        raise PopulationError(f"{what}[{bad}] = {arr[bad - 1]!r} is not strictly positive")
+        bad = int(np.argmin(arr))
+        raise _NotPositive(what, bad, float(arr[bad]))
     total = math.fsum(arr.tolist())
     if abs(total - 1.0) > SUM_PRETOLERANCE:
         raise PopulationError(
@@ -109,6 +122,22 @@ class Population:
             cached = np.cumsum(self.p)
             cached.setflags(write=False)
             object.__setattr__(self, "_cum_p", cached)
+        return cached
+
+    @property
+    def cumulative_guide(self) -> np.ndarray:
+        """Guide table (cached) over ``cumulative_p``, with K = size - 1 buckets.
+
+        K is a power of two, at least 16 N and at most 2**16, and entry b is
+        ``searchsorted(cumulative_p, b / K, "right")``. A uniform u in bucket
+        b = floor(u K) therefore inverts to an index in [guide[b], guide[b + 1]].
+        """
+        cached = getattr(self, "_guide", None)
+        if cached is None:
+            k = min(1 << (16 * self.n - 1).bit_length(), 1 << 16)
+            cached = np.searchsorted(self.cumulative_p, np.arange(k + 1) / k, side="right")
+            cached.setflags(write=False)
+            object.__setattr__(self, "_guide", cached)
         return cached
 
     @property
@@ -212,12 +241,6 @@ def bayes_update(pop: Population, likelihoods: Sequence[float]) -> Population:
     return Population(p=weighted / total, s=pop.s, ids=pop.ids)
 
 
-def profile_to_weights(d: ProfileDecomposition) -> InspectionWeights:
-    """Inspection weights induced by an attention/conditional decomposition."""
-    w = d.lam * d.pi
-    return InspectionWeights(q=w / math.fsum(w.tolist()))
-
-
 def solve_conditional_inspection(
     lam: Sequence[float],
     target_q: InspectionWeights,
@@ -298,14 +321,17 @@ def _read_columns(
         raise PopulationError(f"{path}: malformed row ({exc})") from exc
 
 
-def _population_file(p, s, ids, lam) -> PopulationFile:
-    lam_arr = _normalized(lam, "lambda") if lam is not None else None
-    return PopulationFile(population=validate_population(p, s, ids), lam=lam_arr)
+def _population_file(path, p, s, ids, lam) -> PopulationFile:
+    try:
+        lam_arr = _normalized(lam, "lambda") if lam is not None else None
+        return PopulationFile(population=validate_population(p, s, ids), lam=lam_arr)
+    except _NotPositive as exc:
+        raise exc.by_id(path, ids) from None
 
 
 def load_population_csv(path: str | Path) -> PopulationFile:
     cols = _read_columns(path, ("id", "p"), ("s", "lambda"))
-    return _population_file(cols["p"], cols.get("s"), cols["id"], cols.get("lambda"))
+    return _population_file(path, cols["p"], cols.get("s"), cols["id"], cols.get("lambda"))
 
 
 def load_population_json(path: str | Path) -> PopulationFile:
@@ -330,7 +356,7 @@ def load_population_json(path: str | Path) -> PopulationFile:
         ids = None if data.get("id") is None else [str(i) for i in data["id"]]
     except (TypeError, ValueError) as exc:
         raise PopulationError(f"{path}: malformed array ({exc})") from exc
-    return _population_file(p, s, ids, lam)
+    return _population_file(path, p, s, ids, lam)
 
 
 def save_population_csv(path: str | Path, pop: Population, lam: np.ndarray | None = None) -> None:
@@ -362,7 +388,10 @@ def _column_by_id(path: str | Path, column: str, what: str, pop: Population) -> 
 
 def load_weights_csv(path: str | Path, pop: Population) -> InspectionWeights:
     """Weights file: CSV with header `id,q`, matched to the population by id."""
-    return InspectionWeights(q=_column_by_id(path, "q", "weights", pop))
+    try:
+        return InspectionWeights(q=_column_by_id(path, "q", "weights", pop))
+    except _NotPositive as exc:
+        raise exc.by_id(path, pop.ids) from None
 
 
 def load_likelihoods_csv(path: str | Path, pop: Population) -> np.ndarray:

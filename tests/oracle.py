@@ -17,7 +17,9 @@ from itertools import permutations, product
 import numpy as np
 
 from priorsearch.distributions import InspectionDistribution
-from priorsearch.population import InspectionWeights, Population
+from priorsearch.models import MODELS
+from priorsearch.montecarlo import CHUNK, SimConfig, _ef_attempt_table, _simulate_chunk, walk_schedule
+from priorsearch.population import InspectionWeights, Population, ProfileDecomposition
 from priorsearch.strategies import Schedule, ScheduleTruncationError, descending_order
 
 
@@ -265,3 +267,37 @@ def geometric_mean_bruteforce(q_success: float, horizon: int) -> float:
     partial = math.fsum(j * fail ** (j - 1) * q_success for j in range(1, horizon + 1))
     tail = fail**horizon * (horizon * q_success + 1.0) / q_success
     return partial + tail
+
+
+def profile_to_weights(d: ProfileDecomposition) -> InspectionWeights:
+    """Inspection weights induced by an attention/conditional decomposition: q ∝ lambda * pi.
+
+    The round trip of population.solve_conditional_inspection.
+    """
+    w = d.lam * d.pi
+    return InspectionWeights(q=w / math.fsum(w.tolist()))
+
+
+def simulate_per_chunk(pop: Population, cfg: SimConfig) -> tuple[dict[int, int], int, int]:
+    """Detection-step counts, undetected and capped of montecarlo.simulate, merged chunk by chunk.
+
+    Runs the same chunks on the same seed-derived streams, but counts each
+    chunk's detected steps with its own np.unique and merges them into the
+    counts before the next chunk runs.
+    """
+    model = MODELS[cfg.model]
+    sched = walk_schedule(pop, cfg)
+    ef_table = None if sched is None else _ef_attempt_table(sched, pop.n)
+    counts: dict[int, int] = {}
+    undetected = capped = 0
+    seed = int(cfg.seed) % (1 << 64)
+    for c in range(-(-cfg.reps // CHUNK)):
+        size = min(CHUNK, cfg.reps - c * CHUNK)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(c,)))
+        steps, missed, cut = _simulate_chunk(pop, model, cfg, rng, size, ef_table)
+        undetected += missed
+        capped += cut
+        values, reps_at = np.unique(steps, return_counts=True)
+        for step, count in zip(values.tolist(), reps_at.tolist()):
+            counts[step] = counts.get(step, 0) + count
+    return counts, undetected, capped

@@ -29,7 +29,6 @@ from priorsearch import (
     j_optimal_q,
     mn_mean,
     mn_optimal_q,
-    profile_to_weights,
     simulate,
     solve_conditional_inspection,
     uniform_weights,
@@ -42,6 +41,7 @@ from oracle import (
     abcd_policy,
     ef_best_schedule_bruteforce,
     ikl_mean_bruteforce,
+    profile_to_weights,
     sup_cdf_distance,
     truncated_schedule_score,
 )

@@ -91,6 +91,23 @@ class TestEvaluate:
         result = runner.invoke(main, ["evaluate", "--model", "ABCD", "--input", str(path)])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("pop.csv", "id,p\nx,0.5\ny,0\nz,0.5\n", "p for item y is 0.0"),
+            ("pop.json", '{"p": [0.5, -0.25, 0.75]}', "p for item 2 is -0.25"),
+            ("pop.json", '{"id": ["x"], "p": [0.5, 0.5, 0]}', "p for item 3 is 0.0"),
+            ("lam.csv", "id,p,lambda\nx,0.5,0.5\ny,0.5,0\n", "lambda for item y is 0.0"),
+        ],
+        ids=["csv", "json-without-ids", "json-short-ids", "lambda"],
+    )
+    def test_non_positive_entry_names_the_file_and_item(self, runner, tmp_path, name, text, message):
+        path = tmp_path / name
+        path.write_text(text)
+        result = runner.invoke(main, ["evaluate", "--model", "ABCD", "--input", str(path)])
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {path}: {message}, not strictly positive\n"
+
     @pytest.mark.parametrize("text", MALFORMED_JSON.values(), ids=MALFORMED_JSON)
     def test_malformed_json_population_exit_code(self, runner, tmp_path, text):
         path = tmp_path / "pop.json"
@@ -210,6 +227,20 @@ class TestSimulate:
         )
         assert result.exit_code == 2
         assert result.stderr == "error: alpha must be in (0, 1)\n"
+
+    @pytest.mark.parametrize("check", [[], ["--check-exact"]], ids=["plain", "check-exact"])
+    @pytest.mark.parametrize("alpha", ["nan", "0", "1", "2"])
+    def test_alpha_outside_unit_interval_exits_2_before_any_work(self, runner, pop_csv, tmp_path, alpha, check):
+        out = tmp_path / "d"
+        result = runner.invoke(
+            main,
+            ["simulate", "--model", "ABCD", "--input", pop_csv, "--reps", "10", "--seed", "1",
+             "--alpha", alpha, *check, "--out", str(out)],
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: alpha must be in (0, 1)\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, option",
@@ -489,3 +520,14 @@ class TestWeightsFile:
         )
         assert result.exit_code == 2, result.output
         assert f"error: {q_path}: {message}" in result.stderr
+
+    @pytest.mark.parametrize("command", WEIGHTS_COMMANDS)
+    def test_non_positive_weight_names_the_file_and_item(self, runner, pop_csv, tmp_path, command):
+        # Row order differs from item order: c is the second row but the third item.
+        q_path = tmp_path / "q.csv"
+        q_path.write_text("id,q\na,0.5\nc,0\nb,0.5\n")
+        result = runner.invoke(
+            main, [*WEIGHTS_COMMANDS[command], "--input", pop_csv, "--q-file", str(q_path)]
+        )
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"error: {q_path}: q for item c is 0.0, not strictly positive\n"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from priorsearch import (
     InspectionWeights,
@@ -21,9 +23,11 @@ from priorsearch import (
     uniform_weights,
     validate_population,
 )
-from priorsearch.montecarlo import _draw_targets, write_empirical_csv
+from priorsearch.models import LABELS, MODELS
+from priorsearch.montecarlo import CHUNK, _draw_targets, write_empirical_csv
 
-from conftest import random_population
+from conftest import random_population, random_simplex
+from oracle import simulate_per_chunk
 
 
 class TestSimConfig:
@@ -55,7 +59,7 @@ class TestSimConfig:
 
 
 class FixedU:
-    """Stands in for a generator whose every uniform draw is u."""
+    """Stands in for a generator whose every uniform draw is u, or whose draws are the array u."""
 
     def __init__(self, u):
         self.u = u
@@ -80,6 +84,31 @@ class TestSampleTargetIndex:
         u = 1.0 - 2.0**-53
         assert pop.cumulative_p[-1] <= u
         assert _draw_targets(pop, FixedU(u), 1).tolist() == [9]
+
+    @given(
+        kind=st.sampled_from(["dirichlet", "span", "crowd"]),
+        n=st.integers(1, 10_000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_guide_table_equals_full_search(self, kind, n, seed):
+        g = np.random.default_rng(seed)
+        if kind == "dirichlet":
+            p = g.dirichlet(np.ones(n))
+        elif kind == "span":
+            p = 10.0 ** g.uniform(-300.0, 0.0, n)
+        else:
+            # Tiny priors between two large ones put many cut points in one bucket.
+            p = np.concatenate([[1.0], g.uniform(1e-12, 1e-9, max(n - 2, 0)), [1.0]])[:n]
+        pop = validate_population(p / math.fsum(p.tolist()))
+        cum = pop.cumulative_p
+        k = pop.cumulative_guide.size - 1
+        assert k == min(2 ** math.ceil(math.log2(16 * n)), 2**16)
+        # Every bucket edge, every cut point and its neighbours, and both ends.
+        u = np.concatenate([[0.0, 1.0 - 2.0**-53], np.arange(k) / k,
+                            cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0)])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        want = np.minimum(np.searchsorted(cum, u, side="right"), n - 1)
+        assert np.array_equal(_draw_targets(pop, FixedU(u), u.size), want)
 
     def test_frequencies_within_binomial_bound(self):
         # 4 sigma two-sided bound for a fair coin.
@@ -138,6 +167,15 @@ class TestSimulate:
         em = simulate(pop, SimConfig(model="MN", reps=50_000, seed=3, q=q))
         assert ej.counts == em.counts
         assert dkw_check(em, dist_j(pop, q), alpha=0.001)
+
+    @pytest.mark.parametrize("model", LABELS)
+    def test_batched_merge_equals_per_chunk_merge(self, model, rng):
+        # 17 full chunks and 5 replications: one merge after 16 chunks, one after the partial chunk.
+        pop = random_population(rng, 6, s_lo=0.3)
+        q = InspectionWeights(q=random_simplex(rng, 6)) if MODELS[model].takes_q else None
+        cfg = SimConfig(model=model, reps=17 * CHUNK + 5, seed=29, q=q)
+        emp = simulate(pop, cfg)
+        assert (emp.counts, emp.undetected, emp.capped) == simulate_per_chunk(pop, cfg)
 
     def test_counts_add_up(self, rng):
         pop = random_population(rng, 4, s_lo=0.3)

@@ -14,7 +14,6 @@ from priorsearch import (
     PopulationError,
     ProfileDecomposition,
     bayes_update,
-    profile_to_weights,
     solve_conditional_inspection,
     uniform_weights,
     validate_population,
@@ -27,6 +26,7 @@ from priorsearch.population import (
 )
 
 from conftest import MALFORMED_JSON
+from oracle import profile_to_weights
 
 probability_vectors = st.lists(
     st.floats(min_value=1e-3, max_value=10.0, allow_nan=False), min_size=1, max_size=12
