@@ -73,6 +73,13 @@ CASES = {
                                           "--reps", "70000", "--seed", "17", "--check-exact", *OUT]
         for model in ("ABCD", "GH")
     },
+    # The exponential race over 100 items: 18 chunks, more than one merge window. No
+    # --check-exact, since the exact race law enumerates subsets (N <= 10).
+    **{
+        f"simulate-{model}-zipf100_csv": ["simulate", "--model", model, "--input", "zipf100_csv", "--uniform-q",
+                                          "--reps", "70000", "--seed", "17", *OUT]
+        for model in UNIFORM_Q
+    },
     "evaluate-EF-ten_csv": ["evaluate", "--model", "EF", "--input", "ten_csv", *OUT],
     "order-ten_csv": ["order", "--input", "ten_csv", *OUT],
     "order-pop_csv": ["order", "--input", "pop_csv", *OUT],
