@@ -10,19 +10,27 @@ each detecting step up in the schedule's steps grouped by item.
 Determinism contract: a run is fully determined by (population, config).
 Replications are processed in fixed-size chunks of 4096, and chunk c draws
 from its own generator seeded by SeedSequence(seed, spawn_key=(c,)), so the
-result is bit-identical no matter how chunks would be scheduled across
-workers; count merging is commutative. Targets are drawn by inverting the
-cumulative priors through a guide table, which picks the same index as a full
-binary search bit for bit. Detected steps are counted and merged once per 16
-chunks, so memory stays bounded by 16 x 4096 steps whatever the replication
-count.
+result is bit-identical no matter how chunks are scheduled across workers.
+Targets are drawn by inverting the cumulative priors through a guide table,
+which picks the same index as a full binary search bit for bit. Detected
+steps are counted and merged once per 16 chunks, in chunk order, so memory
+stays bounded by 16 x 4096 steps whatever the replication count.
+
+The exponential race (IKL, OP) draws, divides and compares its keys in blocks
+of at most 2**15, in the order of one (4096, N) draw, so its memory does not
+grow with N. When a chunk draws at least 2**18 keys (N >= 64), the chunks of
+each 16-chunk window run on every usable CPU, since numpy releases the
+interpreter lock while it fills and compares the keys; the result is the
+same on one core or many. Every other walk runs its chunks in turn.
 """
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -38,6 +46,11 @@ CHUNK = 4096
 # Chunks whose detected steps are counted in one np.unique and merged into the
 # counts together, which bounds the steps held at once to _MERGE_CHUNKS * CHUNK.
 _MERGE_CHUNKS = 16
+# Race keys held at once: a chunk draws its (m, N) keys in blocks of rows of this size.
+_RACE_BLOCK_KEYS = 2**15
+# A race chunk drawing at least this many keys (N >= 64) gains from threads; below
+# it, and for the other walks, thread start-up and the interpreter lock cost more.
+_THREAD_MIN_KEYS = 2**18
 # Step of a replication whose walk never reaches the target; above any max_steps.
 NEVER = np.iinfo(np.int64).max
 
@@ -150,6 +163,26 @@ def _ef_attempt_table(sched: Schedule, n: int) -> tuple[np.ndarray, np.ndarray, 
     return np.argsort(sched.steps, kind="stable") + 1, np.cumsum(size) - size, size
 
 
+def _race_steps(rng: np.random.Generator, q: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Step at which successive sampling with weights q reaches each target.
+
+    Successive sampling as an exponential race: item i is drawn in ascending
+    order of E_i / q_i with E_i iid standard exponential, which reproduces the
+    without-replacement law exactly. Row r's keys are the r-th row of one
+    (target.size, N) draw; they are drawn in blocks of whole rows, which numpy
+    fills in the same order, so memory stays at ``_RACE_BLOCK_KEYS`` keys.
+    """
+    n = q.size
+    rows = max(1, _RACE_BLOCK_KEYS // n)
+    steps = np.empty(target.size, dtype=np.int64)
+    for lo in range(0, target.size, rows):
+        hit = target[lo : lo + rows]
+        keys = rng.standard_exponential((hit.size, n))
+        keys /= q
+        steps[lo : lo + hit.size] = np.count_nonzero(keys <= keys[np.arange(hit.size), hit][:, None], axis=1)
+    return steps
+
+
 def _simulate_chunk(
     pop: Population,
     model: Model,
@@ -179,15 +212,17 @@ def _simulate_chunk(
     elif model.walk == "geometric":
         steps = _geometric_from_uniform(rng.random(m), model.key(pop, cfg.q)[target], cfg.max_steps)
     else:
-        # Successive sampling as an exponential race: item i is drawn in
-        # ascending order of E_i / q_i with E_i iid standard exponential,
-        # which reproduces the without-replacement law exactly.
-        keys = rng.standard_exponential((m, n))
-        keys /= cfg.q.q
-        steps = np.count_nonzero(keys <= keys[np.arange(m), target][:, None], axis=1)
+        steps = _race_steps(rng, cfg.q.q, target)
     reached = steps <= cfg.max_steps
     detected = reached & (rng.random(m) < s[target]) if model.defective else reached
     return steps[detected], int(np.count_nonzero(reached & ~detected)), int(m - np.count_nonzero(reached))
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def walk_schedule(pop: Population, cfg: SimConfig) -> Schedule | None:
@@ -206,22 +241,43 @@ def simulate(pop: Population, cfg: SimConfig, sched: Schedule | None = None) -> 
     sched = walk_schedule(pop, cfg) if sched is None else sched
     ef_table = None if sched is None else _ef_attempt_table(sched, pop.n)
     counts: dict[int, int] = {}
-    pending: list[np.ndarray] = []
     undetected = capped = 0
     seed = int(cfg.seed) % (1 << 64)
     n_chunks = (cfg.reps + CHUNK - 1) // CHUNK
-    for c in range(n_chunks):
-        size = min(CHUNK, cfg.reps - c * CHUNK)
+
+    def chunk(c: int) -> tuple[np.ndarray, int, int]:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(c,)))
-        steps, missed, cut = _simulate_chunk(pop, model, cfg, rng, size, ef_table)
-        undetected += missed
-        capped += cut
-        pending.append(steps)
-        if len(pending) == _MERGE_CHUNKS or c == n_chunks - 1:
+        return _simulate_chunk(pop, model, cfg, rng, min(CHUNK, cfg.reps - c * CHUNK), ef_table)
+
+    threaded = model.walk == "race" and CHUNK * pop.n >= _THREAD_MIN_KEYS
+    workers = min(_usable_cpus(), _MERGE_CHUNKS, n_chunks) if threaded else 1
+    pool = None
+    if workers > 1:
+        # Imported here: it pulls in logging, which would add 12 ms to every start-up.
+        from concurrent.futures import ThreadPoolExecutor
+
+        pop.cumulative_p, pop.cumulative_guide  # cached here, before any worker reads them
+        pool = ThreadPoolExecutor(workers)
+    try:
+        for lo in range(0, n_chunks, _MERGE_CHUNKS):
+            window = range(lo, min(lo + _MERGE_CHUNKS, n_chunks))
+            if pool is None:
+                results = map(chunk, window)
+            else:
+                # Each chunk runs in a copy of this thread's context, which holds np.errstate.
+                contexts = [contextvars.copy_context() for _ in window]
+                results = pool.map(lambda ctx, c: ctx.run(chunk, c), contexts, window)
+            pending = []
+            for steps, missed, cut in results:  # in chunk order, whatever order they finish in
+                undetected += missed
+                capped += cut
+                pending.append(steps)
             values, reps_at = np.unique(np.concatenate(pending), return_counts=True)
-            pending.clear()
             for step_val, cnt in zip(values.tolist(), reps_at.tolist()):  # 4x faster than numpy scalars
                 counts[step_val] = counts.get(step_val, 0) + cnt
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     detected = sum(counts.values())
     if detected == 0:
         mean = math.nan

@@ -278,6 +278,14 @@ def profile_to_weights(d: ProfileDecomposition) -> InspectionWeights:
     return InspectionWeights(q=w / math.fsum(w.tolist()))
 
 
+def race_steps_one_shot(rng: np.random.Generator, q: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Race steps from one (m, N) draw of keys; montecarlo._race_steps draws the same keys in blocks."""
+    m = target.size
+    keys = rng.standard_exponential((m, q.size))
+    keys /= q
+    return np.count_nonzero(keys <= keys[np.arange(m), target][:, None], axis=1)
+
+
 def simulate_per_chunk(pop: Population, cfg: SimConfig) -> tuple[dict[int, int], int, int]:
     """Detection-step counts, undetected and capped of montecarlo.simulate, merged chunk by chunk.
 

@@ -1,4 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+import threading
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,10 +30,11 @@ from priorsearch import (
     validate_population,
 )
 from priorsearch.models import LABELS, MODELS
-from priorsearch.montecarlo import CHUNK, _draw_targets, write_empirical_csv
+from priorsearch import montecarlo
+from priorsearch.montecarlo import CHUNK, _draw_targets, _race_steps, write_empirical_csv
 
 from conftest import random_population, random_simplex
-from oracle import simulate_per_chunk
+from oracle import race_steps_one_shot, simulate_per_chunk
 
 
 class TestSimConfig:
@@ -215,6 +222,84 @@ class TestCensoring:
         assert dkw_check(emp, dist_j(pop, q), alpha=0.001)
         # The law the cut replications are compared with is J's, not ABCD's.
         assert not dkw_check(emp, dist_abcd(pop), alpha=0.001)
+
+
+def zipf_population(n: int):
+    p = 1.0 / np.arange(1, n + 1)
+    return validate_population(p / math.fsum(p.tolist()), np.linspace(0.4, 1.0, n))
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """Names of the threads started while the test runs, with 16 usable CPUs reported."""
+    started = []
+    start = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 16)
+    return started
+
+
+class TestRace:
+    @given(
+        n=st.sampled_from([1, 2, 63, 64, 100, 2**15 - 1, 2**15 + 1]),
+        m=st.sampled_from([1, 4095, 4096]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocks_equal_one_draw(self, n, m, seed):
+        # At most 2**22 keys for the one-shot reference: with N near 2**15 every block is one row.
+        m = min(m, 2**22 // n)
+        g = np.random.default_rng(seed)
+        q = 2.0 ** g.uniform(-1000.0, 0.0, n)
+        q[g.integers(n)] = 2.0**-1000
+        q[g.integers(n)] = 1.0
+        target = g.integers(0, n, m)
+        blocked, one_shot = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(_race_steps(blocked, q, target), race_steps_one_shot(one_shot, q, target))
+        assert blocked.random() == one_shot.random()
+
+    @pytest.mark.parametrize("model", ["IKL", "OP"])
+    def test_threaded_chunks_equal_per_chunk_merge(self, model, monkeypatch):
+        pop = zipf_population(100)
+        cfg = SimConfig(model=model, reps=17 * CHUNK + 5, seed=31, q=uniform_weights(100))
+        want = simulate_per_chunk(pop, cfg)
+        for workers in (1, 2, 3, 16):
+            monkeypatch.setattr(montecarlo, "_usable_cpus", lambda workers=workers: workers)
+            emp = simulate(pop, cfg)
+            assert (emp.counts, emp.undetected, emp.capped) == want, workers
+
+    def test_threads_only_for_races_of_64_items_or_more(self, thread_starts):
+        reps = 2 * CHUNK + 1
+        for model in LABELS:
+            pop = zipf_population(63 if MODELS[model].walk == "race" else 100)
+            q = uniform_weights(pop.n) if MODELS[model].takes_q else None
+            simulate(pop, SimConfig(model=model, reps=reps, seed=3, q=q))
+        assert thread_starts == []
+        simulate(zipf_population(64), SimConfig(model="IKL", reps=reps, seed=3, q=uniform_weights(64)))
+        assert thread_starts
+
+    def test_one_chunk_holds_a_bounded_number_of_keys(self):
+        n = 2000
+        pop = zipf_population(n)
+        cfg = SimConfig(model="OP", reps=CHUNK, seed=5, q=uniform_weights(n))
+        tracemalloc.start()
+        try:
+            simulate(pop, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One (4096, 2000) draw of keys alone is 62.5 MiB.
+        assert peak < 8 * 2**20
+
+    def test_cli_import_leaves_the_thread_pool_unimported(self):
+        code = "import sys, priorsearch.cli; print('concurrent.futures' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(montecarlo.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+        assert out.stdout.strip() == "False"
 
 
 class TestDkw:
