@@ -34,6 +34,10 @@ import numpy as np
 SUM_PRETOLERANCE = 1e-6
 # Post-construction invariant tolerance for normalized vectors.
 SUM_TOLERANCE = 1e-9
+# Smallest normalized inspection weight. Above it the race keys E / q_i stay finite
+# for every standard exponential numpy draws (E < 45); a sub-normal q_i made them
+# overflow to inf and tie, which skewed the simulated and the exact race laws.
+Q_FLOOR = 2.0**-1000
 
 
 class PopulationError(ValueError):
@@ -44,17 +48,17 @@ class DecompositionError(PopulationError):
     """No valid conditional-inspection decomposition exists for the request."""
 
 
-class _NotPositive(PopulationError):
-    """Entry ``index`` (0-based) of the vector ``what`` is zero or negative."""
+class _BadEntry(PopulationError):
+    """Entry ``index`` (0-based) of the vector ``what``, ``value``, is ``problem``."""
 
-    def __init__(self, what: str, index: int, value: float):
-        super().__init__(f"{what}[{index + 1}] = {value!r} is not strictly positive")
-        self.what, self.index, self.value = what, index, value
+    def __init__(self, what: str, index: int, value: float, problem: str = "not strictly positive"):
+        super().__init__(f"{what}[{index + 1}] = {value!r} is {problem}")
+        self.what, self.index, self.value, self.problem = what, index, value, problem
 
     def by_id(self, path: str | Path, ids: Sequence[str] | None) -> PopulationError:
         """The same error for the file at ``path``, naming the item by its id (1..N when there are none)."""
         item = ids[self.index] if ids is not None and self.index < len(ids) else self.index + 1
-        return PopulationError(f"{path}: {self.what} for item {item} is {self.value!r}, not strictly positive")
+        return PopulationError(f"{path}: {self.what} for item {item} is {self.value!r}, {self.problem}")
 
 
 def _normalized(raw: Sequence[float], what: str) -> np.ndarray:
@@ -65,7 +69,7 @@ def _normalized(raw: Sequence[float], what: str) -> np.ndarray:
         raise PopulationError(f"{what} contains non-finite entries")
     if np.any(arr <= 0.0):
         bad = int(np.argmin(arr))
-        raise _NotPositive(what, bad, float(arr[bad]))
+        raise _BadEntry(what, bad, float(arr[bad]))
     total = math.fsum(arr.tolist())
     if abs(total - 1.0) > SUM_PRETOLERANCE:
         raise PopulationError(
@@ -153,7 +157,11 @@ class InspectionWeights:
     q: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "q", _normalized(self.q, "q"))
+        q = _normalized(self.q, "q")
+        if q.min() < Q_FLOOR:
+            bad = int(np.argmin(q))
+            raise _BadEntry("q", bad, float(q[bad]), "below 2**-1000 (about 9.3e-302) once normalized")
+        object.__setattr__(self, "q", q)
 
     @property
     def n(self) -> int:
@@ -325,7 +333,7 @@ def _population_file(path, p, s, ids, lam) -> PopulationFile:
     try:
         lam_arr = _normalized(lam, "lambda") if lam is not None else None
         return PopulationFile(population=validate_population(p, s, ids), lam=lam_arr)
-    except _NotPositive as exc:
+    except _BadEntry as exc:
         raise exc.by_id(path, ids) from None
 
 
@@ -390,7 +398,7 @@ def load_weights_csv(path: str | Path, pop: Population) -> InspectionWeights:
     """Weights file: CSV with header `id,q`, matched to the population by id."""
     try:
         return InspectionWeights(q=_column_by_id(path, "q", "weights", pop))
-    except _NotPositive as exc:
+    except _BadEntry as exc:
         raise exc.by_id(path, pop.ids) from None
 
 

@@ -3,11 +3,20 @@ import json
 import numpy as np
 import pytest
 
-from priorsearch import ikl_mean_exact, mn_optimal_q, models, montecarlo, strategies, uniform_weights
+from priorsearch import (
+    InspectionWeights,
+    ikl_mean_exact,
+    mn_optimal_q,
+    models,
+    montecarlo,
+    strategies,
+    uniform_weights,
+)
 from priorsearch.cli import main
 from priorsearch.population import load_population, save_population_csv
 
 from conftest import MALFORMED_JSON, equal_mass_population
+from oracle import ikl_mean_pairwise
 
 
 def get_line(output, prefix):
@@ -531,3 +540,34 @@ class TestWeightsFile:
         )
         assert result.exit_code == 2, result.output
         assert result.stderr == f"error: {q_path}: q for item c is 0.0, not strictly positive\n"
+
+    @pytest.mark.parametrize("command", WEIGHTS_COMMANDS)
+    def test_sub_normal_weight_exits_2(self, runner, pop_csv, tmp_path, command):
+        # Keys E / 1e-320 overflow to inf and tie: OP's mean came out 2.6071 where the exact mean is 2.1667.
+        q_path = tmp_path / "q.csv"
+        q_path.write_text("id,q\na,1\nb,1e-320\nc,2e-320\n")
+        result = runner.invoke(
+            main, [*WEIGHTS_COMMANDS[command], "--input", pop_csv, "--q-file", str(q_path)]
+        )
+        assert result.exit_code == 2, result.output
+        assert result.stderr.endswith(
+            f"error: {q_path}: q for item b is 1e-320, below 2**-1000 (about 9.3e-302) once normalized\n"
+        )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_weights_at_the_floor_keep_the_race_exact(self, runner, tmp_path):
+        pop_path, q_path = tmp_path / "pop.csv", tmp_path / "q.csv"
+        pop_path.write_text("id,p\na,0.2\nb,0.3\nc,0.5\n")
+        q_path.write_text(f"id,q\na,1\nb,{2.0**-1000!r}\nc,{2.0**-999!r}\n")
+        files = ["--input", str(pop_path), "--q-file", str(q_path)]
+        q = InspectionWeights(q=np.array([1.0, 2.0**-1000, 2.0**-999]))
+        mean = ikl_mean_pairwise(load_population(str(pop_path)).population, q)
+        result = runner.invoke(main, ["evaluate", "--model", "IKL", *files])
+        assert result.exit_code == 0, result.output
+        assert float(get_line(result.output, "mean:")) == pytest.approx(mean, rel=1e-12)
+        for model in ("IKL", "OP"):
+            result = runner.invoke(
+                main, ["simulate", "--model", model, *files, "--reps", "20000", "--seed", "1", "--check-exact"]
+            )
+            assert result.exit_code == 0, result.output
+            assert get_line(result.output, "dkw check:") == "PASS (alpha=0.001)"
