@@ -34,9 +34,9 @@ import numpy as np
 SUM_PRETOLERANCE = 1e-6
 # Post-construction invariant tolerance for normalized vectors.
 SUM_TOLERANCE = 1e-9
-# Smallest normalized inspection weight. Above it the race keys E / q_i stay finite
-# for every standard exponential numpy draws (E < 45); a sub-normal q_i made them
-# overflow to inf and tie, which skewed the simulated and the exact race laws.
+# Smallest normalized inspection weight. Down to it the race keys E / q_i stay finite
+# for every standard exponential draw numpy makes (E < 45); a sub-normal q_i made
+# them overflow to inf and tie, which skewed the simulated and the exact race laws.
 Q_FLOOR = 2.0**-1000
 
 
