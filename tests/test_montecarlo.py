@@ -267,10 +267,15 @@ class TestRace:
         pop = zipf_population(100)
         cfg = SimConfig(model=model, reps=17 * CHUNK + 5, seed=31, q=uniform_weights(100))
         want = simulate_per_chunk(pop, cfg)
-        for workers in (1, 2, 3, 16):
-            monkeypatch.setattr(montecarlo, "_usable_cpus", lambda workers=workers: workers)
-            emp = simulate(pop, cfg)
-            assert (emp.counts, emp.undetected, emp.capped) == want, workers
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the interpreter lock between threads as often as it can
+        try:
+            for workers in (1, 2, 3, 16):
+                monkeypatch.setattr(montecarlo, "_usable_cpus", lambda workers=workers: workers)
+                emp = simulate(pop, cfg)
+                assert (emp.counts, emp.undetected, emp.capped) == want, workers
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_threads_only_for_races_of_64_items_or_more(self, thread_starts):
         reps = 2 * CHUNK + 1
