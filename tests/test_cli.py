@@ -543,7 +543,7 @@ class TestWeightsFile:
 
     @pytest.mark.parametrize("command", WEIGHTS_COMMANDS)
     def test_sub_normal_weight_exits_2(self, runner, pop_csv, tmp_path, command):
-        # Keys E / 1e-320 overflow to inf and tie: OP's mean came out 2.6071 where the exact mean is 2.1667.
+        # Keys E / 1e-320 overflow to inf and tie, which would skew the race (exact OP mean 2.1667).
         q_path = tmp_path / "q.csv"
         q_path.write_text("id,q\na,1\nb,1e-320\nc,2e-320\n")
         result = runner.invoke(

@@ -25,12 +25,12 @@ from priorsearch import (
     dkw_check,
     ef_schedule,
     j_optimal_q,
+    montecarlo,
     simulate,
     uniform_weights,
     validate_population,
 )
 from priorsearch.models import LABELS, MODELS
-from priorsearch import montecarlo
 from priorsearch.montecarlo import CHUNK, _draw_targets, _race_steps, write_empirical_csv
 
 from conftest import random_population, random_simplex
