@@ -115,7 +115,10 @@ def _geometric_mixture_dist(
 ) -> InspectionDistribution:
     """Law of a mixture of geometrics: P(T <= m) = 1 - sum_k p_k (1-rate_k)^m.
 
-    The law stops at the last step whose mass is nonzero in floating point.
+    The pmf comes from block power tables: each block of B = isqrt(horizon)
+    steps starts from p_k rate_k (1-rate_k)^(bB) and steps on by (1-rate_k)^r,
+    r < B, so the law takes O(sqrt(horizon) N) powers rather than one per step
+    and item. It stops at the last step whose mass is nonzero in floating point.
     An item whose rate is so small that 1 - rate rounds to 1 is never found
     within any horizon the law could reach; its whole prior goes to the
     truncation atom.
@@ -135,13 +138,10 @@ def _geometric_mixture_dist(
     elif horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon!r}")
     horizon = int(horizon)
-    pmf = np.empty(horizon)
-    # pmf[m] = sum_k p_k rate_k (1-rate_k)^m; processed in blocks to keep
-    # memory bounded for large horizons.
-    block = 1 << 15
-    for start in range(0, horizon, block):
-        m = np.arange(start, min(horizon, start + block))
-        pmf[start : start + len(m)] = fail[None, :] ** m[:, None] @ (p * rates)
+    # pmf[bB + r] = sum_k (p_k rate_k fail_k^(bB)) fail_k^r: block starts (horizon/B x N) @ powers (N x B).
+    width = math.isqrt(horizon)
+    starts = (p * rates) * fail ** np.arange(0, horizon, width)[:, None]
+    pmf = (starts @ fail[:, None] ** np.arange(width)).ravel()[:horizon]
     tail = float(p @ fail**horizon) + math.fsum(pop.p[~live].tolist())
     return InspectionDistribution(np.trim_zeros(pmf, "b"), atom_at_infinity=tail, truncated=tail > 0.0)
 

@@ -16,12 +16,14 @@ which picks the same index as a full binary search bit for bit. Detected
 steps are counted and merged once per 16 chunks, in chunk order, so memory
 stays bounded by 16 x 4096 steps whatever the replication count.
 
-The exponential race (IKL, OP) draws, divides and compares its keys in blocks
-of at most 2**15, in the order of one (4096, N) draw, so its memory does not
-grow with N. When a chunk draws at least 2**18 keys (N >= 64), the chunks of
-each 16-chunk window run on every usable CPU, since numpy releases the
-interpreter lock while it fills and compares the keys; the result is the
-same on one core or many. Every other walk runs its chunks in turn.
+The exponential race (IKL, OP) draws one uniform per item and replication,
+item-major, in blocks of at most 2**15, so its memory does not grow with N;
+it compares each uniform with an exp threshold set by the target's, which
+orders the items as the keys -log(u)/q would. When a chunk draws at least
+2**18 uniforms (N >= 64), the chunks of each 16-chunk window run on every
+usable CPU, since numpy releases the interpreter lock while it fills and
+compares the blocks; the result is the same on one core or many. Every other
+walk runs its chunks in turn.
 """
 
 from __future__ import annotations
@@ -43,12 +45,12 @@ from .population import InspectionWeights, Population
 from .strategies import Schedule, descending_order, ef_schedule
 
 CHUNK = 4096
-# Chunks whose detected steps are counted in one np.unique and merged into the
-# counts together, which bounds the steps held at once to _MERGE_CHUNKS * CHUNK.
+# Chunks whose detected steps are counted in one sort and merged into the counts
+# together, which bounds the steps held at once to _MERGE_CHUNKS * CHUNK.
 _MERGE_CHUNKS = 16
-# Race keys held at once: a chunk draws its (m, N) keys in blocks of rows of this size.
+# Race uniforms held at once: a chunk draws its N x m uniforms in blocks of this size.
 _RACE_BLOCK_KEYS = 2**15
-# A race chunk drawing at least this many keys (N >= 64) gains from threads; below
+# A race chunk drawing at least this many uniforms (N >= 64) gains from threads; below
 # it, and for the other walks, thread start-up and the interpreter lock cost more.
 _THREAD_MIN_KEYS = 2**18
 # Step of a replication whose walk never reaches the target; above any max_steps.
@@ -167,21 +169,31 @@ def _race_steps(rng: np.random.Generator, q: np.ndarray, target: np.ndarray) -> 
     """Step at which successive sampling with weights q reaches each target.
 
     Successive sampling as an exponential race: item i is drawn in ascending
-    order of E_i / q_i with E_i iid standard exponential, which reproduces the
-    without-replacement law exactly. Row r's keys are the r-th row of one
-    (target.size, N) draw; they are drawn in blocks of whole rows, which numpy
-    fills in the same order, so at most max(N, ``_RACE_BLOCK_KEYS``) keys are held.
+    order of E_i / q_i with E_i = -log u_i, u_i iid uniform, which reproduces
+    the without-replacement law exactly. Item j comes no later than the target
+    t exactly when u_j >= exp(q_j log(u_t) / q_t), so a replication takes one
+    log and N exps, and no exponential draws or divisions. The uniforms are
+    drawn item-major in blocks of whole replications (column r of block
+    ``rng.random((N, rows))`` is one replication), so at most
+    max(N, ``_RACE_BLOCK_KEYS``) are held.
     """
     n = q.size
     rows = max(1, _RACE_BLOCK_KEYS // n)
+    # Every block reuses these: fresh (N, rows) arrays per block cost about 10% at N = 100.
+    u_buf, thr_buf, below_buf = np.empty(n * rows), np.empty(n * rows), np.empty(n * rows, dtype=bool)
     steps = np.empty(target.size, dtype=np.int64)
     for lo in range(0, target.size, rows):
         tgt = target[lo : lo + rows]
-        keys = rng.standard_exponential((tgt.size, n))
-        keys /= q
-        below = keys <= keys[np.arange(tgt.size), tgt][:, None]
-        # An int32 sum counts twice as fast as np.count_nonzero's intp one, and N < 2**31.
-        steps[lo : lo + tgt.size] = below.sum(axis=1, dtype=np.int32)
+        size = tgt.size
+        col = np.arange(size)
+        u = rng.random(out=u_buf[: n * size].reshape(n, size))
+        with np.errstate(divide="ignore"):  # u_t = 0 puts the target last: c = -inf, every threshold 0
+            c = np.log(u[tgt, col]) / q[tgt]
+        thr = np.multiply.outer(q, c, out=thr_buf[: n * size].reshape(n, size))
+        below = np.greater_equal(u, np.exp(thr, out=thr), out=below_buf[: n * size].reshape(n, size))
+        below[tgt, col] = True  # the target's own threshold may round above u_t
+        # An int32 sum adds whole contiguous rows, and N < 2**31.
+        steps[lo : lo + size] = below.sum(axis=0, dtype=np.int32)
     return steps
 
 
@@ -253,6 +265,9 @@ def simulate(pop: Population, cfg: SimConfig, sched: Schedule | None = None) -> 
 
     threaded = model.walk == "race" and CHUNK * pop.n >= _THREAD_MIN_KEYS
     workers = min(_usable_cpus(), _MERGE_CHUNKS, n_chunks) if threaded else 1
+    # A window's detected steps, sorted in place and counted by runs. np.unique's copies of
+    # 16 x 4096 steps made the allocator return and refault about 1 MB per simulate call.
+    held = np.empty(min(_MERGE_CHUNKS, n_chunks) * CHUNK, dtype=np.int64)
     pool = None
     if workers > 1:
         # Imported here: it pulls in logging, which would add 12 ms to every start-up.
@@ -269,13 +284,20 @@ def simulate(pop: Population, cfg: SimConfig, sched: Schedule | None = None) -> 
                 # Each chunk runs in a copy of this thread's context, which holds np.errstate.
                 contexts = [contextvars.copy_context() for _ in window]
                 results = pool.map(lambda ctx, c: ctx.run(chunk, c), contexts, window)
-            pending = []
+            filled = 0
             for steps, missed, cut in results:  # in chunk order, whatever order they finish in
                 undetected += missed
                 capped += cut
-                pending.append(steps)
-            values, reps_at = np.unique(np.concatenate(pending), return_counts=True)
-            for step_val, cnt in zip(values.tolist(), reps_at.tolist()):  # 4x faster than numpy scalars
+                held[filled : filled + steps.size] = steps
+                filled += steps.size
+            if not filled:
+                continue
+            window_steps = held[:filled]
+            window_steps.sort()
+            starts = np.flatnonzero(np.concatenate(([True], window_steps[1:] != window_steps[:-1])))
+            runs = np.diff(starts, append=filled)
+            # Python ints from tolist() update the dict 4x faster than numpy scalars.
+            for step_val, cnt in zip(window_steps[starts].tolist(), runs.tolist()):
                 counts[step_val] = counts.get(step_val, 0) + cnt
     finally:
         if pool is not None:

@@ -16,9 +16,16 @@ from itertools import permutations, product
 
 import numpy as np
 
-from priorsearch.distributions import InspectionDistribution
+from priorsearch.distributions import DEFAULT_TAIL_EPS, HORIZON_CAP, InspectionDistribution
 from priorsearch.models import MODELS
-from priorsearch.montecarlo import CHUNK, SimConfig, _ef_attempt_table, _simulate_chunk, walk_schedule
+from priorsearch.montecarlo import (
+    _RACE_BLOCK_KEYS,
+    CHUNK,
+    SimConfig,
+    _ef_attempt_table,
+    _simulate_chunk,
+    walk_schedule,
+)
 from priorsearch.population import InspectionWeights, Population, ProfileDecomposition
 from priorsearch.strategies import Schedule, ScheduleTruncationError, descending_order
 
@@ -278,12 +285,49 @@ def profile_to_weights(d: ProfileDecomposition) -> InspectionWeights:
     return InspectionWeights(q=w / math.fsum(w.tolist()))
 
 
-def race_steps_one_shot(rng: np.random.Generator, q: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Race steps from one (m, N) draw of keys; montecarlo._race_steps draws the same keys in blocks."""
-    m = target.size
-    keys = rng.standard_exponential((m, q.size))
-    keys /= q
-    return np.count_nonzero(keys <= keys[np.arange(m), target][:, None], axis=1)
+def race_steps_literal(rng: np.random.Generator, q: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Race steps from the literal keys -log(u)/q, on the uniform blocks montecarlo._race_steps draws.
+
+    Each replication's target is reached after every item whose key is at
+    most the target's, itself included.
+    """
+    rows = max(1, _RACE_BLOCK_KEYS // q.size)
+    steps = []
+    for lo in range(0, target.size, rows):
+        tgt = target[lo : lo + rows]
+        with np.errstate(divide="ignore"):
+            keys = -np.log(rng.random((q.size, tgt.size))) / q[:, None]
+        steps.append(np.count_nonzero(keys <= keys[tgt, np.arange(tgt.size)], axis=0))
+    return np.concatenate(steps)
+
+
+def geometric_mixture_pmf_powers(
+    pop: Population, rates: np.ndarray, horizon: int | None
+) -> InspectionDistribution:
+    """distributions._geometric_mixture_dist from a table of every live rate's power at every step.
+
+    pmf[m] = sum_k p_k rate_k (1-rate_k)^m, one power per step and item, in
+    row blocks of 2**15 steps; the horizon rule, the atom and the cut at the
+    last nonzero step are those of the library.
+    """
+    fail = 1.0 - rates
+    live = fail < 1.0
+    p, rates, fail = pop.p[live], rates[live], fail[live]
+    if horizon is None:
+        slowest = float(rates.min(initial=1.0))
+        if slowest >= 1.0:
+            horizon = 1
+        else:
+            horizon = int(min(HORIZON_CAP, max(1, math.ceil(math.log(DEFAULT_TAIL_EPS) / math.log1p(-slowest)))))
+            while horizon < HORIZON_CAP and float(p @ fail**horizon) >= DEFAULT_TAIL_EPS:
+                horizon = min(HORIZON_CAP, horizon * 2)
+    pmf = np.empty(horizon)
+    block = 1 << 15
+    for start in range(0, horizon, block):
+        m = np.arange(start, min(horizon, start + block))
+        pmf[start : start + len(m)] = fail[None, :] ** m[:, None] @ (p * rates)
+    tail = float(p @ fail**horizon) + math.fsum(pop.p[~live].tolist())
+    return InspectionDistribution(np.trim_zeros(pmf, "b"), atom_at_infinity=tail, truncated=tail > 0.0)
 
 
 def simulate_per_chunk(pop: Population, cfg: SimConfig) -> tuple[dict[int, int], int, int]:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from priorsearch import (
     InspectionWeights,
@@ -20,10 +22,10 @@ from priorsearch import (
     uniform_weights,
     validate_population,
 )
-from priorsearch.distributions import InspectionDistribution, write_distribution_csv
+from priorsearch.distributions import HORIZON_CAP, InspectionDistribution, write_distribution_csv
 
 from conftest import equal_mass_population, random_population, random_simplex
-from oracle import abcd_policy, cdf, sup_cdf_distance
+from oracle import abcd_policy, cdf, geometric_mixture_pmf_powers, sup_cdf_distance
 
 
 def csv_text(tmp_path, dist):
@@ -267,6 +269,54 @@ class TestDistMn:
         rate = pop.s * q.q
         tail = float(np.sum(pop.p * (1.0 - rate) ** horizon * (horizon * rate + 1.0) / rate))
         assert abs(d.mean_finite() + tail - mn_mean(pop, q)) <= 1e-9
+
+
+def assert_block_law_equals_power_table(pop, q, model, horizon=None):
+    """dist_j / dist_mn against one power per step and item: same horizon and atom, pmf to 1e-14 relative."""
+    got = (dist_j if model == "J" else dist_mn)(pop, q, horizon)
+    rates = q.q if model == "J" else pop.s * q.q
+    want = geometric_mixture_pmf_powers(pop, rates, horizon)
+    assert got.horizon == want.horizon
+    assert (got.atom_at_infinity, got.truncated) == (want.atom_at_infinity, want.truncated)
+    assert np.all(np.abs(got.pmf - want.pmf) <= 1e-14 * want.pmf)
+    return got
+
+
+class TestGeometricBlocks:
+    @given(
+        n=st.integers(1, 40),
+        model=st.sampled_from(["J", "MN"]),
+        horizon=st.sampled_from([None, 1, 2, 7, 50]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_block_law_equals_power_table(self, n, model, horizon, seed):
+        g = np.random.default_rng(seed)
+        pop = random_population(g, n)
+        assert_block_law_equals_power_table(pop, make_weights(random_simplex(g, n)), model, horizon)
+
+    @pytest.mark.parametrize("horizon", [None, 1, 2, 7])
+    def test_single_item_at_rate_one(self, horizon):
+        law = assert_block_law_equals_power_table(validate_population([1.0]), make_weights([1.0]), "J", horizon)
+        assert law.pmf.tolist() == [1.0]
+
+    @pytest.mark.parametrize("model", ["J", "MN"])
+    def test_rate_lost_to_rounding(self, model):
+        # 1 - 1e-17 rounds to 1, so item a is never found and its prior is the atom.
+        pop = validate_population([0.3, 0.3, 0.4], [1.0, 0.5, 0.8])
+        law = assert_block_law_equals_power_table(pop, make_weights([1e-17, 0.4, 0.6]), model)
+        assert law.atom_at_infinity == pytest.approx(0.3, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_horizon_cap(self, n):
+        # A rate near 1e-7 leaves a tail above 1e-12 far beyond the cap of 10^6 steps:
+        # MN's through s_1, and J's through q_1, which needs a second item to normalize against.
+        pop = validate_population(np.full(n, 1.0 / n), [1e-7, 0.5, 0.8][:n])
+        cases = [("MN", uniform_weights(n))]
+        if n > 1:
+            cases.append(("J", make_weights([1e-7, *np.full(n - 1, (1.0 - 1e-7) / (n - 1))])))
+        for model, q in cases:
+            law = assert_block_law_equals_power_table(pop, q, model)
+            assert law.horizon == HORIZON_CAP and law.truncated
 
 
 class TestDistIkl:

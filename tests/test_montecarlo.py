@@ -34,7 +34,7 @@ from priorsearch.models import LABELS, MODELS
 from priorsearch.montecarlo import CHUNK, _draw_targets, _race_steps, write_empirical_csv
 
 from conftest import random_population, random_simplex
-from oracle import race_steps_one_shot, simulate_per_chunk
+from oracle import ikl_mean_pairwise, race_steps_literal, simulate_per_chunk
 
 
 class TestSimConfig:
@@ -184,6 +184,14 @@ class TestSimulate:
         emp = simulate(pop, cfg)
         assert (emp.counts, emp.undetected, emp.capped) == simulate_per_chunk(pop, cfg)
 
+    def test_windows_without_detections_add_no_counts(self):
+        # s = 1e-300: every replication is missed, so no merge window holds a step.
+        pop = validate_population([0.5, 0.5], [1e-300, 1e-300])
+        cfg = SimConfig(model="GH", reps=17 * CHUNK + 5, seed=29)
+        emp = simulate(pop, cfg)
+        assert (emp.counts, emp.undetected, emp.capped) == ({}, cfg.reps, 0)
+        assert math.isnan(emp.mean_detected)
+
     def test_counts_add_up(self, rng):
         pop = random_population(rng, 4, s_lo=0.3)
         cfg = SimConfig(model="OP", reps=12_345, seed=9, q=uniform_weights(4))
@@ -248,19 +256,35 @@ class TestRace:
     @given(
         n=st.sampled_from([1, 2, 63, 64, 100, 2**15 - 1, 2**15 + 1]),
         m=st.sampled_from([1, 4095, 4096]),
+        q_kind=st.sampled_from(["spread", "uniform", "dirichlet"]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_blocks_equal_one_draw(self, n, m, seed):
-        # At most 2**22 keys for the one-shot reference: with N near 2**15 every block is one row.
+    def test_steps_equal_the_literal_race(self, n, m, q_kind, seed):
+        # At most 2**22 uniforms per example: with N near 2**15 every block is one replication.
         m = min(m, 2**22 // n)
         g = np.random.default_rng(seed)
-        q = 2.0 ** g.uniform(-1000.0, 0.0, n)
-        q[g.integers(n)] = 2.0**-1000
-        q[g.integers(n)] = 1.0
+        if q_kind == "spread":  # q from 2**-1000 to 1, both ends present
+            q = 2.0 ** g.uniform(-1000.0, 0.0, n)
+            q[g.integers(n)] = 2.0**-1000
+            q[g.integers(n)] = 1.0
+        else:
+            q = np.full(n, 1.0 / n) if q_kind == "uniform" else g.dirichlet(np.ones(n))
         target = g.integers(0, n, m)
-        blocked, one_shot = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert np.array_equal(_race_steps(blocked, q, target), race_steps_one_shot(one_shot, q, target))
-        assert blocked.random() == one_shot.random()
+        thresholds, literal = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(_race_steps(thresholds, q, target), race_steps_literal(literal, q, target))
+        assert thresholds.random() == literal.random()
+
+    @pytest.mark.parametrize("model", ["IKL", "OP"])
+    def test_means_where_no_exact_law_exists(self, model):
+        # N = 100 is past the subset DP; q spans a ratio of 10^6, so the race's order matters.
+        n = 100
+        pop = zipf_population(n)
+        w = np.geomspace(1.0, 1e-6, n)[np.random.default_rng(7).permutation(n)]
+        q = InspectionWeights(w / math.fsum(w.tolist()))
+        emp = simulate(pop, SimConfig(model=model, reps=100_000, seed=41, q=q))
+        # Given detection, OP's target is drawn from s p / detect_prob, and the race ignores recognition.
+        detected = pop if model == "IKL" else validate_population(pop.s * pop.p / (pop.s @ pop.p))
+        assert abs(emp.mean_detected - ikl_mean_pairwise(detected, q)) <= 5 * emp.stderr
 
     @pytest.mark.parametrize("model", ["IKL", "OP"])
     def test_threaded_chunks_equal_per_chunk_merge(self, model, monkeypatch):
