@@ -48,7 +48,6 @@ from .population import (
     validate_population,
 )
 from .strategies import (
-    EnumerationLimitError,
     Schedule,
     ScheduleTruncationError,
     ef_schedule,
@@ -93,7 +92,6 @@ __all__ = [
     "solve_conditional_inspection",
     "uniform_weights",
     "validate_population",
-    "EnumerationLimitError",
     "Schedule",
     "ScheduleTruncationError",
     "ef_schedule",

@@ -7,9 +7,9 @@ Subcommands:
     order      pairwise stochastic-dominance report across all seven models
     profile    prior updating (bayes) and attention/inspection decomposition
 
-Exit codes: 0 success, 2 validation error, 3 check or ordering mismatch,
-4 exact enumeration limit exceeded. All randomness flows from an explicit
---seed; reruns with the same manifest reproduce outputs byte for byte.
+Exit codes: 0 success, 2 validation error, 3 check or ordering mismatch.
+All randomness flows from an explicit --seed; reruns with the same manifest
+reproduce outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -39,27 +39,22 @@ from .population import (
     solve_conditional_inspection,
     uniform_weights,
 )
-from .strategies import EnumerationLimitError, ScheduleTruncationError, descending_order
+from .strategies import ScheduleTruncationError, descending_order
 
 EXIT_VALIDATION = 2
 EXIT_MISMATCH = 3
-EXIT_ENUMERATION = 4
 
 
 @contextmanager
-def _exit_codes(limit_hint: str = ""):
-    """Turn the library's errors into `error: <message>` on stderr and an exit code.
+def _exit_codes():
+    """Turn bad input into `error: <message>` on stderr and exit code 2.
 
-    The exact enumeration limit exits 4, with ``limit_hint`` appended to its
-    message. Bad input exits 2: a ValueError (PopulationError and a malformed
-    JSON file's decode error among them), an unreadable file, or a schedule
-    or comparison that cannot be carried out honestly.
+    Bad input is a ValueError (PopulationError and a malformed JSON file's
+    decode error among them), an unreadable file, or a schedule or
+    comparison that cannot be carried out honestly.
     """
     try:
         yield
-    except EnumerationLimitError as exc:
-        click.echo(f"error: {exc}{limit_hint}", err=True)
-        sys.exit(EXIT_ENUMERATION)
     except (ValueError, OSError, ScheduleTruncationError, ComparisonTruncationError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
@@ -159,7 +154,7 @@ def main():
 @_input
 @_q_flags
 @click.option("--out", type=click.Path(file_okay=False), help="Directory for distribution CSV and manifest.")
-@_exit_codes("; use `priorsearch simulate` for this population")
+@_exit_codes()
 def evaluate(model, input_path, q_source, q_file, out):
     """Optimal policy, exact mean, and optionally the exact distribution."""
     pop = load_population(input_path).population
@@ -191,7 +186,7 @@ def evaluate(model, input_path, q_source, q_file, out):
 @click.option("--out", type=click.Path(file_okay=False), help="Directory for empirical CSV and manifest.")
 @click.option("--check-exact", is_flag=True,
               help="Compare the empirical law against the exact one (exit 3 on mismatch).")
-@_exit_codes("; no exact law available to check against")
+@_exit_codes()
 def simulate_cmd(model, input_path, reps, seed, max_steps, alpha, q_source, q_file, out, check_exact):
     """Seeded Monte Carlo simulation of a model's inspection process."""
     check_alpha(alpha)

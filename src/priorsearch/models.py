@@ -32,7 +32,7 @@ from .distributions import (
     dist_op_exact,
 )
 from .population import InspectionWeights, Population
-from .strategies import ef_schedule, j_mean, j_optimal_q, mn_mean, mn_optimal_q
+from .strategies import ef_schedule, ikl_mean_exact, j_mean, j_optimal_q, mn_mean, mn_optimal_q
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class Model:
 
     ``law(pop, q)`` builds the exact law at the library's fixed truncation
     targets. ``closed_mean`` is the exact mean of a model whose law is cut
-    at a horizon.
+    at a horizon (J, MN) or integrated numerically (IKL).
     """
 
     label: str
@@ -69,7 +69,7 @@ MODELS: dict[str, Model] = {
         Model("EF", "schedule", lambda pop, q: dist_ef(ef_schedule(pop))),
         Model("GH", "order", lambda pop, q: dist_gh(pop), defective=True,
               key=lambda pop, q: pop.s * pop.p),
-        Model("IKL", "race", lambda pop, q: dist_ikl_exact(pop, q), takes_q=True),
+        Model("IKL", "race", lambda pop, q: dist_ikl_exact(pop, q), takes_q=True, closed_mean=ikl_mean_exact),
         Model("J", "geometric", lambda pop, q: dist_j(pop, q), takes_q=True,
               optimal_q=j_optimal_q, closed_mean=j_mean, key=lambda pop, q: q.q),
         Model("MN", "geometric", lambda pop, q: dist_mn(pop, q), takes_q=True,

@@ -27,11 +27,11 @@ from typing import Mapping
 
 import numpy as np
 
-from .distributions import InspectionDistribution, dist_ef, race_law
+from .distributions import InspectionDistribution, dist_ef, race_laws
 from .models import LABELS as MODEL_LABELS
 from .models import MODELS
 from .population import InspectionWeights, Population, uniform_weights
-from .strategies import ef_schedule, position_probabilities
+from .strategies import ef_schedule
 
 DEFAULT_COMPARE_TOL = 1e-9
 # The report's EF schedule stops once its residual mass is below this, a
@@ -209,9 +209,9 @@ def dominance_report(
         q = uniform_weights(pop.n)
     if q.n != pop.n:
         raise ValueError(f"weights size {q.n} != population size {pop.n}")
-    positions = position_probabilities(q)  # one subset DP for both race laws
+    race = race_laws(pop, q)  # one pass for both race laws: IKL, then the defective OP
     laws = {
-        m.label: race_law(pop, positions, m.defective) if m.walk == "race"
+        m.label: race[m.defective] if m.walk == "race"
         else dist_ef(ef_schedule(pop, eps=EF_EPS)) if m.walk == "schedule"
         else m.law(pop, q)
         for m in MODELS.values()

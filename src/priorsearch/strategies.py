@@ -20,11 +20,10 @@ Seven model families, labeled by the assumption combinations they serve:
     MN    as J but imperfect recognition: per-inspection success s_i q_i.
     OP    as IKL but imperfect recognition and no replacement; defective.
 
-Means are exact: closed forms where they exist, otherwise an exact dynamic
-program over prefix subsets of the successive-sampling law. The defective
-models GH and OP have no summary here: their detection probability is
-Population.detect_prob, and their mean given detection comes from the exact
-law (distributions.dist_gh, dist_op_exact).
+Means are exact closed forms; IKL's sums over the pairwise draw orders. The
+defective models GH and OP have no summary here: their detection probability
+is Population.detect_prob, and their mean given detection comes from the
+exact law (distributions.dist_gh, dist_op_exact).
 """
 
 from __future__ import annotations
@@ -36,16 +35,8 @@ import numpy as np
 
 from .population import InspectionWeights, Population
 
-# Exact permutation-law computations refuse larger populations; Monte Carlo
-# (see montecarlo.simulate) covers those.
-DEFAULT_ENUMERATION_LIMIT = 10
-
 DEFAULT_EF_EPS = 1e-12
 DEFAULT_EF_MAX_STEPS = 10**6
-
-
-class EnumerationLimitError(ValueError):
-    """Population too large for exact permutation enumeration."""
 
 
 class ScheduleTruncationError(RuntimeError):
@@ -175,24 +166,13 @@ def _merge(pop: Population, count: np.ndarray, max_steps: int):
 
 
 def position_probabilities(q: InspectionWeights) -> np.ndarray:
-    """Matrix M with M[i, k] = P(item i is drawn at position k+1).
+    """Matrix M with M[i, k] = P(item i is drawn at position k+1), by a 2^N subset DP.
 
-    Successive sampling without replacement: at each step the next item is
-    drawn from the remaining ones with probability proportional to q. The
-    computation is an exact dynamic program over prefix subsets (2^N states),
-    not an approximation, vectorised one popcount level at a time. From
-    prefix set S a free item i comes next with probability q_i / q(rest),
-    where q(rest) is the sum of the remaining weights: 1 - q(S) would cancel
-    when the remaining weights are tiny. The scalar loop in the test oracle
-    yields the same matrix bit for bit, and the N! permutation sum there
-    re-derives it independently.
+    From prefix set S a free item i comes next with probability q_i / q(rest),
+    one popcount level at a time. The tests hold distributions.race_laws to it
+    at N <= 10; the oracle's scalar loop repeats it bit for bit.
     """
     n = q.n
-    if n > DEFAULT_ENUMERATION_LIMIT:
-        raise EnumerationLimitError(
-            f"population of size {n} exceeds the exact enumeration limit "
-            f"{DEFAULT_ENUMERATION_LIMIT}; use Monte Carlo simulation instead"
-        )
     qv = q.q
     size = 1 << n
     masks = np.arange(size)
@@ -221,12 +201,17 @@ def position_probabilities(q: InspectionWeights) -> np.ndarray:
 
 
 def ikl_mean_exact(pop: Population, q: InspectionWeights) -> float:
-    """Exact mean of the without-replacement democratic model at weights q."""
+    """Exact mean of the without-replacement democratic model at weights q, in O(N^2).
+
+    The target's step is 1 plus the number of items drawn before it, and item
+    j is drawn before item i with probability q_j / (q_i + q_j), so
+    E[T] = 1 + sum_i p_i sum_{j != i} q_j / (q_i + q_j).
+    """
     if pop.n != q.n:
         raise ValueError(f"population size {pop.n} != weights size {q.n}")
-    M = position_probabilities(q)
-    pos_pmf = pop.p @ M
-    return math.fsum((k + 1) * pos_pmf[k] for k in range(pop.n))
+    before = q.q / np.add.outer(q.q, q.q)  # before[i, j] = q_j / (q_i + q_j)
+    np.fill_diagonal(before, 0.0)
+    return math.fsum([1.0, *(pop.p * before.sum(axis=1)).tolist()])
 
 
 def ikl_search_q(
@@ -273,14 +258,8 @@ def ikl_search_q(
                 step *= 0.5
         return best, best_mean
 
-    starts = [np.full(n, 1.0 / n)]
-    for _ in range(restarts - 1):
-        starts.append(rng.dirichlet(np.ones(n)))
-    best_q, best_mean = None, math.inf
-    for start in starts:
-        qv, m = polish(start)
-        if m < best_mean:
-            best_q, best_mean = qv, m
+    starts = [np.full(n, 1.0 / n), *(rng.dirichlet(np.ones(n)) for _ in range(restarts - 1))]
+    best_q, best_mean = min((polish(start) for start in starts), key=lambda found: found[1])  # first of ties
     return InspectionWeights(q=best_q), best_mean
 
 

@@ -156,6 +156,40 @@ def ikl_mean_pairwise(pop: Population, q: InspectionWeights) -> float:
     return 1.0 + math.fsum((p[i] * qv[j] + p[j] * qv[i]) / (qv[i] + qv[j]) for i, j in pairs)
 
 
+def race_pmfs_by_class(pop: Population, q: InspectionWeights) -> np.ndarray:
+    """IKL and OP pmfs (rows) of successive sampling when q takes at most three distinct values.
+
+    Items of one weight class are exchangeable, so the draw only needs the
+    number k_c drawn from each class c: the states at step k are the splits of
+    k over the classes, held as an array over all classes but the last. With
+    r_c = (n_c - k_c) q_c and R = sum_e r_e, the next draw comes from class c
+    with probability r_c / R, and a given undrawn item of class c with
+    (r_c / R) / n_c; summed over the states, that is its chance of step k + 1.
+    """
+    values, cls = np.unique(q.q, return_inverse=True)
+    if values.size > 3:
+        raise ValueError(f"class DP limited to 3 weight classes, got {values.size}")
+    size = np.bincount(cls)
+    mass = np.stack([np.bincount(cls, weights=w, minlength=values.size) for w in (pop.p, pop.s * pop.p)])
+    drawn = np.meshgrid(*(np.arange(n + 1) for n in size[:-1]), indexing="ij")
+    state = np.zeros(size[:-1] + 1)
+    state[(0,) * (values.size - 1)] = 1.0
+    chance = np.zeros((values.size, pop.n))  # chance[c, k]: a given item of class c is drawn at step k+1
+    for k in range(pop.n):
+        last = k - sum(drawn, np.zeros_like(state))
+        live = (last >= 0) & (last <= size[-1])
+        left = [(n - d) * v for n, d, v in zip(size, [*drawn, last], values)]
+        total = np.where(live, sum(left), 1.0)
+        share = [np.where(live, r / total, 0.0) * state for r in left]
+        chance[:, k] = [x.sum() / n for x, n in zip(share, size)]
+        state = share[-1]
+        for c, x in enumerate(share[:-1]):
+            moved = np.zeros_like(state)
+            moved[(slice(None),) * c + (slice(1, None),)] = x[(slice(None),) * c + (slice(None, -1),)]
+            state = state + moved
+    return mass @ chance
+
+
 def one_pass_cdf_envelope_bruteforce(pop: Population) -> np.ndarray:
     """Pointwise largest cdf at 1..N over the one-pass walks in all N! orders.
 

@@ -84,15 +84,17 @@ class TestEvaluate:
         assert result.exit_code == 2
 
     def test_enumeration_limit_exit_code(self, runner, tmp_path):
+        # 11 items: past the 10-item limit (exit 4) that the race laws had before they were an integral.
         path = tmp_path / "big.csv"
-        n = 12
+        n = 11
         rows = "\n".join(f"i{k},{1.0 / n!r}" for k in range(n))
         path.write_text("id,p\n" + rows + "\n")
-        result = runner.invoke(
-            main, ["evaluate", "--model", "IKL", "--input", str(path), "--uniform-q"]
-        )
-        assert result.exit_code == 4
-        assert "simulate" in result.output
+        for model in ("IKL", "OP"):
+            result = runner.invoke(
+                main, ["evaluate", "--model", model, "--input", str(path), "--uniform-q"]
+            )
+            assert result.exit_code == 0, result.output
+            assert float(get_line(result.output, "mean:")) == pytest.approx(6.0, rel=1e-14)
 
     def test_invalid_population_exit_code(self, runner, tmp_path):
         path = tmp_path / "bad.csv"
@@ -397,12 +399,14 @@ class TestOrder:
         ).read_bytes()
 
     def test_enumeration_limit_exit(self, runner, tmp_path):
-        n = 12
+        # 11 items: past the 10-item limit (exit 4) that the race laws had before they were an integral.
+        n = 11
         path = tmp_path / "big.csv"
-        rows = "\n".join(f"i{k},{1.0 / n!r}" for k in range(n))
-        path.write_text("id,p\n" + rows + "\n")
+        rows = "\n".join(f"i{k},{1.0 / n!r},0.5" for k in range(n))
+        path.write_text("id,p,s\n" + rows + "\n")
         result = runner.invoke(main, ["order", "--input", str(path)])
-        assert result.exit_code == 4
+        assert result.exit_code == 0, result.output
+        assert "all expected relations hold" in result.output
 
     @pytest.mark.parametrize("tol", ["nan", "0"])
     def test_tolerance_outside_unit_interval_exits_2(self, runner, pop_csv, tol):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from priorsearch import (
@@ -22,10 +22,12 @@ from priorsearch import (
     uniform_weights,
     validate_population,
 )
-from priorsearch.distributions import HORIZON_CAP, InspectionDistribution, write_distribution_csv
+from priorsearch.distributions import HORIZON_CAP, InspectionDistribution, race_laws, write_distribution_csv
+from priorsearch.population import Q_FLOOR
+from priorsearch.strategies import position_probabilities
 
 from conftest import equal_mass_population, random_population, random_simplex
-from oracle import abcd_policy, cdf, geometric_mixture_pmf_powers, sup_cdf_distance
+from oracle import abcd_policy, cdf, geometric_mixture_pmf_powers, race_pmfs_by_class, sup_cdf_distance
 
 
 def csv_text(tmp_path, dist):
@@ -340,6 +342,79 @@ class TestDistIkl:
         pop = random_population(rng, 6, perfect=True)
         q = make_weights(random_simplex(rng, 6))
         assert abs(dist_ikl_exact(pop, q).mean_finite() - ikl_mean_exact(pop, q)) <= 1e-12
+
+
+def assert_race_laws_match(pop, q, want, tol):
+    """Both race laws against reference pmfs (rows IKL, OP) at every step, and OP's atom."""
+    ikl, op = race_laws(pop, q)
+    assert np.abs(ikl.pmf - want[0]).max() <= tol
+    assert np.abs(op.pmf - want[1]).max() <= tol
+    assert op.atom_at_infinity == math.fsum(((1.0 - pop.s) * pop.p).tolist())
+    return ikl, op
+
+
+@st.composite
+def race_cases(draw, max_n, max_classes=None):
+    """Dirichlet priors, s down to 1e-12, and q down to the 2**-1000 floor, or in at most max_classes values."""
+    n = draw(st.integers(1, max_n))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = 10.0 ** -g.uniform(0.0, draw(st.sampled_from([0.3, 3.0, 12.0])), n)
+    pop = validate_population(g.dirichlet(np.ones(n)), s)
+    if max_classes is None:  # log2 spread up to 990, so q stays above the floor once normalized
+        q = 2.0 ** -g.uniform(0.0, draw(st.sampled_from([0.0, 1.0, 20.0, 60.0, 300.0, 990.0])), n)
+    else:
+        values = 10.0 ** -g.uniform(0.0, 6.0, draw(st.integers(1, max_classes)))
+        q = values[g.integers(0, values.size, n)]
+    return pop, make_weights(q / q.sum())
+
+
+class TestRaceLaws:
+    """race_laws at every step: the subset DP at N <= 10, the class DP and identities beyond."""
+
+    @given(race_cases(max_n=10))
+    def test_matches_the_subset_dp(self, case):
+        pop, q = case
+        M = position_probabilities(q)
+        assert_race_laws_match(pop, q, [pop.p @ M, (pop.s * pop.p) @ M], 1e-15)
+
+    @pytest.mark.parametrize("n", [2, 3, 10])
+    def test_weights_at_the_floor(self, n):
+        pop = validate_population(np.full(n, 1.0 / n), np.linspace(1e-12, 1.0, n))
+        q = make_weights([1.0, *np.full(n - 1, Q_FLOOR)])
+        assert q.q.min() == Q_FLOOR
+        M = position_probabilities(q)
+        assert_race_laws_match(pop, q, [pop.p @ M, (pop.s * pop.p) @ M], 1e-15)
+
+    @settings(max_examples=20)
+    @given(race_cases(max_n=300, max_classes=3))
+    def test_matches_the_class_dp(self, case):
+        pop, q = case
+        assert_race_laws_match(pop, q, race_pmfs_by_class(pop, q), 1e-14)
+
+    @pytest.mark.parametrize("n", [300, 1000])
+    def test_matches_the_class_dp_at_large_sizes(self, n):
+        g = np.random.default_rng(n)
+        pop = validate_population(g.dirichlet(np.ones(n)), g.uniform(0.2, 1.0, n))
+        q = np.where(np.arange(n) % 3 == 0, 20.0, 1.0)
+        q = make_weights(q / q.sum())
+        assert_race_laws_match(pop, q, race_pmfs_by_class(pop, q), 1e-14)
+
+    @settings(max_examples=20)
+    @given(race_cases(max_n=120))
+    def test_identities_at_any_size(self, case):
+        pop, q = case
+        n = pop.n
+        # Uniform q: every order is equally likely, so the target's step is uniform on 1..N.
+        assert_race_laws_match(pop, uniform_weights(n), [np.full(n, 1.0 / n), np.full(n, pop.detect_prob / n)],
+                               1e-15)
+        # Uniform p: IKL equals ABCD at any q.
+        flat = validate_population(np.full(n, 1.0 / n), pop.s)
+        ikl, _ = race_laws(flat, q)
+        assert np.abs(ikl.pmf - dist_abcd(flat).pmf).max() <= 1e-15
+        # s = 1: OP is IKL, bit for bit.
+        perfect = validate_population(pop.p)
+        ikl, op = race_laws(perfect, q)
+        assert np.array_equal(op.pmf, ikl.pmf) and op.atom_at_infinity == 0.0
 
 
 class TestDistOp:

@@ -73,11 +73,16 @@ CASES = {
                                           "--reps", "70000", "--seed", "17", "--check-exact", *OUT]
         for model in ("ABCD", "GH")
     },
-    # The exponential race over 100 items: 18 chunks, more than one merge window. No
-    # --check-exact, since the exact race law enumerates subsets (N <= 10).
+    # The exponential race over 100 items: 18 chunks, more than one merge window; then the
+    # same runs checked against the race integral's exact law.
     **{
         f"simulate-{model}-zipf100_csv": ["simulate", "--model", model, "--input", "zipf100_csv", "--uniform-q",
                                           "--reps", "70000", "--seed", "17", *OUT]
+        for model in UNIFORM_Q
+    },
+    **{
+        f"simulate-{model}-zipf100_csv-check": ["simulate", "--model", model, "--input", "zipf100_csv",
+                                                "--uniform-q", "--reps", "70000", "--seed", "17", "--check-exact"]
         for model in UNIFORM_Q
     },
     "evaluate-EF-ten_csv": ["evaluate", "--model", "EF", "--input", "ten_csv", *OUT],
@@ -91,11 +96,12 @@ CASES = {
     "profile-decompose-uniform": ["profile", "decompose", "--input", "pop_csv", "--target", "uniform"],
     "profile-decompose-out": ["profile", "decompose", "--input", "lambda_csv", "--target", "optimal-MN",
                               "--scale", "0.5", *OUT],
-    # Error cases: one per subcommand.
-    "error-evaluate-IKL-N11": ["evaluate", "--model", "IKL", "--input", "pop11_csv", "--uniform-q", *OUT],
-    "error-simulate-OP-N11": ["simulate", "--model", "OP", "--input", "pop11_csv", "--uniform-q",
-                              "--reps", "100", "--seed", "1", "--check-exact", *OUT],
-    "error-order-N11": ["order", "--input", "pop11_csv", *OUT],
+    # IKL and OP at 11 items, one case per subcommand that builds their exact laws.
+    "evaluate-IKL-N11": ["evaluate", "--model", "IKL", "--input", "pop11_csv", "--uniform-q", *OUT],
+    "simulate-OP-N11": ["simulate", "--model", "OP", "--input", "pop11_csv", "--uniform-q",
+                        "--reps", "100", "--seed", "1", "--check-exact", *OUT],
+    "order-N11": ["order", "--input", "pop11_csv", *OUT],
+    # Error cases.
     "error-profile-bayes-bad-likelihood": ["profile", "bayes", "--input", "pop_csv",
                                            "--likelihood", "bad_likelihood_csv", *OUT],
     "error-profile-decompose-q-size": ["profile", "decompose", "--input", "pop_csv",

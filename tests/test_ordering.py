@@ -18,8 +18,8 @@ from priorsearch import (
     uniform_weights,
     validate_population,
 )
-from priorsearch import distributions, ordering, strategies
-from priorsearch.distributions import InspectionDistribution
+from priorsearch import distributions, ordering
+from priorsearch.distributions import InspectionDistribution, race_laws
 from priorsearch.ordering import (
     EXPECTED_SMALLER,
     MODEL_LABELS,
@@ -208,17 +208,17 @@ class TestDominanceReport:
         with pytest.raises(ValueError, match="size"):
             dominance_report(pop, q=uniform_weights(3))
 
-    def test_one_subset_dp_serves_both_race_laws(self, rng, monkeypatch):
+    def test_one_race_pass_serves_both_race_laws(self, rng, monkeypatch):
         pop = random_population(rng, 6, s_lo=0.3)
         q = InspectionWeights(q=rng.dirichlet(np.ones(6)))
         calls = []
 
-        def counted(weights):
+        def counted(population, weights):
             calls.append(weights)
-            return strategies.position_probabilities(weights)
+            return race_laws(population, weights)
 
         for module in (ordering, distributions):
-            monkeypatch.setattr(module, "position_probabilities", counted)
+            monkeypatch.setattr(module, "race_laws", counted)
         report = dominance_report(pop, q=q)
         assert len(calls) == 1
         assert report.distributions["IKL"].pmf.tolist() == dist_ikl_exact(pop, q).pmf.tolist()

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from priorsearch import (
-    EnumerationLimitError,
     InspectionWeights,
     ScheduleTruncationError,
     dist_abcd,
@@ -26,7 +25,7 @@ from priorsearch import (
 from priorsearch.strategies import Schedule
 
 from conftest import equal_mass_population, random_population, random_simplex
-from oracle import abcd_policy, ef_swap_check, ikl_mean_pairwise
+from oracle import abcd_policy, ef_swap_check, ikl_mean_bruteforce, ikl_mean_pairwise
 
 probability_vectors = st.lists(
     st.floats(min_value=1e-3, max_value=10.0, allow_nan=False), min_size=1, max_size=12
@@ -34,9 +33,9 @@ probability_vectors = st.lists(
 
 
 @st.composite
-def priors_and_weights(draw):
-    """A population of 1..8 items with priors bounded below, and arbitrary weights q."""
-    n = draw(st.integers(min_value=1, max_value=8))
+def priors_and_weights(draw, max_n=8):
+    """A population of 1..max_n items with priors bounded below, and arbitrary weights q."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
     p = np.asarray(draw(st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=n, max_size=n)))
     q = np.asarray(draw(st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=n, max_size=n)))
     return validate_population(p / p.sum()), InspectionWeights(q=q / q.sum())
@@ -235,10 +234,14 @@ class TestIkl:
     def test_single_item(self):
         assert ikl_mean_exact(validate_population([1.0]), uniform_weights(1)) == 1.0
 
-    def test_enumeration_limit(self):
+    @given(priors_and_weights(max_n=7))
+    def test_matches_the_sum_over_all_orders(self, case):
+        pop, q = case
+        assert ikl_mean_exact(pop, q) == pytest.approx(ikl_mean_bruteforce(pop, q), rel=1e-13, abs=0.0)
+
+    def test_past_ten_items(self):
         pop = validate_population(np.full(11, 1.0 / 11))
-        with pytest.raises(EnumerationLimitError, match="enumeration limit"):
-            ikl_mean_exact(pop, uniform_weights(11))
+        assert ikl_mean_exact(pop, uniform_weights(11)) == pytest.approx(6.0, rel=1e-15)
 
 
 class TestIklBound:
