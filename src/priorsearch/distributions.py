@@ -160,57 +160,58 @@ def dist_mn(pop: Population, q: InspectionWeights, horizon: int | None = None) -
     return _geometric_mixture_dist(pop, pop.s * q.q, horizon)
 
 
-def race_laws(pop: Population, q: InspectionWeights) -> tuple[InspectionDistribution, InspectionDistribution]:
-    """The IKL and OP laws at weights q, from one pass of a race integral.
+def _race_pmf(q: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """pmf[k] = sum_i w_i P(item i is drawn at step k+1) under successive sampling with weights q.
 
     Successive sampling with weights q is an exponential race: item j is drawn
-    by time t with probability b_j = 1 - a_j, a_j = exp(-q_j t). With w = p
-    (IKL) or s p (OP, whose atom is sum_i (1-s_i) p_i), pmf_w[k] is the integral
-    over t of [z^k] B_w, B_w = sum_i w_i q_i a_i prod_{j != i} (a_j + b_j z).
+    by time t with probability b_j = 1 - a_j, a_j = exp(-q_j t). So pmf[k] is
+    the integral over t of [z^k] B_w, B_w = sum_i w_i q_i a_i prod_{j != i} (a_j + b_j z).
     Item by item, B_w <- B_w (a_m + b_m z) + w_m q_m a_m A, then A <- A (a_m + b_m z),
     so A = prod_j (a_j + b_j z): no term is negative, none is divided, O(N^2) a node.
     The nodes are a trapezoid rule in u, t = exp(u - exp(-u)) (Takahasi and Mori
     1974), from t max q < 1e-18 to t min q = 50e, in blocks of 2^15 coefficients,
     at step h = min(1/8, 0.6/sqrt(N)), since step k's integrand narrows like 1/sqrt(k).
     """
-    if pop.n != q.n:
-        raise ValueError(f"population size {pop.n} != weights size {q.n}")
-    n, qv = pop.n, q.q
-    rate = np.array([pop.p, pop.s * pop.p]) * qv  # w_i q_i for both laws
+    n = q.size
+    rate = w * q
     # h is a multiple of 2^-12, so every node u = h j is exact; rounding u would move nodes unevenly.
     h = max(math.floor(4096 * min(0.125, 0.6 / math.sqrt(n))), 1) / 4096
-    lo = -math.log(-math.log(1e-18 / float(qv.max())))
-    hi = max(math.log(50.0 / float(qv.min())), 0.0) + 1.0
+    lo = -math.log(-math.log(1e-18 / float(q.max())))
+    hi = max(math.log(50.0 / float(q.min())), 0.0) + 1.0
     u = h * np.arange(math.floor(lo / h), math.ceil(hi / h) + 1)
-    pmf = np.zeros((2, n))
+    pmf = np.zeros(n)
     rows = max(1, 2**15 // (n + 1))
     for ub in (u[first : first + rows] for first in range(0, u.size, rows)):
         t = np.exp(ub - np.exp(-ub))
-        qt = np.multiply.outer(-qv, t)
+        qt = np.multiply.outer(-q, t)
         a, b = np.exp(qt), -np.expm1(qt)
-        # A, B_p and B_sp, coefficient k of z in row k, one column per node.
-        poly, carry, lead = np.zeros((3, n + 1, ub.size)), np.empty((3, n, ub.size)), np.empty((2, n, ub.size))
+        # A and B_w, coefficient k of z in row k, one column per node.
+        poly, carry, lead = np.zeros((2, n + 1, ub.size)), np.empty((2, n, ub.size)), np.empty((n, ub.size))
         poly[0, 0] = 1.0
         for m in range(1, n + 1):  # degrees above m are still zero
             np.multiply(poly[:, :m], b[m - 1], out=carry[:, :m])
             poly[:, :m] *= a[m - 1]
-            np.multiply(rate[:, m - 1, None, None], poly[0, :m], out=lead[:, :m])  # w_m q_m a_m A
-            poly[1:, :m] += lead[:, :m]
+            np.multiply(rate[m - 1], poly[0, :m], out=lead[:m])  # w_m q_m a_m A
+            poly[1, :m] += lead[:m]
             poly[:, 1 : m + 1] += carry[:, :m]
         # Summed along the contiguous node axis, so numpy adds pairwise.
-        pmf += (poly[1:, :n] * (h * t * (1.0 + np.exp(-ub)))).sum(axis=-1)
-    atom = math.fsum(((1.0 - pop.s) * pop.p).tolist())
-    return InspectionDistribution(pmf[0], atom_at_infinity=0.0), InspectionDistribution(pmf[1], atom)
+        pmf += (poly[1, :n] * (h * t * (1.0 + np.exp(-ub)))).sum(axis=-1)
+    return pmf
 
 
 def dist_ikl_exact(pop: Population, q: InspectionWeights) -> InspectionDistribution:
-    """Exact law of the without-replacement democratic model at weights q."""
-    return race_laws(pop, q)[0]
+    """Exact law of the without-replacement democratic model at weights q, from the race integral."""
+    if pop.n != q.n:
+        raise ValueError(f"population size {pop.n} != weights size {q.n}")
+    return InspectionDistribution(_race_pmf(q.q, pop.p), atom_at_infinity=0.0)
 
 
 def dist_op_exact(pop: Population, q: InspectionWeights) -> InspectionDistribution:
-    """Exact process law of model OP at weights q: defective, with atom sum_i (1-s_i) p_i."""
-    return race_laws(pop, q)[1]
+    """Exact process law of model OP at weights q: the race integral at w = s p, with atom sum_i (1-s_i) p_i."""
+    if pop.n != q.n:
+        raise ValueError(f"population size {pop.n} != weights size {q.n}")
+    atom = math.fsum(((1.0 - pop.s) * pop.p).tolist())
+    return InspectionDistribution(_race_pmf(q.q, pop.s * pop.p), atom)
 
 
 def write_distribution_csv(path: str | Path, dist: InspectionDistribution) -> None:

@@ -9,9 +9,9 @@ at most once and recognizes the target there with probability s_i, so its
 count is infinite with probability sum_i (1-s_i) p_i.
 
 The CLI, the simulation kernel and the ordering analysis read what they need
-from this table rather than from a model's name. The law builders call the
-distribution functions by their module-level names when they run, so
-wrapping those names (to trace them, say) reaches every call.
+from this table rather than from a model's name. The law builders and IKL's
+closed mean call the library functions by their module-level names when they
+run, so wrapping those names (to trace them, say) reaches every call.
 """
 
 from __future__ import annotations
@@ -69,7 +69,8 @@ MODELS: dict[str, Model] = {
         Model("EF", "schedule", lambda pop, q: dist_ef(ef_schedule(pop))),
         Model("GH", "order", lambda pop, q: dist_gh(pop), defective=True,
               key=lambda pop, q: pop.s * pop.p),
-        Model("IKL", "race", lambda pop, q: dist_ikl_exact(pop, q), takes_q=True, closed_mean=ikl_mean_exact),
+        Model("IKL", "race", lambda pop, q: dist_ikl_exact(pop, q), takes_q=True,
+              closed_mean=lambda pop, q: ikl_mean_exact(pop, q)),
         Model("J", "geometric", lambda pop, q: dist_j(pop, q), takes_q=True,
               optimal_q=j_optimal_q, closed_mean=j_mean, key=lambda pop, q: q.q),
         Model("MN", "geometric", lambda pop, q: dist_mn(pop, q), takes_q=True,

@@ -27,7 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .distributions import InspectionDistribution, dist_ef, race_laws
+from .distributions import InspectionDistribution, dist_ef
 from .models import LABELS as MODEL_LABELS
 from .models import MODELS
 from .population import InspectionWeights, Population, uniform_weights
@@ -209,11 +209,8 @@ def dominance_report(
         q = uniform_weights(pop.n)
     if q.n != pop.n:
         raise ValueError(f"weights size {q.n} != population size {pop.n}")
-    race = race_laws(pop, q)  # one pass for both race laws: IKL, then the defective OP
     laws = {
-        m.label: race[m.defective] if m.walk == "race"
-        else dist_ef(ef_schedule(pop, eps=EF_EPS)) if m.walk == "schedule"
-        else m.law(pop, q)
+        m.label: dist_ef(ef_schedule(pop, eps=EF_EPS)) if m.walk == "schedule" else m.law(pop, q)
         for m in MODELS.values()
     }
     verdicts: dict[tuple[str, str], DominanceVerdict] = {}

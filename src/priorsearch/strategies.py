@@ -169,7 +169,7 @@ def position_probabilities(q: InspectionWeights) -> np.ndarray:
     """Matrix M with M[i, k] = P(item i is drawn at position k+1), by a 2^N subset DP.
 
     From prefix set S a free item i comes next with probability q_i / q(rest),
-    one popcount level at a time. The tests hold distributions.race_laws to it
+    one popcount level at a time. The tests hold dist_ikl_exact and dist_op_exact to it
     at N <= 10; the oracle's scalar loop repeats it bit for bit.
     """
     n = q.n

@@ -77,6 +77,19 @@ class TestEvaluate:
         assert result.exit_code == 0
         assert get_line(result.output, "mean:") == repr(ikl_mean_exact(pop, uniform_weights(7)))
 
+    def test_ikl_mean_is_looked_up_by_name(self, runner, perfect_csv, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return strategies.ikl_mean_exact(*args)
+
+        monkeypatch.setattr(models, "ikl_mean_exact", counted)
+        for runs in (1, 2):
+            result = runner.invoke(main, ["evaluate", "--model", "IKL", "--input", perfect_csv, "--uniform-q"])
+            assert result.exit_code == 0, result.output
+            assert len(calls) == runs
+
     def test_enumerable_model_rejects_weights(self, runner, pop_csv):
         result = runner.invoke(
             main, ["evaluate", "--model", "ABCD", "--input", pop_csv, "--uniform-q"]

@@ -22,7 +22,7 @@ from priorsearch import (
     uniform_weights,
     validate_population,
 )
-from priorsearch.distributions import HORIZON_CAP, InspectionDistribution, race_laws, write_distribution_csv
+from priorsearch.distributions import HORIZON_CAP, InspectionDistribution, write_distribution_csv
 from priorsearch.population import Q_FLOOR
 from priorsearch.strategies import position_probabilities
 
@@ -346,7 +346,7 @@ class TestDistIkl:
 
 def assert_race_laws_match(pop, q, want, tol):
     """Both race laws against reference pmfs (rows IKL, OP) at every step, and OP's atom."""
-    ikl, op = race_laws(pop, q)
+    ikl, op = dist_ikl_exact(pop, q), dist_op_exact(pop, q)
     assert np.abs(ikl.pmf - want[0]).max() <= tol
     assert np.abs(op.pmf - want[1]).max() <= tol
     assert op.atom_at_infinity == math.fsum(((1.0 - pop.s) * pop.p).tolist())
@@ -369,7 +369,7 @@ def race_cases(draw, max_n, max_classes=None):
 
 
 class TestRaceLaws:
-    """race_laws at every step: the subset DP at N <= 10, the class DP and identities beyond."""
+    """The IKL and OP laws at every step: the subset DP at N <= 10, the class DP and identities beyond."""
 
     @given(race_cases(max_n=10))
     def test_matches_the_subset_dp(self, case):
@@ -409,12 +409,45 @@ class TestRaceLaws:
                                1e-15)
         # Uniform p: IKL equals ABCD at any q.
         flat = validate_population(np.full(n, 1.0 / n), pop.s)
-        ikl, _ = race_laws(flat, q)
-        assert np.abs(ikl.pmf - dist_abcd(flat).pmf).max() <= 1e-15
+        assert np.abs(dist_ikl_exact(flat, q).pmf - dist_abcd(flat).pmf).max() <= 1e-15
         # s = 1: OP is IKL, bit for bit.
         perfect = validate_population(pop.p)
-        ikl, op = race_laws(perfect, q)
+        ikl, op = dist_ikl_exact(perfect, q), dist_op_exact(perfect, q)
         assert np.array_equal(op.pmf, ikl.pmf) and op.atom_at_infinity == 0.0
+
+
+@st.composite
+def perfect_cases(draw, max_n):
+    """s = 1, priors and weights 2^-x with x uniform up to a drawn spread (0: all equal)."""
+    n = draw(st.integers(1, max_n))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p, q = (2.0 ** -g.uniform(0.0, draw(st.sampled_from([0.0, 4.0, 60.0])), n) for _ in range(2))
+    return validate_population(p / p.sum()), make_weights(q / q.sum())
+
+
+class TestPerfectRecognitionIdentities:
+    """With s = 1, MN is J and GH is ABCD bit for bit, and EF walks ABCD's order until its residual is below eps."""
+
+    @staticmethod
+    def assert_identities(pop, q):
+        j, mn = dist_j(pop, q), dist_mn(pop, q)
+        assert np.array_equal(mn.pmf, j.pmf)
+        assert (mn.atom_at_infinity, mn.truncated) == (j.atom_at_infinity, j.truncated)
+        abcd, gh = dist_abcd(pop), dist_gh(pop)
+        assert np.array_equal(gh.pmf, abcd.pmf) and gh.atom_at_infinity == 0.0
+        ef = dist_ef(ef_schedule(pop))
+        assert np.array_equal(ef.pmf, abcd.pmf[: ef.horizon])
+        assert ef.atom_at_infinity == math.fsum(abcd.pmf[ef.horizon :].tolist()) < 1e-12
+
+    @settings(max_examples=20)
+    @given(perfect_cases(max_n=300))
+    def test_at_any_size(self, case):
+        self.assert_identities(*case)
+
+    def test_at_a_thousand_items(self):
+        g = np.random.default_rng(1000)
+        p = g.permutation(0.97 ** np.arange(1000))
+        self.assert_identities(validate_population(p / p.sum()), make_weights(random_simplex(g, 1000)))
 
 
 class TestDistOp:

@@ -18,8 +18,8 @@ from priorsearch import (
     uniform_weights,
     validate_population,
 )
-from priorsearch import distributions, ordering
-from priorsearch.distributions import InspectionDistribution, race_laws
+from priorsearch import models
+from priorsearch.distributions import InspectionDistribution
 from priorsearch.ordering import (
     EXPECTED_SMALLER,
     MODEL_LABELS,
@@ -208,23 +208,25 @@ class TestDominanceReport:
         with pytest.raises(ValueError, match="size"):
             dominance_report(pop, q=uniform_weights(3))
 
-    def test_one_race_pass_serves_both_race_laws(self, rng, monkeypatch):
+    def test_race_laws_come_from_the_model_table(self, rng, monkeypatch):
         pop = random_population(rng, 6, s_lo=0.3)
         q = InspectionWeights(q=rng.dirichlet(np.ones(6)))
-        calls = []
+        calls = {"dist_ikl_exact": 0, "dist_op_exact": 0}
 
-        def counted(population, weights):
-            calls.append(weights)
-            return race_laws(population, weights)
+        def counted(name, build):
+            def wrapped(population, weights):
+                calls[name] += 1
+                return build(population, weights)
+            return wrapped
 
-        for module in (ordering, distributions):
-            monkeypatch.setattr(module, "race_laws", counted)
+        for name, build in (("dist_ikl_exact", dist_ikl_exact), ("dist_op_exact", dist_op_exact)):
+            monkeypatch.setattr(models, name, counted(name, build))
         report = dominance_report(pop, q=q)
-        assert len(calls) == 1
-        assert report.distributions["IKL"].pmf.tolist() == dist_ikl_exact(pop, q).pmf.tolist()
-        op = dist_op_exact(pop, q)
-        assert report.distributions["OP"].pmf.tolist() == op.pmf.tolist()
-        assert report.distributions["OP"].atom_at_infinity == op.atom_at_infinity
+        assert calls == {"dist_ikl_exact": 1, "dist_op_exact": 1}
+        for label, build in (("IKL", dist_ikl_exact), ("OP", dist_op_exact)):
+            law = build(pop, q)
+            assert np.array_equal(report.distributions[label].pmf, law.pmf)
+            assert report.distributions[label].atom_at_infinity == law.atom_at_infinity
 
 
 class TestIncomparableFamily:
