@@ -4,17 +4,24 @@ Each replication hides the target at an index drawn from the priors, then
 runs the model's actual inspection process until detection, exhaustion, or
 the step cap; undetected and capped replications are censored. The engine
 simulates the exact processes, so empirical laws converge to the exact
-per-item distributions. Each walk is whole-array code over a chunk: EF looks
-each detecting step up in the schedule's steps grouped by item.
+per-item distributions. Each walk is whole-array code over a chunk, and every
+table it reads is built once per ``simulate`` call: the order walk's ranks, and
+EF's steps grouped by item, each item's followed by a NEVER that its attempts
+past the last scheduled one read, so a chunk only draws, gathers and runs
+in-place ufuncs.
 
 Determinism contract: a run is fully determined by (population, config).
 Replications are processed in fixed-size chunks of 4096, and chunk c draws
 from its own generator seeded by SeedSequence(seed, spawn_key=(c,)), so the
 result is bit-identical no matter how chunks are scheduled across workers.
-Targets are drawn by inverting the cumulative priors through a guide table,
+Targets are drawn by inverting the cumulative priors through a guide table
+whose buckets carry their first index and whether a cut point falls inside,
 which picks the same index as a full binary search bit for bit. Detected
 steps are counted and merged once per 16 chunks, in chunk order, so memory
-stays bounded by 16 x 4096 steps whatever the replication count.
+stays bounded by 16 x 4096 steps whatever the replication count. A window
+whose largest step is at most 4 times its detected steps is counted with
+np.bincount, any other by a sort; both give the same counts in ascending
+order.
 
 The exponential race (IKL, OP) draws one uniform per item and replication,
 item-major, in blocks of at most 2**15, so its memory does not grow with N;
@@ -22,8 +29,9 @@ it compares each uniform with an exp threshold set by the target's, which
 orders the items as the keys -log(u)/q would. When a chunk draws at least
 2**18 uniforms (N >= 64), the chunks of each 16-chunk window run on every
 usable CPU, since numpy releases the interpreter lock while it fills and
-compares the blocks; the result is the same on one core or many. Every other
-walk runs its chunks in turn.
+compares the blocks; the result is the same on one core or many. Each thread
+allocates its block buffers once per ``simulate`` call. Every other walk runs
+its chunks in turn.
 """
 
 from __future__ import annotations
@@ -33,9 +41,10 @@ import csv
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -45,9 +54,12 @@ from .population import InspectionWeights, Population
 from .strategies import Schedule, descending_order, ef_schedule
 
 CHUNK = 4096
-# Chunks whose detected steps are counted in one sort and merged into the counts
-# together, which bounds the steps held at once to _MERGE_CHUNKS * CHUNK.
+# Chunks whose detected steps are counted and merged into the counts together, which
+# bounds the steps held at once to _MERGE_CHUNKS * CHUNK.
 _MERGE_CHUNKS = 16
+# A window whose largest step is at most this many times its detected steps is counted
+# with np.bincount, whose table is then no longer than a few times the steps it counts.
+_TALLY_SPAN = 4
 # Race uniforms held at once: a chunk draws its N x m uniforms in blocks of this size.
 _RACE_BLOCK_KEYS = 2**15
 # A race chunk drawing at least this many uniforms (N >= 64) gains from threads; below
@@ -130,42 +142,57 @@ def _draw_targets(pop: Population, rng: np.random.Generator, m: int) -> np.ndarr
     last item.
 
     The inversion is indexed search (Chen & Asau 1974; Devroye 1986, III.2.4):
-    u's bucket in ``pop.cumulative_guide`` gives the index outright unless a cut
+    u's bucket in ``pop.guide_buckets`` gives the index outright unless a cut
     point falls inside the bucket, and only those draws are searched, so every
     index equals that of a binary search over all the cumulative priors.
     """
     u = rng.random(m)
-    guide = pop.cumulative_guide
+    first, split = pop.guide_buckets
     # Exact: the bucket count is a power of two and u < 1.
-    bucket = (u * (guide.size - 1)).astype(np.intp)
-    out = guide[bucket]
-    split = np.flatnonzero(guide[bucket + 1] != out)
-    out[split] = np.searchsorted(pop.cumulative_p, u[split], side="right")
-    return np.minimum(out, pop.n - 1, out=out)
-
-
-def _geometric_from_uniform(u: np.ndarray, rate: np.ndarray, max_steps: int) -> np.ndarray:
-    """Attempt count T >= 1 with P(T = j) = (1-rate)^(j-1) rate, via inversion.
-
-    Counts beyond ``max_steps`` come back as ``max_steps + 1``: a tiny rate
-    would otherwise overflow the int64 cast into a negative count.
-    """
-    out = np.ones_like(u, dtype=np.int64)
-    partial = rate < 1.0
-    if np.any(partial):
-        with np.errstate(divide="ignore"):
-            raw = np.ceil(np.log1p(-u[partial]) / np.log1p(-rate[partial]))
-        out[partial] = np.clip(raw, 1.0, max_steps + 1).astype(np.int64)
+    bucket = (u * first.size).astype(np.intp)
+    out = first[bucket]
+    hard = np.flatnonzero(split[bucket])
+    out[hard] = np.minimum(np.searchsorted(pop.cumulative_p, u[hard], side="right"), pop.n - 1)
     return out
 
 
+def _geometric_from_uniform(u: np.ndarray, rate: np.ndarray, max_steps: int) -> np.ndarray:
+    """Attempt count T >= 1 with P(T = j) = (1-rate)^(j-1) rate, via inversion; overwrites u.
+
+    Counts beyond ``max_steps`` come back as ``max_steps + 1``: a tiny rate
+    would otherwise overflow the int64 cast into a negative count. A rate of 1
+    gives log1p(-1) = -inf, so the quotient is 0 and the count 1.
+    """
+    raw = np.log1p(np.negative(u, out=u), out=u)
+    with np.errstate(divide="ignore"):
+        np.divide(raw, np.log1p(-rate), out=raw)
+    return np.clip(np.ceil(raw, out=raw), 1.0, max_steps + 1, out=raw).astype(np.int64)
+
+
 def _ef_attempt_table(sched: Schedule, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(flat, start, size): item i's attempt j <= size[i] is step flat[start[i] + j - 1]."""
+    """(flat, base, cap): item i's attempt j >= 1 is step flat[base[i] + min(j, cap[i])].
+
+    flat holds the schedule's steps grouped by item, each item's followed by
+    NEVER, which its attempts beyond the last scheduled one read.
+    """
     size = np.bincount(sched.steps, minlength=n)
-    return np.argsort(sched.steps, kind="stable") + 1, np.cumsum(size) - size, size
+    never_at = np.cumsum(size + 1) - 1
+    flat = np.full(never_at[-1] + 1, NEVER)
+    scheduled = np.ones(flat.size, dtype=bool)
+    scheduled[never_at] = False
+    flat[scheduled] = np.argsort(sched.steps, kind="stable") + 1
+    return flat, never_at - size - 1, size + 1
 
 
-def _race_steps(rng: np.random.Generator, q: np.ndarray, target: np.ndarray) -> np.ndarray:
+def _race_buffers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The uniforms, thresholds and comparisons of one ``_race_steps`` block of N items."""
+    keys = n * max(1, _RACE_BLOCK_KEYS // n)
+    return np.empty(keys), np.empty(keys), np.empty(keys, dtype=bool)
+
+
+def _race_steps(
+    rng: np.random.Generator, q: np.ndarray, target: np.ndarray, bufs: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> np.ndarray:
     """Step at which successive sampling with weights q reaches each target.
 
     Successive sampling as an exponential race: item i is drawn in ascending
@@ -175,26 +202,64 @@ def _race_steps(rng: np.random.Generator, q: np.ndarray, target: np.ndarray) -> 
     log and N exps, and no exponential draws or divisions. The uniforms are
     drawn item-major in blocks of whole replications (column r of block
     ``rng.random((N, rows))`` is one replication), so at most
-    max(N, ``_RACE_BLOCK_KEYS``) are held.
+    max(N, ``_RACE_BLOCK_KEYS``) are held, in ``bufs`` from ``_race_buffers(N)``.
     """
     n = q.size
-    rows = max(1, _RACE_BLOCK_KEYS // n)
-    # Every block reuses these: fresh (N, rows) arrays per block cost about 10% at N = 100.
-    u_buf, thr_buf, below_buf = np.empty(n * rows), np.empty(n * rows), np.empty(n * rows, dtype=bool)
+    u_buf, thr_buf, below_buf = bufs
+    rows = u_buf.size // n
     steps = np.empty(target.size, dtype=np.int64)
+    col = np.arange(min(rows, target.size))
     for lo in range(0, target.size, rows):
         tgt = target[lo : lo + rows]
         size = tgt.size
-        col = np.arange(size)
+        at = tgt * size  # flat index of each replication's target uniform in the block
+        at += col[:size]
         u = rng.random(out=u_buf[: n * size].reshape(n, size))
         with np.errstate(divide="ignore"):  # u_t = 0 puts the target last: c = -inf, every threshold 0
-            c = np.log(u[tgt, col]) / q[tgt]
+            c = np.log(u_buf[at]) / q[tgt]
         thr = np.multiply.outer(q, c, out=thr_buf[: n * size].reshape(n, size))
         below = np.greater_equal(u, np.exp(thr, out=thr), out=below_buf[: n * size].reshape(n, size))
-        below[tgt, col] = True  # the target's own threshold may round above u_t
+        below_buf[at] = True  # the target's own threshold may round above u_t
         # An int32 sum adds whole contiguous rows, and N < 2**31.
         steps[lo : lo + size] = below.sum(axis=0, dtype=np.int32)
     return steps
+
+
+def _walk(
+    pop: Population, model: Model, cfg: SimConfig, sched: Schedule | None
+) -> Callable[[np.random.Generator, np.ndarray], np.ndarray]:
+    """The chunk walk of ``model``: (rng, targets) -> the step that reaches each target.
+
+    Every table the walk reads is built here, once per ``simulate`` call; a
+    chunk only draws, gathers and runs in-place ufuncs. A race keeps one set
+    of block buffers per thread that runs its chunks.
+    """
+    if model.walk == "order":
+        rank = np.empty(pop.n, dtype=np.int64)
+        rank[descending_order(model.key(pop, cfg.q))] = np.arange(1, pop.n + 1)
+        return lambda rng, target: rank[target]
+    if model.walk == "geometric":
+        rate = model.key(pop, cfg.q)
+        return lambda rng, target: _geometric_from_uniform(rng.random(target.size), rate[target], cfg.max_steps)
+    if model.walk == "schedule":
+        flat, base, cap = _ef_attempt_table(sched, pop.n)
+
+        def schedule_walk(rng: np.random.Generator, target: np.ndarray) -> np.ndarray:
+            attempts = _geometric_from_uniform(rng.random(target.size), pop.s[target], cfg.max_steps)
+            np.minimum(attempts, cap[target], out=attempts)
+            attempts += base[target]
+            return flat[attempts]
+
+        return schedule_walk
+    per_thread = threading.local()
+
+    def race_walk(rng: np.random.Generator, target: np.ndarray) -> np.ndarray:
+        bufs = getattr(per_thread, "bufs", None)
+        if bufs is None:
+            bufs = per_thread.bufs = _race_buffers(pop.n)
+        return _race_steps(rng, cfg.q.q, target, bufs)
+
+    return race_walk
 
 
 def _simulate_chunk(
@@ -203,33 +268,22 @@ def _simulate_chunk(
     cfg: SimConfig,
     rng: np.random.Generator,
     m: int,
-    ef_table: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
+    walk: Callable[[np.random.Generator, np.ndarray], np.ndarray],
 ) -> tuple[np.ndarray, int, int]:
     """Detected steps for one chunk, then its undetected and capped counts.
 
     The chunk draws the target uniforms, then the walk's own draws, then a
     defective model's recognition coins.
     """
-    s = pop.s
-    n = pop.n
     target = _draw_targets(pop, rng, m)
-    if model.walk == "order":
-        rank = np.empty(n, dtype=np.int64)
-        rank[descending_order(model.key(pop, cfg.q))] = np.arange(1, n + 1)
-        steps = rank[target]
-    elif model.walk == "schedule":
-        attempts = _geometric_from_uniform(rng.random(m), s[target], cfg.max_steps)
-        flat, start, size = ef_table
-        steps = np.full(m, NEVER)
-        hit = attempts <= size[target]
-        steps[hit] = flat[start[target[hit]] + attempts[hit] - 1]
-    elif model.walk == "geometric":
-        steps = _geometric_from_uniform(rng.random(m), model.key(pop, cfg.q)[target], cfg.max_steps)
-    else:
-        steps = _race_steps(rng, cfg.q.q, target)
+    steps = walk(rng, target)
     reached = steps <= cfg.max_steps
-    detected = reached & (rng.random(m) < s[target]) if model.defective else reached
-    return steps[detected], int(np.count_nonzero(reached & ~detected)), int(m - np.count_nonzero(reached))
+    n_reached = int(np.count_nonzero(reached))
+    if not model.defective:
+        return steps[reached], 0, m - n_reached
+    detected = rng.random(m) < pop.s[target]
+    detected &= reached
+    return steps[detected], n_reached - int(np.count_nonzero(detected)), m - n_reached
 
 
 def _usable_cpus() -> int:
@@ -252,8 +306,7 @@ def simulate(pop: Population, cfg: SimConfig, sched: Schedule | None = None) -> 
     if cfg.q is not None and cfg.q.n != pop.n:
         raise ValueError(f"weights size {cfg.q.n} != population size {pop.n}")
     model = MODELS[cfg.model]
-    sched = walk_schedule(pop, cfg) if sched is None else sched
-    ef_table = None if sched is None else _ef_attempt_table(sched, pop.n)
+    walk = _walk(pop, model, cfg, walk_schedule(pop, cfg) if sched is None else sched)
     counts: dict[int, int] = {}
     undetected = capped = 0
     seed = int(cfg.seed) % (1 << 64)
@@ -261,19 +314,19 @@ def simulate(pop: Population, cfg: SimConfig, sched: Schedule | None = None) -> 
 
     def chunk(c: int) -> tuple[np.ndarray, int, int]:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(c,)))
-        return _simulate_chunk(pop, model, cfg, rng, min(CHUNK, cfg.reps - c * CHUNK), ef_table)
+        return _simulate_chunk(pop, model, cfg, rng, min(CHUNK, cfg.reps - c * CHUNK), walk)
 
     threaded = model.walk == "race" and CHUNK * pop.n >= _THREAD_MIN_KEYS
     workers = min(_usable_cpus(), _MERGE_CHUNKS, n_chunks) if threaded else 1
-    # A window's detected steps, sorted in place and counted by runs. np.unique's copies of
-    # 16 x 4096 steps made the allocator return and refault about 1 MB per simulate call.
+    # Every window's detected steps, in one buffer. np.unique's copies of 16 x 4096 steps
+    # made the allocator return and refault about 1 MB per simulate call.
     held = np.empty(min(_MERGE_CHUNKS, n_chunks) * CHUNK, dtype=np.int64)
     pool = None
     if workers > 1:
         # Imported here: it pulls in logging, which would add 12 ms to every start-up.
         from concurrent.futures import ThreadPoolExecutor
 
-        pop.cumulative_p, pop.cumulative_guide  # cached here, before any worker reads them
+        pop.cumulative_p, pop.guide_buckets  # cached here, before any worker reads them
         pool = ThreadPoolExecutor(workers)
     try:
         for lo in range(0, n_chunks, _MERGE_CHUNKS):
@@ -293,11 +346,16 @@ def simulate(pop: Population, cfg: SimConfig, sched: Schedule | None = None) -> 
             if not filled:
                 continue
             window_steps = held[:filled]
-            window_steps.sort()
-            starts = np.flatnonzero(np.concatenate(([True], window_steps[1:] != window_steps[:-1])))
-            runs = np.diff(starts, append=filled)
-            # Python ints from tolist() update the dict 4x faster than numpy scalars.
-            for step_val, cnt in zip(window_steps[starts].tolist(), runs.tolist()):
+            if window_steps.max() <= _TALLY_SPAN * filled:
+                tally = np.bincount(window_steps)
+                values = np.flatnonzero(tally)
+                runs = tally[values]
+            else:  # a tiny rate spreads the steps up to max_steps: sort and count runs
+                window_steps.sort()
+                starts = np.flatnonzero(np.concatenate(([True], window_steps[1:] != window_steps[:-1])))
+                values, runs = window_steps[starts], np.diff(starts, append=filled)
+            # Ascending either way. Python ints from tolist() update the dict 4x faster than numpy scalars.
+            for step_val, cnt in zip(values.tolist(), runs.tolist()):
                 counts[step_val] = counts.get(step_val, 0) + cnt
     finally:
         if pool is not None:

@@ -145,6 +145,20 @@ class Population:
         return cached
 
     @property
+    def guide_buckets(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per bucket of ``cumulative_guide`` (cached): its first index, at most N - 1, and
+        whether a cut point falls inside it, so that the index is not settled by the bucket.
+        """
+        cached = getattr(self, "_buckets", None)
+        if cached is None:
+            guide = self.cumulative_guide
+            cached = (np.minimum(guide[:-1], self.n - 1), guide[1:] != guide[:-1])
+            for arr in cached:
+                arr.setflags(write=False)
+            object.__setattr__(self, "_buckets", cached)
+        return cached
+
+    @property
     def detect_prob(self) -> float:
         """Probability the target is ever found under one-shot-per-item models."""
         return math.fsum((self.s * self.p).tolist())

@@ -37,6 +37,8 @@ from .population import InspectionWeights, Population
 
 DEFAULT_EF_EPS = 1e-12
 DEFAULT_EF_MAX_STEPS = 10**6
+# Rows of the pair quotients q_j / (q_i + q_j) that ikl_mean_exact holds at once.
+_PAIR_ROWS = 256
 
 
 class ScheduleTruncationError(RuntimeError):
@@ -206,12 +208,20 @@ def ikl_mean_exact(pop: Population, q: InspectionWeights) -> float:
     The target's step is 1 plus the number of items drawn before it, and item
     j is drawn before item i with probability q_j / (q_i + q_j), so
     E[T] = 1 + sum_i p_i sum_{j != i} q_j / (q_i + q_j).
+
+    The inner sums are taken in blocks of ``_PAIR_ROWS`` rows, so memory stays
+    at _PAIR_ROWS x N floats; each row is summed exactly as in one N x N array.
     """
     if pop.n != q.n:
         raise ValueError(f"population size {pop.n} != weights size {q.n}")
-    before = q.q / np.add.outer(q.q, q.q)  # before[i, j] = q_j / (q_i + q_j)
-    np.fill_diagonal(before, 0.0)
-    return math.fsum([1.0, *(pop.p * before.sum(axis=1)).tolist()])
+    row_sums = np.empty(q.n)
+    block = np.empty((min(_PAIR_ROWS, q.n), q.n))
+    for lo in range(0, q.n, _PAIR_ROWS):
+        rows = np.add.outer(q.q[lo : lo + _PAIR_ROWS], q.q, out=block[: q.n - lo])
+        before = np.divide(q.q, rows, out=rows)  # before[i, j] = q_j / (q_i + q_j)
+        np.fill_diagonal(before[:, lo:], 0.0)
+        before.sum(axis=1, out=row_sums[lo : lo + before.shape[0]])
+    return math.fsum([1.0, *(pop.p * row_sums).tolist()])
 
 
 def ikl_search_q(

@@ -22,8 +22,8 @@ from priorsearch.montecarlo import (
     _RACE_BLOCK_KEYS,
     CHUNK,
     SimConfig,
-    _ef_attempt_table,
     _simulate_chunk,
+    _walk,
     walk_schedule,
 )
 from priorsearch.population import InspectionWeights, Population, ProfileDecomposition
@@ -372,18 +372,83 @@ def simulate_per_chunk(pop: Population, cfg: SimConfig) -> tuple[dict[int, int],
     counts before the next chunk runs.
     """
     model = MODELS[cfg.model]
-    sched = walk_schedule(pop, cfg)
-    ef_table = None if sched is None else _ef_attempt_table(sched, pop.n)
+    walk = _walk(pop, model, cfg, walk_schedule(pop, cfg))
     counts: dict[int, int] = {}
     undetected = capped = 0
     seed = int(cfg.seed) % (1 << 64)
     for c in range(-(-cfg.reps // CHUNK)):
         size = min(CHUNK, cfg.reps - c * CHUNK)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(c,)))
-        steps, missed, cut = _simulate_chunk(pop, model, cfg, rng, size, ef_table)
+        steps, missed, cut = _simulate_chunk(pop, model, cfg, rng, size, walk)
         undetected += missed
         capped += cut
         values, reps_at = np.unique(steps, return_counts=True)
         for step, count in zip(values.tolist(), reps_at.tolist()):
             counts[step] = counts.get(step, 0) + count
+    return counts, undetected, capped
+
+
+def geometric_masked(u: np.ndarray, rate: np.ndarray, max_steps: int) -> np.ndarray:
+    """Attempt counts with P(T = j) = (1-rate)^(j-1) rate: 1 where rate is 1, else by inversion.
+
+    Counts beyond ``max_steps`` come back as ``max_steps + 1``.
+    """
+    out = np.ones(u.size, dtype=np.int64)
+    partial = rate < 1.0
+    raw = np.ceil(np.log1p(-u[partial]) / np.log1p(-rate[partial]))
+    out[partial] = np.clip(raw, 1.0, max_steps + 1).astype(np.int64)
+    return out
+
+
+def simulate_literal(
+    pop: Population, cfg: SimConfig, sched: Schedule | None = None
+) -> tuple[dict[int, int], int, int]:
+    """Detection-step counts, undetected and capped of montecarlo.simulate(pop, cfg, sched), one
+    replication at a time.
+
+    Each chunk draws from the same seed-derived stream in the same order: the
+    targets, by a binary search over all the cumulative priors; then the walk's
+    draws, geometric counts by the masked inversion and race steps by
+    ``race_steps_literal``; then a defective model's recognition coins. Each
+    replication then looks its step up on its own: an order walk's rank from the
+    argsort of the visiting order, and an EF attempt in the list of its item's
+    scheduled steps, past whose end the walk never reaches the target.
+    """
+    model = MODELS[cfg.model]
+    n = pop.n
+    if model.walk == "order":
+        rank = np.argsort(descending_order(model.key(pop, cfg.q))) + 1
+    elif model.walk == "schedule":
+        item_steps: list[list[int]] = [[] for _ in range(n)]
+        sched = walk_schedule(pop, cfg) if sched is None else sched
+        for step, item in enumerate(sched.steps.tolist(), start=1):
+            item_steps[item].append(step)
+    counts: dict[int, int] = {}
+    undetected = capped = 0
+    seed = int(cfg.seed) % (1 << 64)
+    for c in range(-(-cfg.reps // CHUNK)):
+        size = min(CHUNK, cfg.reps - c * CHUNK)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(c,)))
+        target = np.minimum(np.searchsorted(pop.cumulative_p, rng.random(size), side="right"), n - 1)
+        if model.walk == "race":
+            drawn = race_steps_literal(rng, cfg.q.q, target)
+        elif model.walk == "geometric":
+            drawn = geometric_masked(rng.random(size), model.key(pop, cfg.q)[target], cfg.max_steps)
+        elif model.walk == "schedule":
+            drawn = geometric_masked(rng.random(size), pop.s[target], cfg.max_steps)
+        coins = rng.random(size) < pop.s[target] if model.defective else np.ones(size, dtype=bool)
+        for r, t in enumerate(target.tolist()):
+            if model.walk == "order":
+                step = int(rank[t])
+            elif model.walk == "schedule":
+                attempt = int(drawn[r])
+                step = item_steps[t][attempt - 1] if attempt <= len(item_steps[t]) else math.inf
+            else:
+                step = int(drawn[r])
+            if step > cfg.max_steps:
+                capped += 1
+            elif not coins[r]:
+                undetected += 1
+            else:
+                counts[step] = counts.get(step, 0) + 1
     return counts, undetected, capped

@@ -31,10 +31,10 @@ from priorsearch import (
     validate_population,
 )
 from priorsearch.models import LABELS, MODELS
-from priorsearch.montecarlo import CHUNK, _draw_targets, _race_steps, write_empirical_csv
+from priorsearch.montecarlo import CHUNK, _draw_targets, _race_buffers, _race_steps, write_empirical_csv
 
 from conftest import random_population, random_simplex
-from oracle import ikl_mean_pairwise, race_steps_literal, simulate_per_chunk
+from oracle import ikl_mean_pairwise, race_steps_literal, simulate_literal, simulate_per_chunk
 
 
 class TestSimConfig:
@@ -211,6 +211,56 @@ class TestSimulate:
         assert emp.censored > 0
 
 
+def crowded_population() -> tuple:
+    """30 items with Dirichlet(0.05) priors, a third of them with s = 1, and weights q whose
+    largest-prior item has q = 1e-19."""
+    g = np.random.default_rng(2024)
+    p = g.dirichlet(np.full(30, 0.05))
+    s = np.where(np.arange(30) % 3 == 0, 1.0, g.uniform(0.2, 1.0, 30))
+    q = g.dirichlet(np.ones(30))
+    q[np.argmax(p)] = 1e-19
+    return validate_population(p, s), InspectionWeights(q / math.fsum(q.tolist()))
+
+
+class TestWalkOracle:
+    @pytest.mark.parametrize("max_steps", [10**7, 5])
+    @pytest.mark.parametrize("model", LABELS)
+    def test_simulate_equals_the_literal_walks(self, model, max_steps):
+        pop, q = crowded_population()
+        assert np.diff(pop.cumulative_guide).max() >= 2  # some guide bucket holds several cut points
+        cfg = SimConfig(model=model, reps=17 * CHUNK + 5, seed=37, max_steps=max_steps,
+                        q=q if MODELS[model].takes_q else None)
+        want = simulate_literal(pop, cfg)
+        if model in ("J", "MN") or max_steps < pop.n:
+            assert want[2] > 0  # the 1e-19 rate, or the cap below N, censors some walks
+        emp = simulate(pop, cfg)
+        assert (emp.counts, emp.undetected, emp.capped) == want
+
+    def test_ef_attempts_past_a_short_schedule_never_reach_the_target(self):
+        g = np.random.default_rng(8)
+        pop = validate_population(g.dirichlet(np.ones(8)), g.uniform(0.2, 0.6, 8))
+        short = ef_schedule(pop, eps=0.05)
+        assert np.count_nonzero(np.bincount(short.steps)) > 2  # several items run out of attempts
+        cfg = SimConfig(model="EF", reps=17 * CHUNK + 5, seed=41)
+        want = simulate_literal(pop, cfg, short)
+        assert want[2] > 0
+        emp = simulate(pop, cfg, short)
+        assert (emp.counts, emp.undetected, emp.capped) == want
+
+    @pytest.mark.parametrize("q, counted_by", [((1e-9, 1 - 1e-9), "sort"), ((0.5, 0.5), "bincount")])
+    def test_both_window_counts_match_the_sort(self, q, counted_by, monkeypatch):
+        # One window of 16 chunks; its largest step decides how the window is counted.
+        pop = validate_population([0.5, 0.5])
+        cfg = SimConfig(model="J", reps=16 * CHUNK, seed=43, q=InspectionWeights(np.array(q)))
+        emp = simulate(pop, cfg)
+        spread = max(emp.counts) > montecarlo._TALLY_SPAN * emp.detected
+        assert spread == (counted_by == "sort")
+        monkeypatch.setattr(montecarlo, "_TALLY_SPAN", 0)  # every window sorted
+        sorted_emp = simulate(pop, cfg)
+        assert list(emp.counts.items()) == list(sorted_emp.counts.items())
+        assert (emp.undetected, emp.capped) == (sorted_emp.undetected, sorted_emp.capped)
+
+
 class TestCensoring:
     def test_undetected_and_capped_are_counted_apart(self):
         # GH walks b (s p = .5) before a (s p = .25): a cap of 1 step never
@@ -271,7 +321,8 @@ class TestRace:
             q = np.full(n, 1.0 / n) if q_kind == "uniform" else g.dirichlet(np.ones(n))
         target = g.integers(0, n, m)
         thresholds, literal = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert np.array_equal(_race_steps(thresholds, q, target), race_steps_literal(literal, q, target))
+        steps = _race_steps(thresholds, q, target, _race_buffers(n))
+        assert np.array_equal(steps, race_steps_literal(literal, q, target))
         assert thresholds.random() == literal.random()
 
     @pytest.mark.parametrize("model", ["IKL", "OP"])
@@ -326,6 +377,14 @@ class TestRace:
 
     def test_cli_import_leaves_the_thread_pool_unimported(self):
         code = "import sys, priorsearch.cli; print('concurrent.futures' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(montecarlo.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+        assert out.stdout.strip() == "False"
+
+    def test_cli_import_leaves_numpy_random_unimported(self):
+        # numpy loads numpy.random on first use; an annotation evaluated at import would load it
+        # in every start-up, simulate or not.
+        code = "import sys, priorsearch.cli; print('numpy.random' in sys.modules)"
         env = {**os.environ, "PYTHONPATH": str(Path(montecarlo.__file__).parents[1])}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
         assert out.stdout.strip() == "False"

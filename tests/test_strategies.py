@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,6 +243,29 @@ class TestIkl:
     def test_past_ten_items(self):
         pop = validate_population(np.full(11, 1.0 / 11))
         assert ikl_mean_exact(pop, uniform_weights(11)) == pytest.approx(6.0, rel=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 600, 2000])
+    def test_row_blocks_sum_each_row_as_one_square_array(self, n):
+        g = np.random.default_rng(n)
+        for q in (g.dirichlet(np.ones(n)), 2.0 ** g.uniform(-900.0, 0.0, n)):
+            pop = validate_population(g.dirichlet(np.ones(n)))
+            w = InspectionWeights(q / math.fsum(q.tolist()))
+            before = w.q / np.add.outer(w.q, w.q)
+            np.fill_diagonal(before, 0.0)
+            assert ikl_mean_exact(pop, w) == math.fsum([1.0, *(pop.p * before.sum(axis=1)).tolist()])
+
+    def test_ten_thousand_items_in_bounded_memory(self):
+        n = 10**4
+        pop = validate_population(np.full(n, 1.0 / n))
+        tracemalloc.start()
+        try:
+            mean = ikl_mean_exact(pop, uniform_weights(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mean == pytest.approx((n + 1) / 2, rel=1e-12)
+        # One 10^4 x 10^4 float64 array alone is 763 MiB.
+        assert peak < 64 * 2**20
 
 
 class TestIklBound:
