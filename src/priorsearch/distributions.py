@@ -163,6 +163,11 @@ def dist_mn(pop: Population, q: InspectionWeights, horizon: int | None = None) -
 def _race_pmf(q: np.ndarray, w: np.ndarray) -> np.ndarray:
     """pmf[k] = sum_i w_i P(item i is drawn at step k+1) under successive sampling with weights q.
 
+    When every q_i is equal, every draw order is equally likely, so each item
+    is drawn at each step with probability 1/N and pmf[k] = fsum(w) / N: one
+    correctly rounded division, with nothing cancelling. Any other q goes
+    through the quadrature below.
+
     Successive sampling with weights q is an exponential race: item j is drawn
     by time t with probability b_j = 1 - a_j, a_j = exp(-q_j t). So pmf[k] is
     the integral over t of [z^k] B_w, B_w = sum_i w_i q_i a_i prod_{j != i} (a_j + b_j z).
@@ -173,6 +178,8 @@ def _race_pmf(q: np.ndarray, w: np.ndarray) -> np.ndarray:
     at step h = min(1/8, 0.6/sqrt(N)), since step k's integrand narrows like 1/sqrt(k).
     """
     n = q.size
+    if (q == q[0]).all():
+        return np.full(n, math.fsum(w.tolist()) / n)
     rate = w * q
     # h is a multiple of 2^-12, so every node u = h j is exact; rounding u would move nodes unevenly.
     h = max(math.floor(4096 * min(0.125, 0.6 / math.sqrt(n))), 1) / 4096

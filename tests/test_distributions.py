@@ -416,6 +416,57 @@ class TestRaceLaws:
         assert np.array_equal(op.pmf, ikl.pmf) and op.atom_at_infinity == 0.0
 
 
+class TestEqualWeights:
+    """Equal q: every draw order is equally likely, so both race laws are fsum(w) / N at every step."""
+
+    @given(race_cases(max_n=10))
+    def test_matches_the_subset_dp(self, case):
+        pop, _ = case
+        q = uniform_weights(pop.n)
+        M = position_probabilities(q)
+        assert_race_laws_match(pop, q, [pop.p @ M, (pop.s * pop.p) @ M], 1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2, 30, 300, 1000])
+    def test_matches_the_class_dp(self, n):
+        g = np.random.default_rng(n)
+        pop = validate_population(g.dirichlet(np.ones(n)), g.uniform(0.2, 1.0, n))
+        q = uniform_weights(n)
+        assert_race_laws_match(pop, q, race_pmfs_by_class(pop, q), 1e-14)
+
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    def test_op_is_ikl_at_perfect_recognition(self, n):
+        pop = validate_population(np.random.default_rng(n).dirichlet(np.ones(n)))
+        ikl, op = dist_ikl_exact(pop, uniform_weights(n)), dist_op_exact(pop, uniform_weights(n))
+        assert np.array_equal(op.pmf, ikl.pmf) and op.atom_at_infinity == 0.0
+
+    @pytest.mark.parametrize("n", [2, 10, 100, 300])
+    def test_one_ulp_off_uniform_takes_the_quadrature_to_the_same_law(self, n):
+        g = np.random.default_rng(n)
+        pop = validate_population(g.dirichlet(np.ones(n)), g.uniform(0.2, 1.0, n))
+        raw = np.full(n, 1.0 / n)
+        raw[0] = np.nextafter(raw[0], 1.0)
+        near = make_weights(raw)
+        assert np.unique(near.q).size == 2
+        for build, w in ((dist_ikl_exact, pop.p), (dist_op_exact, pop.s * pop.p)):
+            equal = build(pop, uniform_weights(n)).pmf
+            assert np.all(equal == math.fsum(w.tolist()) / n)
+            assert np.abs(build(pop, near).pmf - equal).max() <= 1e-15
+
+    def test_nearly_equal_weights_keep_their_own_law(self):
+        # Two items: the first draw is item i with probability q_i, so pmf(1) = sum_i p_i q_i.
+        d = 2.0**-30
+        law = dist_ikl_exact(validate_population([0.75, 0.25]), make_weights([0.5 + d, 0.5 - d]))
+        assert abs(law.pmf[0] - (0.5 + d / 2)) <= 1e-15
+
+    def test_ten_thousand_items(self):
+        n = 10**4
+        g = np.random.default_rng(n)
+        pop = validate_population(g.dirichlet(np.ones(n)), g.uniform(0.2, 1.0, n))
+        ikl, op = dist_ikl_exact(pop, uniform_weights(n)), dist_op_exact(pop, uniform_weights(n))
+        assert np.all(ikl.pmf == math.fsum(pop.p.tolist()) / n)
+        assert np.all(op.pmf == math.fsum((pop.s * pop.p).tolist()) / n)
+
+
 @st.composite
 def perfect_cases(draw, max_n):
     """s = 1, priors and weights 2^-x with x uniform up to a drawn spread (0: all equal)."""

@@ -208,6 +208,16 @@ class TestDominanceReport:
         with pytest.raises(ValueError, match="size"):
             dominance_report(pop, q=uniform_weights(3))
 
+    @pytest.mark.parametrize("n", [1, 5, 40])
+    def test_verdicts_equal_pairwise_compares(self, rng, n):
+        # J and MN run to horizons far past N, so most pairs compare laws of different lengths.
+        pop = random_population(rng, n, s_lo=0.3)
+        report = dominance_report(pop, q=InspectionWeights(q=rng.dirichlet(np.ones(n))))
+        laws = report.distributions
+        assert len({law.horizon for law in laws.values()}) > 1
+        for (a, b), verdict in report.verdicts.items():
+            assert verdict == stochastic_compare(laws[a], laws[b])
+
     def test_race_laws_come_from_the_model_table(self, rng, monkeypatch):
         pop = random_population(rng, 6, s_lo=0.3)
         q = InspectionWeights(q=rng.dirichlet(np.ones(6)))
@@ -264,6 +274,13 @@ class TestIncomparableFamily:
         assert fo[1] - fm[1] == pytest.approx(c * c, abs=1e-12)
         assert np.all(fm[n:] > fo[n:])
         assert stochastic_compare(d_mn, d_op).relation == "incomparable"
+
+
+@pytest.mark.parametrize("n", [100, 1000])
+def test_partial_order_holds_at_the_sizes_users_run(n):
+    g = np.random.default_rng(n)
+    report = dominance_report(validate_population(g.dirichlet(np.ones(n)), g.uniform(0.3, 1.0, n)))
+    assert report.mismatches == ()
 
 
 @st.composite
