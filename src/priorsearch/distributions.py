@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -32,11 +32,13 @@ class InspectionDistribution:
     ``horizon`` = ``len(pmf)`` is the last step the law covers;
     ``atom_at_infinity`` absorbs everything beyond, and ``truncated`` marks
     that atom as a computation artifact rather than a property of the model.
+    ``cdf`` is the read-only cumsum of ``pmf``, built once with the law.
     """
 
     pmf: np.ndarray
     atom_at_infinity: float
     truncated: bool = False
+    cdf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         pmf = np.array(self.pmf, dtype=float)
@@ -53,8 +55,10 @@ class InspectionDistribution:
         total = math.fsum(pmf.tolist()) + self.atom_at_infinity
         if abs(total - 1.0) > MASS_BALANCE_TOL:
             raise ValueError(f"pmf plus atom sums to {total!r}, not 1")
-        pmf.flags.writeable = False
+        cdf = np.cumsum(pmf)
+        pmf.flags.writeable = cdf.flags.writeable = False
         object.__setattr__(self, "pmf", pmf)
+        object.__setattr__(self, "cdf", cdf)
         object.__setattr__(self, "atom_at_infinity", max(float(self.atom_at_infinity), 0.0))
 
     @property
@@ -62,11 +66,17 @@ class InspectionDistribution:
         return len(self.pmf)
 
     def cdf_array(self, upto: int | None = None) -> np.ndarray:
-        """cdf evaluated at 1..upto (default: the horizon); flat past the horizon."""
+        """cdf evaluated at 1..upto (default: the horizon), a view of ``cdf`` up to the horizon.
+
+        Past the horizon ``cdf`` is extended with its final value, the same
+        floats as cumulating a zero-padded pmf, since c + 0.0 = c.
+        """
         upto = self.horizon if upto is None else int(upto)
-        dense = np.zeros(upto)
-        dense[: self.horizon] = self.pmf[:upto]
-        return np.cumsum(dense)
+        if upto == self.horizon:
+            return self.cdf
+        if 0 <= upto < self.horizon:
+            return self.cdf[:upto]
+        return np.concatenate((self.cdf, np.full(upto - self.horizon, self.cdf[-1] if self.horizon else 0.0)))
 
     @property
     def total_finite_mass(self) -> float:
@@ -226,6 +236,6 @@ def write_distribution_csv(path: str | Path, dist: InspectionDistribution) -> No
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["m", "pmf", "cdf"])
-        writer.writerows(zip(range(1, dist.horizon + 1), dist.pmf.tolist(), dist.cdf_array().tolist()))
+        writer.writerows(zip(range(1, dist.horizon + 1), dist.pmf.tolist(), dist.cdf.tolist()))
         writer.writerow(["atom_at_infinity", repr(dist.atom_at_infinity)])
         writer.writerow(["truncated", str(dist.truncated).lower()])

@@ -4,23 +4,23 @@ Each replication hides the target at an index drawn from the priors, then
 runs the model's actual inspection process until detection, exhaustion, or
 the step cap; undetected and capped replications are censored. The engine
 simulates the exact processes, so empirical laws converge to the exact
-per-item distributions. Each walk is whole-array code over a chunk, and every
-table it reads is built once per ``simulate`` call: the order walk's ranks, and
-EF's steps grouped by item, each item's followed by a NEVER that its attempts
-past the last scheduled one read, so a chunk only draws, gathers and runs
-in-place ufuncs.
+per-item distributions. Each chunk is whole-array code, and every table it
+reads is built once per ``simulate`` call, before any chunk runs: the target
+table, the order walk's ranks, and EF's steps grouped by item, each item's
+followed by a NEVER that its attempts past the last scheduled one read, so a
+chunk only draws, gathers and runs in-place ufuncs.
 
 Determinism contract: a run is fully determined by (population, config).
 Replications are processed in fixed-size chunks of 4096, and chunk c draws
 from its own generator seeded by SeedSequence(seed, spawn_key=(c,)), so the
 result is bit-identical no matter how chunks are scheduled across workers.
-Targets are drawn by inverting the cumulative priors through a guide table
-whose buckets carry their first index and whether a cut point falls inside,
-which picks the same index as a full binary search bit for bit. Detected
-steps are counted and merged once per 16 chunks, in chunk order, so memory
-stays bounded by 16 x 4096 steps whatever the replication count. A window
-whose largest step is at most 4 times its detected steps is counted with
-np.bincount, any other by a sort; both give the same counts in ascending
+Targets are drawn by inverting the cumulative priors through the target
+table, a guide table whose buckets carry their first index and whether a cut
+point falls inside, which picks the same index as a full binary search bit for
+bit. Detected steps are counted and merged once per 16 chunks, in chunk order,
+so memory stays bounded by 16 x 4096 steps whatever the replication count. A
+window whose largest step is at most 4 times its detected steps is counted
+with np.bincount, any other by a sort; both give the same counts in ascending
 order.
 
 The exponential race (IKL, OP) draws one uniform per item and replication,
@@ -133,7 +133,24 @@ class EmpiricalResult:
         return np.cumsum(dense)[1:] / self.detected
 
 
-def _draw_targets(pop: Population, rng: np.random.Generator, m: int) -> np.ndarray:
+def _target_table(pop: Population) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cum, first, split) for ``_draw_targets``, built once per ``simulate`` call.
+
+    cum holds the cumulative priors. A guide table over them (Chen & Asau 1974;
+    Devroye 1986, III.2.4) splits [0, 1) into K buckets, K a power of two, at
+    least 16 N and at most 2**16. first[b] is the index u = b / K draws, at
+    most N - 1, and split[b] whether a cut point falls inside bucket b, so
+    that the index of a u in the bucket is not settled by the bucket.
+    """
+    cum = np.cumsum(pop.p)
+    k = min(1 << (16 * pop.n - 1).bit_length(), 1 << 16)
+    guide = np.searchsorted(cum, np.arange(k + 1) / k, side="right")
+    return cum, np.minimum(guide[:-1], pop.n - 1), guide[1:] != guide[:-1]
+
+
+def _draw_targets(
+    table: tuple[np.ndarray, np.ndarray, np.ndarray], rng: np.random.Generator, m: int
+) -> np.ndarray:
     """0-based indices of m hidden targets, index i drawn with probability p[i].
 
     Consumes m uniform variates and inverts the cumulative priors, so the
@@ -141,18 +158,18 @@ def _draw_targets(pop: Population, rng: np.random.Generator, m: int) -> np.ndarr
     rounding leaves the last cumulative prior below u, the draw goes to the
     last item.
 
-    The inversion is indexed search (Chen & Asau 1974; Devroye 1986, III.2.4):
-    u's bucket in ``pop.guide_buckets`` gives the index outright unless a cut
-    point falls inside the bucket, and only those draws are searched, so every
+    ``table`` is ``_target_table(pop)``, which ``simulate`` builds before any
+    chunk runs. u's guide bucket gives the index outright unless a cut point
+    falls inside the bucket, and only those draws are searched, so every
     index equals that of a binary search over all the cumulative priors.
     """
+    cum, first, split = table
     u = rng.random(m)
-    first, split = pop.guide_buckets
     # Exact: the bucket count is a power of two and u < 1.
     bucket = (u * first.size).astype(np.intp)
     out = first[bucket]
     hard = np.flatnonzero(split[bucket])
-    out[hard] = np.minimum(np.searchsorted(pop.cumulative_p, u[hard], side="right"), pop.n - 1)
+    out[hard] = np.minimum(np.searchsorted(cum, u[hard], side="right"), cum.size - 1)
     return out
 
 
@@ -267,15 +284,15 @@ def _simulate_chunk(
     model: Model,
     cfg: SimConfig,
     rng: np.random.Generator,
-    m: int,
+    target: np.ndarray,
     walk: Callable[[np.random.Generator, np.ndarray], np.ndarray],
 ) -> tuple[np.ndarray, int, int]:
     """Detected steps for one chunk, then its undetected and capped counts.
 
-    The chunk draws the target uniforms, then the walk's own draws, then a
-    defective model's recognition coins.
+    The chunk has drawn its targets from ``rng``; it then makes the walk's own
+    draws, then a defective model's recognition coins.
     """
-    target = _draw_targets(pop, rng, m)
+    m = target.size
     steps = walk(rng, target)
     reached = steps <= cfg.max_steps
     n_reached = int(np.count_nonzero(reached))
@@ -307,6 +324,7 @@ def simulate(pop: Population, cfg: SimConfig, sched: Schedule | None = None) -> 
         raise ValueError(f"weights size {cfg.q.n} != population size {pop.n}")
     model = MODELS[cfg.model]
     walk = _walk(pop, model, cfg, walk_schedule(pop, cfg) if sched is None else sched)
+    table = _target_table(pop)
     counts: dict[int, int] = {}
     undetected = capped = 0
     seed = int(cfg.seed) % (1 << 64)
@@ -314,7 +332,8 @@ def simulate(pop: Population, cfg: SimConfig, sched: Schedule | None = None) -> 
 
     def chunk(c: int) -> tuple[np.ndarray, int, int]:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(c,)))
-        return _simulate_chunk(pop, model, cfg, rng, min(CHUNK, cfg.reps - c * CHUNK), walk)
+        target = _draw_targets(table, rng, min(CHUNK, cfg.reps - c * CHUNK))
+        return _simulate_chunk(pop, model, cfg, rng, target, walk)
 
     threaded = model.walk == "race" and CHUNK * pop.n >= _THREAD_MIN_KEYS
     workers = min(_usable_cpus(), _MERGE_CHUNKS, n_chunks) if threaded else 1
@@ -326,7 +345,6 @@ def simulate(pop: Population, cfg: SimConfig, sched: Schedule | None = None) -> 
         # Imported here: it pulls in logging, which would add 12 ms to every start-up.
         from concurrent.futures import ThreadPoolExecutor
 
-        pop.cumulative_p, pop.guide_buckets  # cached here, before any worker reads them
         pool = ThreadPoolExecutor(workers)
     try:
         for lo in range(0, n_chunks, _MERGE_CHUNKS):

@@ -102,24 +102,6 @@ def stochastic_compare(
     reaches tol/10 are refused, since the unresolved mass could flip a
     verdict at the tolerance in use. ``tol`` must lie in (0, 1).
     """
-    return _compare_cdfs(dx, dy, dx.cdf_array(), dy.cdf_array(), tol)
-
-
-def _flat_to(cdf: np.ndarray, upto: int) -> np.ndarray:
-    """A cdf extended to 1..upto with its final value (0 for an empty one), as past its horizon."""
-    if cdf.size == upto:
-        return cdf
-    return np.concatenate((cdf, np.full(upto - cdf.size, cdf[-1] if cdf.size else 0.0)))
-
-
-def _compare_cdfs(
-    dx: InspectionDistribution, dy: InspectionDistribution, fx: np.ndarray, fy: np.ndarray, tol: float
-) -> DominanceVerdict:
-    """``stochastic_compare`` given each law's cdf at its own horizon, fx for dx and fy for dy.
-
-    Extending the shorter cdf with its final value gives the same floats as
-    cumulating a zero-padded pmf, since c + 0.0 = c.
-    """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be in (0, 1), got {tol!r}")
     for d, name in ((dx, "X"), (dy, "Y")):
@@ -128,8 +110,8 @@ def _compare_cdfs(
                 f"{name} carries truncation mass {d.atom_at_infinity:.3g} >= tol/10 "
                 f"= {tol / 10.0:.3g}; extend its horizon before comparing"
             )
-    upto = max(fx.size, fy.size)
-    diff = _flat_to(fx, upto) - _flat_to(fy, upto)
+    upto = max(dx.horizon, dy.horizon)
+    diff = dx.cdf_array(upto) - dy.cdf_array(upto)
     x_above = diff > tol  # X reaches detection faster at these m
     y_above = diff < -tol
     any_x = bool(x_above.any())
@@ -218,9 +200,6 @@ def dominance_report(
 ) -> OrderingReport:
     """Build all seven laws, run the 21 comparisons, and check the partial order.
 
-    Each law's cdf is cumulated once, at its own horizon, and shared by its
-    six comparisons.
-
     The democratic models share the single weight vector ``q`` (uniform when
     omitted); see the module docstring for why.
     """
@@ -232,11 +211,10 @@ def dominance_report(
         m.label: dist_ef(ef_schedule(pop, eps=EF_EPS)) if m.walk == "schedule" else m.law(pop, q)
         for m in MODELS.values()
     }
-    cdfs = {label: law.cdf_array() for label, law in laws.items()}
     verdicts: dict[tuple[str, str], DominanceVerdict] = {}
     for i, a in enumerate(MODEL_LABELS):
         for b in MODEL_LABELS[i + 1 :]:
-            verdicts[(a, b)] = _compare_cdfs(laws[a], laws[b], cdfs[a], cdfs[b], tol)
+            verdicts[(a, b)] = stochastic_compare(laws[a], laws[b], tol)
     expected = expected_relations(pop)
     mismatches: list[str] = []
     for pair, exp in expected.items():

@@ -119,46 +119,6 @@ class Population:
         return int(self.p.size)
 
     @property
-    def cumulative_p(self) -> np.ndarray:
-        """Cumulative priors (cached), for inverse-cdf target sampling."""
-        cached = getattr(self, "_cum_p", None)
-        if cached is None:
-            cached = np.cumsum(self.p)
-            cached.setflags(write=False)
-            object.__setattr__(self, "_cum_p", cached)
-        return cached
-
-    @property
-    def cumulative_guide(self) -> np.ndarray:
-        """Guide table (cached) over ``cumulative_p``, with K = size - 1 buckets.
-
-        K is a power of two, at least 16 N and at most 2**16, and entry b is
-        ``searchsorted(cumulative_p, b / K, "right")``. A uniform u in bucket
-        b = floor(u K) therefore inverts to an index in [guide[b], guide[b + 1]].
-        """
-        cached = getattr(self, "_guide", None)
-        if cached is None:
-            k = min(1 << (16 * self.n - 1).bit_length(), 1 << 16)
-            cached = np.searchsorted(self.cumulative_p, np.arange(k + 1) / k, side="right")
-            cached.setflags(write=False)
-            object.__setattr__(self, "_guide", cached)
-        return cached
-
-    @property
-    def guide_buckets(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per bucket of ``cumulative_guide`` (cached): its first index, at most N - 1, and
-        whether a cut point falls inside it, so that the index is not settled by the bucket.
-        """
-        cached = getattr(self, "_buckets", None)
-        if cached is None:
-            guide = self.cumulative_guide
-            cached = (np.minimum(guide[:-1], self.n - 1), guide[1:] != guide[:-1])
-            for arr in cached:
-                arr.setflags(write=False)
-            object.__setattr__(self, "_buckets", cached)
-        return cached
-
-    @property
     def detect_prob(self) -> float:
         """Probability the target is ever found under one-shot-per-item models."""
         return math.fsum((self.s * self.p).tolist())
@@ -327,7 +287,7 @@ def _read_columns(
     ``id`` comes back as stripped strings and every other column as floats;
     an optional column missing from the header is left out.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         header = [f.strip() for f in reader.fieldnames or ()]
         if not set(required) <= set(header):
@@ -358,7 +318,7 @@ def load_population_csv(path: str | Path) -> PopulationFile:
 
 def load_population_json(path: str | Path) -> PopulationFile:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise PopulationError(f"{path}: malformed JSON ({exc})") from exc

@@ -367,19 +367,22 @@ def geometric_mixture_pmf_powers(
 def simulate_per_chunk(pop: Population, cfg: SimConfig) -> tuple[dict[int, int], int, int]:
     """Detection-step counts, undetected and capped of montecarlo.simulate, merged chunk by chunk.
 
-    Runs the same chunks on the same seed-derived streams, but counts each
+    Runs the same chunks on the same seed-derived streams, each drawing its
+    targets by a binary search over all the cumulative priors, but counts each
     chunk's detected steps with its own np.unique and merges them into the
     counts before the next chunk runs.
     """
     model = MODELS[cfg.model]
     walk = _walk(pop, model, cfg, walk_schedule(pop, cfg))
+    cum = np.cumsum(pop.p)
     counts: dict[int, int] = {}
     undetected = capped = 0
     seed = int(cfg.seed) % (1 << 64)
     for c in range(-(-cfg.reps // CHUNK)):
         size = min(CHUNK, cfg.reps - c * CHUNK)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(c,)))
-        steps, missed, cut = _simulate_chunk(pop, model, cfg, rng, size, walk)
+        target = np.minimum(np.searchsorted(cum, rng.random(size), side="right"), pop.n - 1)
+        steps, missed, cut = _simulate_chunk(pop, model, cfg, rng, target, walk)
         undetected += missed
         capped += cut
         values, reps_at = np.unique(steps, return_counts=True)
@@ -423,13 +426,14 @@ def simulate_literal(
         sched = walk_schedule(pop, cfg) if sched is None else sched
         for step, item in enumerate(sched.steps.tolist(), start=1):
             item_steps[item].append(step)
+    cum = np.cumsum(pop.p)
     counts: dict[int, int] = {}
     undetected = capped = 0
     seed = int(cfg.seed) % (1 << 64)
     for c in range(-(-cfg.reps // CHUNK)):
         size = min(CHUNK, cfg.reps - c * CHUNK)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(c,)))
-        target = np.minimum(np.searchsorted(pop.cumulative_p, rng.random(size), side="right"), n - 1)
+        target = np.minimum(np.searchsorted(cum, rng.random(size), side="right"), n - 1)
         if model.walk == "race":
             drawn = race_steps_literal(rng, cfg.q.q, target)
         elif model.walk == "geometric":

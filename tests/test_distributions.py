@@ -76,6 +76,26 @@ class TestInspectionDistribution:
         assert d.cdf_array(1).tolist() == [0.25]
         assert d.cdf_array(0).tolist() == []
 
+    @given(
+        pmf=st.lists(st.floats(0.0, 1.0), max_size=40).map(np.asarray),
+        offset=st.integers(-45, 45),
+    )
+    def test_cdf_is_the_cumsum_and_cdf_array_the_zero_padded_one(self, pmf, offset):
+        total = math.fsum(pmf.tolist())
+        if total == 0.0:
+            pmf = np.zeros(0)  # an empty pmf with all its mass at infinity
+        else:
+            pmf = pmf / total
+        d = InspectionDistribution(pmf, atom_at_infinity=1.0 - math.fsum(pmf.tolist()))
+        assert np.cumsum(pmf).tobytes() == d.cdf.tobytes()
+        assert not d.cdf.flags.writeable
+        for upto in (None, d.horizon, max(d.horizon + offset, 0)):
+            # The reference: cumulate the pmf cut at, or padded with zeros to, upto steps.
+            size = d.horizon if upto is None else upto
+            dense = np.zeros(size)
+            dense[: d.horizon] = d.pmf[:size]
+            assert d.cdf_array(upto).tobytes() == np.cumsum(dense).tobytes()
+
     def test_cdf_monotone_and_capped(self, rng):
         pop = random_population(rng, 5, s_lo=0.4)
         d = dist_gh(pop)

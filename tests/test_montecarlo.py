@@ -31,7 +31,14 @@ from priorsearch import (
     validate_population,
 )
 from priorsearch.models import LABELS, MODELS
-from priorsearch.montecarlo import CHUNK, _draw_targets, _race_buffers, _race_steps, write_empirical_csv
+from priorsearch.montecarlo import (
+    CHUNK,
+    _draw_targets,
+    _race_buffers,
+    _race_steps,
+    _target_table,
+    write_empirical_csv,
+)
 
 from conftest import random_population, random_simplex
 from oracle import ikl_mean_pairwise, race_steps_literal, simulate_literal, simulate_per_chunk
@@ -78,19 +85,19 @@ class FixedU:
 class TestSampleTargetIndex:
     def test_single_item(self, rng):
         pop = validate_population([1.0])
-        assert _draw_targets(pop, rng, 5).tolist() == [0] * 5
+        assert _draw_targets(_target_table(pop), rng, 5).tolist() == [0] * 5
 
     def test_inverse_cdf_boundaries(self):
-        pop = validate_population([0.5, 0.3, 0.2])
-        assert _draw_targets(pop, FixedU(0.3), 1).tolist() == [0]
-        assert _draw_targets(pop, FixedU(0.6), 1).tolist() == [1]
-        assert _draw_targets(pop, FixedU(0.95), 1).tolist() == [2]
+        table = _target_table(validate_population([0.5, 0.3, 0.2]))
+        assert _draw_targets(table, FixedU(0.3), 1).tolist() == [0]
+        assert _draw_targets(table, FixedU(0.6), 1).tolist() == [1]
+        assert _draw_targets(table, FixedU(0.95), 1).tolist() == [2]
 
     def test_largest_uniform_below_rounded_total_picks_last_item(self):
-        pop = validate_population(np.full(10, 0.1))
+        table = _target_table(validate_population(np.full(10, 0.1)))
         u = 1.0 - 2.0**-53
-        assert pop.cumulative_p[-1] <= u
-        assert _draw_targets(pop, FixedU(u), 1).tolist() == [9]
+        assert table[0][-1] <= u
+        assert _draw_targets(table, FixedU(u), 1).tolist() == [9]
 
     @given(
         kind=st.sampled_from(["dirichlet", "span", "crowd"]),
@@ -106,22 +113,22 @@ class TestSampleTargetIndex:
         else:
             # Tiny priors between two large ones put many cut points in one bucket.
             p = np.concatenate([[1.0], g.uniform(1e-12, 1e-9, max(n - 2, 0)), [1.0]])[:n]
-        pop = validate_population(p / math.fsum(p.tolist()))
-        cum = pop.cumulative_p
-        k = pop.cumulative_guide.size - 1
+        table = _target_table(validate_population(p / math.fsum(p.tolist())))
+        cum, first, _ = table
+        k = first.size
         assert k == min(2 ** math.ceil(math.log2(16 * n)), 2**16)
         # Every bucket edge, every cut point and its neighbours, and both ends.
         u = np.concatenate([[0.0, 1.0 - 2.0**-53], np.arange(k) / k,
                             cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0)])
         u = u[(u >= 0.0) & (u < 1.0)]
         want = np.minimum(np.searchsorted(cum, u, side="right"), n - 1)
-        assert np.array_equal(_draw_targets(pop, FixedU(u), u.size), want)
+        assert np.array_equal(_draw_targets(table, FixedU(u), u.size), want)
 
     def test_frequencies_within_binomial_bound(self):
         # 4 sigma two-sided bound for a fair coin.
         pop = validate_population([0.5, 0.5])
         draws = 10**6
-        ones = int(np.count_nonzero(_draw_targets(pop, np.random.default_rng(42), draws) == 0))
+        ones = int(np.count_nonzero(_draw_targets(_target_table(pop), np.random.default_rng(42), draws) == 0))
         sigma = math.sqrt(0.25 / draws)
         assert abs(ones / draws - 0.5) <= 4 * sigma
 
@@ -227,7 +234,7 @@ class TestWalkOracle:
     @pytest.mark.parametrize("model", LABELS)
     def test_simulate_equals_the_literal_walks(self, model, max_steps):
         pop, q = crowded_population()
-        assert np.diff(pop.cumulative_guide).max() >= 2  # some guide bucket holds several cut points
+        assert np.diff(_target_table(pop)[1]).max() >= 2  # some guide bucket holds several cut points
         cfg = SimConfig(model=model, reps=17 * CHUNK + 5, seed=37, max_steps=max_steps,
                         q=q if MODELS[model].takes_q else None)
         want = simulate_literal(pop, cfg)

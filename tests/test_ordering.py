@@ -18,7 +18,7 @@ from priorsearch import (
     uniform_weights,
     validate_population,
 )
-from priorsearch import models
+from priorsearch import models, ordering
 from priorsearch.distributions import InspectionDistribution
 from priorsearch.ordering import (
     EXPECTED_SMALLER,
@@ -217,6 +217,19 @@ class TestDominanceReport:
         assert len({law.horizon for law in laws.values()}) > 1
         for (a, b), verdict in report.verdicts.items():
             assert verdict == stochastic_compare(laws[a], laws[b])
+
+    def test_every_pair_goes_through_stochastic_compare(self, rng, monkeypatch):
+        pairs = []
+
+        def counted(dx, dy, tol):
+            pairs.append((dx, dy))
+            return stochastic_compare(dx, dy, tol)
+
+        monkeypatch.setattr(ordering, "stochastic_compare", counted)
+        report = dominance_report(random_population(rng, 6, s_lo=0.3))
+        assert len(pairs) == len(report.verdicts) == 21
+        laws = report.distributions
+        assert pairs == [(laws[a], laws[b]) for a, b in report.verdicts]
 
     def test_race_laws_come_from_the_model_table(self, rng, monkeypatch):
         pop = random_population(rng, 6, s_lo=0.3)

@@ -1,3 +1,4 @@
+import codecs
 import json
 import math
 import re
@@ -19,8 +20,11 @@ from priorsearch import (
     validate_population,
 )
 from priorsearch.population import (
+    PopulationFile,
     load_likelihoods_csv,
     load_population,
+    load_population_csv,
+    load_population_json,
     load_weights_csv,
     save_population_csv,
 )
@@ -249,6 +253,33 @@ class TestFiles:
         path.write_text("id,likelihood\na,0.1\n")
         with pytest.raises(PopulationError, match="missing likelihoods"):
             load_likelihoods_csv(path, pop)
+
+    @pytest.mark.parametrize(
+        "load, text",
+        [
+            (load_population_csv, "id,p,s,lambda\na,0.6,1,0.3\nb,0.4,0.5,0.7\n"),
+            (load_population_json, '{"id": ["a", "b"], "p": [0.6, 0.4], "s": [1, 0.5], "lambda": [0.3, 0.7]}'),
+            (lambda path: load_weights_csv(path, validate_population([0.5, 0.5], ids=["a", "b"])),
+             "id,q\nb,0.75\na,0.25\n"),
+            (lambda path: load_likelihoods_csv(path, validate_population([0.5, 0.5], ids=["a", "b"])),
+             "id,likelihood\nb,0.2\na,0.1\n"),
+        ],
+        ids=["population_csv", "population_json", "weights_csv", "likelihoods_csv"],
+    )
+    def test_byte_order_mark_is_accepted(self, tmp_path, load, text):
+        # Excel's "CSV UTF-8" starts the file with a UTF-8 byte-order mark.
+        def arrays_and_ids(loaded):
+            if isinstance(loaded, PopulationFile):
+                return [loaded.population.p, loaded.population.s, loaded.lam], loaded.population.ids
+            return [getattr(loaded, "q", loaded)], None
+
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.write_text(text)
+        marked.write_bytes(codecs.BOM_UTF8 + text.encode())
+        want, want_ids = arrays_and_ids(load(plain))
+        got, got_ids = arrays_and_ids(load(marked))
+        assert got_ids == want_ids
+        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
 
     @pytest.mark.parametrize("text", MALFORMED_JSON.values(), ids=MALFORMED_JSON)
     def test_malformed_json_names_the_file(self, tmp_path, text):
