@@ -85,6 +85,8 @@ def _resolve_q(
     q_file: str | None,
 ) -> tuple[InspectionWeights | None, str]:
     """Pick inspection weights for the model, honoring the q flags."""
+    if q_source and q_file:
+        raise ValueError("--q-file cannot be combined with --optimal-q or --uniform-q")
     if not model.takes_q:
         if q_source or q_file:
             raise ValueError(f"model {model.label} does not take inspection weights")
@@ -231,8 +233,8 @@ def simulate_cmd(model, input_path, reps, seed, max_steps, alpha, q_source, q_fi
 def order(input_path, tol, q_source, q_file, out):
     """Pairwise dominance report; exit 3 if any expected relation fails."""
     pop = load_population(input_path).population
-    # One q for all four democratic models: uniform unless asked for MN's optimum.
-    q, q_desc = _resolve_q(MODELS["MN"], pop, q_source or "uniform", q_file)
+    # One q for all four democratic models: uniform unless given a file or asked for MN's optimum.
+    q, q_desc = _resolve_q(MODELS["MN"], pop, q_source or (None if q_file else "uniform"), q_file)
     report = dominance_report(pop, q=q, tol=tol)
     for (a, b), verdict in report.verdicts.items():
         exp = report.expected[(a, b)]

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .population import InspectionWeights, Population
+from .population import InspectionWeights, Population, check_weights
 from .strategies import Schedule, descending_order
 
 MASS_BALANCE_TOL = 1e-9
@@ -158,15 +158,13 @@ def _geometric_mixture_dist(
 
 def dist_j(pop: Population, q: InspectionWeights, horizon: int | None = None) -> InspectionDistribution:
     """Replacement sampling, perfect recognition: P(T <= m) = 1 - sum_k p_k (1-q_k)^m."""
-    if pop.n != q.n:
-        raise ValueError(f"population size {pop.n} != weights size {q.n}")
+    check_weights(pop, q)
     return _geometric_mixture_dist(pop, q.q, horizon)
 
 
 def dist_mn(pop: Population, q: InspectionWeights, horizon: int | None = None) -> InspectionDistribution:
     """Replacement sampling, imperfect recognition: success rate s_k q_k per step."""
-    if pop.n != q.n:
-        raise ValueError(f"population size {pop.n} != weights size {q.n}")
+    check_weights(pop, q)
     return _geometric_mixture_dist(pop, pop.s * q.q, horizon)
 
 
@@ -218,15 +216,13 @@ def _race_pmf(q: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def dist_ikl_exact(pop: Population, q: InspectionWeights) -> InspectionDistribution:
     """Exact law of the without-replacement democratic model at weights q, from the race integral."""
-    if pop.n != q.n:
-        raise ValueError(f"population size {pop.n} != weights size {q.n}")
+    check_weights(pop, q)
     return InspectionDistribution(_race_pmf(q.q, pop.p), atom_at_infinity=0.0)
 
 
 def dist_op_exact(pop: Population, q: InspectionWeights) -> InspectionDistribution:
     """Exact process law of model OP at weights q: the race integral at w = s p, with atom sum_i (1-s_i) p_i."""
-    if pop.n != q.n:
-        raise ValueError(f"population size {pop.n} != weights size {q.n}")
+    check_weights(pop, q)
     atom = math.fsum(((1.0 - pop.s) * pop.p).tolist())
     return InspectionDistribution(_race_pmf(q.q, pop.s * pop.p), atom)
 

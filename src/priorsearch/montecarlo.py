@@ -50,7 +50,7 @@ import numpy as np
 
 from .distributions import InspectionDistribution
 from .models import LABELS, MODELS, Model
-from .population import InspectionWeights, Population
+from .population import InspectionWeights, Population, check_weights
 from .strategies import Schedule, descending_order, ef_schedule
 
 CHUNK = 4096
@@ -320,8 +320,8 @@ def simulate(pop: Population, cfg: SimConfig, sched: Schedule | None = None) -> 
 
     A caller that has built that schedule passes it as ``sched``.
     """
-    if cfg.q is not None and cfg.q.n != pop.n:
-        raise ValueError(f"weights size {cfg.q.n} != population size {pop.n}")
+    if cfg.q is not None:
+        check_weights(pop, cfg.q)
     model = MODELS[cfg.model]
     walk = _walk(pop, model, cfg, walk_schedule(pop, cfg) if sched is None else sched)
     table = _target_table(pop)

@@ -30,7 +30,7 @@ import numpy as np
 from .distributions import InspectionDistribution, dist_ef
 from .models import LABELS as MODEL_LABELS
 from .models import MODELS
-from .population import InspectionWeights, Population, uniform_weights
+from .population import InspectionWeights, Population, check_weights, uniform_weights
 from .strategies import ef_schedule
 
 DEFAULT_COMPARE_TOL = 1e-9
@@ -205,8 +205,7 @@ def dominance_report(
     """
     if q is None:
         q = uniform_weights(pop.n)
-    if q.n != pop.n:
-        raise ValueError(f"weights size {q.n} != population size {pop.n}")
+    check_weights(pop, q)
     laws = {
         m.label: dist_ef(ef_schedule(pop, eps=EF_EPS)) if m.walk == "schedule" else m.law(pop, q)
         for m in MODELS.values()

@@ -32,8 +32,6 @@ import numpy as np
 # Inputs whose probability vector deviates from 1 by more than this are
 # rejected outright; smaller deviations are renormalized exactly.
 SUM_PRETOLERANCE = 1e-6
-# Post-construction invariant tolerance for normalized vectors.
-SUM_TOLERANCE = 1e-9
 # Smallest normalized inspection weight. Down to it the race keys E / q_i stay finite
 # for every standard exponential draw numpy makes (E < 45); a sub-normal q_i made
 # them overflow to inf and tie, which skewed the simulated and the exact race laws.
@@ -80,10 +78,15 @@ def _normalized(raw: Sequence[float], what: str) -> np.ndarray:
     return arr
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
-    out.setflags(write=False)
-    return out
+def _probabilities(raw: Sequence[float], what: str, n: int) -> np.ndarray:
+    """A read-only copy of ``raw``, n probabilities each in (0, 1]."""
+    arr = np.array(raw, dtype=float)
+    if arr.shape != (n,):
+        raise PopulationError(f"{what} has length {arr.size}, expected {n}")
+    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr > 1.0):
+        raise PopulationError(f"every {what}_i must lie in (0, 1]")
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,18 +103,14 @@ class Population:
 
     def __post_init__(self):
         p = _normalized(self.p, "p")
-        s = np.asarray(self.s, dtype=float)
-        if s.shape != p.shape:
-            raise PopulationError(f"s has length {s.size}, expected {p.size}")
-        if not np.all(np.isfinite(s)) or np.any(s <= 0.0) or np.any(s > 1.0):
-            raise PopulationError("every s_i must lie in (0, 1]")
+        s = _probabilities(self.s, "s", p.size)
         ids = tuple(str(i) for i in self.ids)
         if len(ids) != p.size:
             raise PopulationError(f"ids has length {len(ids)}, expected {p.size}")
         if len(set(ids)) != len(ids):
             raise PopulationError("item ids must be unique")
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "s", _frozen(s))
+        object.__setattr__(self, "s", s)
         object.__setattr__(self, "ids", ids)
 
     @property
@@ -151,13 +150,8 @@ class ProfileDecomposition:
 
     def __post_init__(self):
         lam = _normalized(self.lam, "lambda")
-        pi = np.asarray(self.pi, dtype=float)
-        if pi.shape != lam.shape:
-            raise PopulationError(f"pi has length {pi.size}, expected {lam.size}")
-        if not np.all(np.isfinite(pi)) or np.any(pi <= 0.0) or np.any(pi > 1.0):
-            raise PopulationError("every pi_i must lie in (0, 1]")
+        object.__setattr__(self, "pi", _probabilities(self.pi, "pi", lam.size))
         object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "pi", _frozen(pi))
 
     @property
     def n(self) -> int:
@@ -169,27 +163,22 @@ def validate_population(
     s: Sequence[float] | None = None,
     ids: Sequence[str] | None = None,
 ) -> Population:
-    """Build a Population from raw vectors.
+    """Build a Population from raw vectors, validated by ``Population``.
 
     ``p`` is renormalized exactly when it sums to 1 within 1e-6 and rejected
     otherwise; ``s`` defaults to all ones (perfect recognition); ``ids``
     default to "1".."N".
     """
-    p_arr = np.asarray(p, dtype=float)
-    if p_arr.ndim != 1 or p_arr.size == 0:
-        raise PopulationError("p must be a non-empty vector")
-    n = p_arr.size
-    if s is None:
-        s_arr = np.ones(n)
-    else:
-        s_arr = np.asarray(s, dtype=float)
-        if s_arr.size != n:
-            raise PopulationError(f"p has length {n} but s has length {s_arr.size}")
-    if ids is None:
-        ids_t = tuple(str(i) for i in range(1, n + 1))
-    else:
-        ids_t = tuple(str(i) for i in ids)
-    return Population(p=p_arr, s=s_arr, ids=ids_t)
+    p = np.asarray(p, dtype=float)
+    s = np.ones(p.size) if s is None else s
+    ids = range(1, p.size + 1) if ids is None else ids
+    return Population(p=p, s=s, ids=ids)
+
+
+def check_weights(pop: Population, q: InspectionWeights) -> None:
+    """Raise ValueError unless ``q`` holds one weight per item of ``pop``."""
+    if q.n != pop.n:
+        raise ValueError(f"weights size {q.n} != population size {pop.n}")
 
 
 def uniform_weights(n: int) -> InspectionWeights:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .population import InspectionWeights, Population
+from .population import InspectionWeights, Population, check_weights
 
 DEFAULT_EF_EPS = 1e-12
 DEFAULT_EF_MAX_STEPS = 10**6
@@ -212,8 +212,7 @@ def ikl_mean_exact(pop: Population, q: InspectionWeights) -> float:
     The inner sums are taken in blocks of ``_PAIR_ROWS`` rows, so memory stays
     at _PAIR_ROWS x N floats; each row is summed exactly as in one N x N array.
     """
-    if pop.n != q.n:
-        raise ValueError(f"population size {pop.n} != weights size {q.n}")
+    check_weights(pop, q)
     row_sums = np.empty(q.n)
     block = np.empty((min(_PAIR_ROWS, q.n), q.n))
     for lo in range(0, q.n, _PAIR_ROWS):
@@ -290,8 +289,7 @@ def j_mean(pop: Population, q: InspectionWeights) -> float:
     At j_optimal_q this equals (sum_i sqrt(p_i))^2, the Cauchy-Schwarz lower
     bound over all weight choices.
     """
-    if pop.n != q.n:
-        raise ValueError(f"population size {pop.n} != weights size {q.n}")
+    check_weights(pop, q)
     return math.fsum((pop.p / q.q).tolist())
 
 
@@ -306,7 +304,6 @@ def mn_mean(pop: Population, q: InspectionWeights) -> float:
 
     At mn_optimal_q this equals (sum_i sqrt(p_i / s_i))^2.
     """
-    if pop.n != q.n:
-        raise ValueError(f"population size {pop.n} != weights size {q.n}")
+    check_weights(pop, q)
     return math.fsum((pop.p / (q.q * pop.s)).tolist())
 

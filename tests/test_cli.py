@@ -571,6 +571,19 @@ class TestWeightsFile:
             f"error: {q_path}: q for item b is 1e-320, below 2**-1000 (about 9.3e-302) once normalized\n"
         )
 
+    # decompose is left out: its --q-file overrides --target by design.
+    @pytest.mark.parametrize("command", [c for c in WEIGHTS_COMMANDS if c != "decompose"])
+    @pytest.mark.parametrize("flag", ["--optimal-q", "--uniform-q"])
+    def test_weights_file_with_a_weight_flag_exits_2(self, runner, pop_csv, tmp_path, command, flag):
+        q_path = tmp_path / "q.csv"
+        q_path.write_text("id,q\na,0.5\nb,0.3\nc,0.2\n")
+        result = runner.invoke(
+            main, [*WEIGHTS_COMMANDS[command], "--input", pop_csv, "--q-file", str(q_path), flag]
+        )
+        assert result.exit_code == 2, result.output
+        assert result.stderr == "error: --q-file cannot be combined with --optimal-q or --uniform-q\n"
+        assert result.stdout == ""
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_weights_at_the_floor_keep_the_race_exact(self, runner, tmp_path):
         pop_path, q_path = tmp_path / "pop.csv", tmp_path / "q.csv"

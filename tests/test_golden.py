@@ -40,6 +40,11 @@ INPUTS = {
                                         for k in range(1, 101)),
     "pop11_csv": "id,p\n" + "".join(f"i{k},{1.0 / 11!r}\n" for k in range(1, 12)),
     "q_short_csv": "id,q\na,0.5\nb,0.5\n",
+    # Unequal weights, so the IKL and OP laws come from the race quadrature, not the equal-weight form.
+    "q3_csv": "id,q\na,0.6\nb,0.3\nc,0.1\n",
+    # Spread down to 1e-300, about a hundred times the 2**-1000 floor.
+    "q_spread_csv": "id,q\na,1\nb,1e-150\nc,1e-300\n",
+    "q10_csv": "id,q\na,0.05\nb,0.2\nc,0.15\nd,0.1\ne,0.02\nf,0.08\ng,0.12\nh,0.18\ni,0.04\nj,0.06\n",
     "likelihood_csv": "id,likelihood\na,0.2\nb,0.5\nc,0.9\n",
     "bad_likelihood_csv": "id,likelihood\na,0.2\nb,abc\nc,0.9\n",
 }
@@ -101,6 +106,16 @@ CASES = {
     "simulate-OP-N11": ["simulate", "--model", "OP", "--input", "pop11_csv", "--uniform-q",
                         "--reps", "100", "--seed", "1", "--check-exact", *OUT],
     "order-N11": ["order", "--input", "pop11_csv", *OUT],
+    # IKL and OP at unequal weights, through the race quadrature.
+    "evaluate-IKL-pop_csv-q3": ["evaluate", "--model", "IKL", "--input", "pop_csv", "--q-file", "q3_csv", *OUT],
+    "evaluate-OP-pop_csv-q_spread": ["evaluate", "--model", "OP", "--input", "pop_csv",
+                                     "--q-file", "q_spread_csv", *OUT],
+    "order-pop_csv-q3": ["order", "--input", "pop_csv", "--q-file", "q3_csv", *OUT],
+    **{
+        f"simulate-{model}-ten_csv-q10": ["simulate", "--model", model, "--input", "ten_csv", "--q-file", "q10_csv",
+                                          "--reps", "10000", "--seed", "17", "--check-exact", *OUT]
+        for model in UNIFORM_Q
+    },
     # Error cases.
     "error-profile-bayes-bad-likelihood": ["profile", "bayes", "--input", "pop_csv",
                                            "--likelihood", "bad_likelihood_csv", *OUT],

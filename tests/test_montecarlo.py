@@ -359,6 +359,16 @@ class TestRace:
         finally:
             sys.setswitchinterval(interval)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_callers_errstate_reaches_every_chunk(self, workers, monkeypatch):
+        # exp(-q t) underflows for q spread over 1..1e-6; each worker thread runs its chunk
+        # in a copy of the caller's context, so the caller's np.errstate holds there too.
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
+        w = np.geomspace(1.0, 1e-6, 100)
+        cfg = SimConfig(model="IKL", reps=3 * CHUNK, seed=1, q=InspectionWeights(w / math.fsum(w.tolist())))
+        with np.errstate(under="raise"), pytest.raises(FloatingPointError):
+            simulate(zipf_population(100), cfg)
+
     def test_threads_only_for_races_of_64_items_or_more(self, thread_starts):
         reps = 2 * CHUNK + 1
         for model in LABELS:

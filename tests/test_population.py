@@ -14,7 +14,17 @@ from priorsearch import (
     InspectionWeights,
     PopulationError,
     ProfileDecomposition,
+    SimConfig,
     bayes_update,
+    dist_ikl_exact,
+    dist_j,
+    dist_mn,
+    dist_op_exact,
+    dominance_report,
+    ikl_mean_exact,
+    j_mean,
+    mn_mean,
+    simulate,
     solve_conditional_inspection,
     uniform_weights,
     validate_population,
@@ -88,6 +98,27 @@ class TestValidatePopulation:
         pop = validate_population(p)
         assert abs(math.fsum(pop.p.tolist()) - 1.0) <= 1e-9
         assert np.all(pop.p > 0)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        dist_j,
+        dist_mn,
+        dist_ikl_exact,
+        dist_op_exact,
+        ikl_mean_exact,
+        j_mean,
+        mn_mean,
+        lambda pop, q: simulate(pop, SimConfig(model="IKL", reps=1, seed=0, q=q)),
+        lambda pop, q: dominance_report(pop, q=q),
+    ],
+    ids=["dist_j", "dist_mn", "dist_ikl_exact", "dist_op_exact", "ikl_mean_exact", "j_mean", "mn_mean",
+         "simulate", "dominance_report"],
+)
+def test_weights_must_match_the_population_size(entry):
+    with pytest.raises(ValueError, match=r"^weights size 3 != population size 2$"):
+        entry(validate_population([0.5, 0.5]), uniform_weights(3))
 
 
 class TestBayesUpdate:
