@@ -410,28 +410,36 @@ def dkw_band(n: int, alpha: float) -> float:
 def dkw_check(emp: EmpiricalResult, exact: InspectionDistribution, alpha: float = 0.001) -> bool:
     """Whether the empirical law is DKW-consistent with the exact law.
 
-    The exact law's mass beyond ``emp.max_steps`` first moves to its atom, as
-    capped replications are censored. The censored fraction must match that
-    atom within the band for the full replication count; detected steps are
-    then compared through detection-conditioned cdfs with the band for the
-    detected count. With tiny replication counts the bands exceed 1 and the
-    check is vacuously true.
+    Both sides are cut at one step: ``emp.max_steps``, or a truncated law's
+    horizon if that comes first. The exact law's mass beyond the cut moves to
+    its atom, and simulated detections beyond it join the censored count. The
+    censored fraction must match that atom within the band for the full
+    replication count; detected steps are then compared through
+    detection-conditioned cdfs with the band for the detected count. With tiny
+    replication counts the bands exceed 1 and the check is vacuously true.
     """
-    atom = exact.atom_at_infinity + math.fsum(exact.pmf[emp.max_steps :].tolist())
+    cut = min(emp.max_steps, exact.horizon) if exact.truncated else emp.max_steps
+    last, late = max(emp.counts, default=1), 0
+    if last > cut:
+        late, last = sum(c for m, c in emp.counts.items() if m > cut), cut
+    atom = exact.atom_at_infinity + math.fsum(exact.pmf[cut:].tolist())
     reps = emp.reps
     band_all = dkw_band(reps, alpha)
-    emp_atom = emp.censored / reps
+    emp_atom = (emp.censored + late) / reps
     if abs(emp_atom - atom) > band_all:
         return False
-    detected = emp.detected
+    detected = emp.detected - late
     if detected == 0:
         return True
     finite = 1.0 - atom
     if finite <= 0.0:
         return False
     band = dkw_band(detected, alpha)
-    upto = max(min(exact.horizon, emp.max_steps), max(emp.counts, default=1))
-    return float(np.abs(emp.cdf_array(upto) - exact.cdf_array(upto) / finite).max()) <= band
+    upto = max(min(exact.horizon, emp.max_steps), last)
+    emp_cdf = emp.cdf_array(upto)
+    if late:
+        emp_cdf *= emp.detected / detected
+    return float(np.abs(emp_cdf - exact.cdf_array(upto) / finite).max()) <= band
 
 
 def write_empirical_csv(path: str | Path, emp: EmpiricalResult, config_echo: Mapping) -> None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -90,6 +90,18 @@ class DominanceVerdict:
             raise ValueError("witnesses must be present exactly for incomparable verdicts")
 
 
+def _check_comparable(tol: float, laws: Iterable[tuple[str, InspectionDistribution]] = ()) -> None:
+    """Raise unless tol lies in (0, 1), which NaN does not, and no named law has truncation mass >= tol/10."""
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must be in (0, 1), got {tol!r}")
+    for name, d in laws:
+        if d.truncated and d.atom_at_infinity >= tol / 10.0:
+            raise ComparisonTruncationError(
+                f"{name} carries truncation mass {d.atom_at_infinity:.3g} >= tol/10 = {tol / 10.0:.3g}; "
+                f"its law is cut at step {d.horizon}"
+            )
+
+
 def stochastic_compare(
     dx: InspectionDistribution,
     dy: InspectionDistribution,
@@ -102,14 +114,7 @@ def stochastic_compare(
     reaches tol/10 are refused, since the unresolved mass could flip a
     verdict at the tolerance in use. ``tol`` must lie in (0, 1).
     """
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must be in (0, 1), got {tol!r}")
-    for d, name in ((dx, "X"), (dy, "Y")):
-        if d.truncated and d.atom_at_infinity >= tol / 10.0:
-            raise ComparisonTruncationError(
-                f"{name} carries truncation mass {d.atom_at_infinity:.3g} >= tol/10 "
-                f"= {tol / 10.0:.3g}; extend its horizon before comparing"
-            )
+    _check_comparable(tol, (("X", dx), ("Y", dy)))
     upto = max(dx.horizon, dy.horizon)
     diff = dx.cdf_array(upto) - dy.cdf_array(upto)
     x_above = diff > tol  # X reaches detection faster at these m
@@ -201,8 +206,9 @@ def dominance_report(
     """Build all seven laws, run the 21 comparisons, and check the partial order.
 
     The democratic models share the single weight vector ``q`` (uniform when
-    omitted); see the module docstring for why.
+    omitted); see the module docstring for why. ``tol`` is checked first.
     """
+    _check_comparable(tol)
     if q is None:
         q = uniform_weights(pop.n)
     check_weights(pop, q)
@@ -210,6 +216,7 @@ def dominance_report(
         m.label: dist_ef(ef_schedule(pop, eps=EF_EPS)) if m.walk == "schedule" else m.law(pop, q)
         for m in MODELS.values()
     }
+    _check_comparable(tol, laws.items())
     verdicts: dict[tuple[str, str], DominanceVerdict] = {}
     for i, a in enumerate(MODEL_LABELS):
         for b in MODEL_LABELS[i + 1 :]:

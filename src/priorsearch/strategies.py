@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .population import InspectionWeights, Population, check_weights
+from .population import Q_FLOOR, InspectionWeights, Population, check_weights
 
 DEFAULT_EF_EPS = 1e-12
 DEFAULT_EF_MAX_STEPS = 10**6
@@ -100,7 +100,7 @@ def ef_schedule(
         floor *= 2.0
     while True:
         steps, masses, residual_after, exhausted = _merge(pop, count, max_steps)
-        # The running residual restarts from the exact one where that does not confirm it.
+        # The running residual starts again from the exact one where that does not confirm it.
         stop, left = 0, 1.0
         while left >= eps:
             below = np.flatnonzero(np.subtract.accumulate(np.concatenate(([left], masses[stop:]))) < eps)
@@ -223,53 +223,23 @@ def ikl_mean_exact(pop: Population, q: InspectionWeights) -> float:
     return math.fsum([1.0, *(pop.p * row_sums).tolist()])
 
 
-def ikl_search_q(
-    pop: Population, restarts: int = 8, seed: int = 0
-) -> tuple[InspectionWeights, float]:
-    """Heuristic search for good without-replacement sampling weights.
+def ikl_search_q(pop: Population) -> tuple[InspectionWeights, float]:
+    """Without-replacement sampling weights q ∝ p^k at the weight floor, and their exact mean.
 
     The model has no optimal weights: its mean at any q is at least the
     ABCD mean, with equality only when all priors are equal, and tends to it
-    along q ∝ p^k as k → ∞, which does better than this search. It runs a
-    multi-start coordinate search on the simplex: multiplicative single-
-    coordinate perturbations with renormalization and shrinking step sizes,
-    scored by the exact mean. The uniform weights are always one of the
-    starts, so the result is never worse than uniform. It stays only until
-    the benchmark's `weight-search` workload and its tracer entry, which look
-    it up by name, are retired.
+    along q ∝ p^k as k → ∞. Each pair's term (p_i q_j + p_j q_i) / (q_i + q_j)
+    increases with (p_j / p_i)^k, so the mean falls as k grows; k = 0 is
+    uniform weights. This takes the largest k whose smallest weight relative
+    to the largest is N * Q_FLOOR. Those ratios sum to at most N - 1 plus that,
+    so every normalized weight stays at least Q_FLOOR.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    rng = np.random.default_rng(seed)
-    n = pop.n
-    floor = 1e-9
-
-    def evaluate(qv: np.ndarray) -> float:
-        return ikl_mean_exact(pop, InspectionWeights(q=qv))
-
-    def polish(qv: np.ndarray) -> tuple[np.ndarray, float]:
-        best = qv / qv.sum()
-        best_mean = evaluate(best)
-        step = 0.5
-        while step > 1e-4:
-            improved = False
-            for i in range(n):
-                for factor in (1.0 + step, 1.0 / (1.0 + step)):
-                    cand = best.copy()
-                    cand[i] *= factor
-                    cand = np.maximum(cand / cand.sum(), floor)
-                    cand /= cand.sum()
-                    m = evaluate(cand)
-                    if m < best_mean - 1e-15:
-                        best, best_mean = cand, m
-                        improved = True
-            if not improved:
-                step *= 0.5
-        return best, best_mean
-
-    starts = [np.full(n, 1.0 / n), *(rng.dirichlet(np.ones(n)) for _ in range(restarts - 1))]
-    best_q, best_mean = min((polish(start) for start in starts), key=lambda found: found[1])  # first of ties
-    return InspectionWeights(q=best_q), best_mean
+    log_ratio = np.log(pop.p / pop.p.max())
+    spread = -float(log_ratio.min())
+    k = -math.log(pop.n * Q_FLOOR) / spread if spread > 0.0 else 0.0
+    r = np.exp(k * log_ratio)
+    q = InspectionWeights(q=r / math.fsum(r.tolist()))
+    return q, ikl_mean_exact(pop, q)
 
 
 # ---------------------------------------------------------------------------

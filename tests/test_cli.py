@@ -427,6 +427,17 @@ class TestOrder:
         assert result.exit_code == 2
         assert result.stderr == f"error: tol must be in (0, 1), got {float(tol)!r}\n"
 
+    def test_truncated_law_is_refused_by_its_model_and_cut(self, runner, tmp_path):
+        # J's law stops at 10^6 steps with mass .5 (1 - 1e-7)^(10^6) = .452 left, which no option changes.
+        pop_path, q_path = tmp_path / "pop.csv", tmp_path / "q.csv"
+        pop_path.write_text("id,p\na,0.5\nb,0.5\n")
+        q_path.write_text("id,q\na,1e-7\nb,1\n")
+        result = runner.invoke(main, ["order", "--input", str(pop_path), "--q-file", str(q_path)])
+        assert result.exit_code == 2
+        assert result.stderr == (
+            "error: J carries truncation mass 0.452 >= tol/10 = 1e-10; its law is cut at step 1000000\n"
+        )
+
     def test_incomparable_family_reports_witnesses(self, runner, tmp_path):
         pop = equal_mass_population(5)
         pop_path = tmp_path / "fam.csv"

@@ -288,6 +288,20 @@ class TestCensoring:
         # The law the cut replications are compared with is J's, not ABCD's.
         assert not dkw_check(emp, dist_abcd(pop), alpha=0.001)
 
+    def test_dkw_check_cuts_both_laws_at_a_truncated_horizon(self):
+        # J's law stops at HORIZON_CAP = 10^6 steps with tail .5 (1 - 1e-7)^(10^6) = .452, while the
+        # simulation runs to 10^7 steps; detections between the two count as censored on both sides.
+        pop = validate_population([0.5, 0.5])
+        q = InspectionWeights(q=np.array([1e-7, 1.0]))
+        exact = dist_j(pop, q)
+        assert exact.truncated and exact.horizon == 10**6 and exact.atom_at_infinity > 0.45
+        for seed in range(1, 7):
+            emp = simulate(pop, SimConfig(model="J", reps=5000, seed=seed, q=q))
+            assert max(emp.counts) > exact.horizon
+            assert dkw_check(emp, exact, alpha=0.001), seed
+        # Twice the small weight leaves a tail of .5 exp(-.2) = .409, far outside the band of .028.
+        assert not dkw_check(emp, dist_j(pop, InspectionWeights(q=np.array([2e-7, 1.0]))), alpha=0.001)
+
 
 def zipf_population(n: int):
     p = 1.0 / np.arange(1, n + 1)

@@ -208,6 +208,15 @@ class TestDominanceReport:
         with pytest.raises(ValueError, match="size"):
             dominance_report(pop, q=uniform_weights(3))
 
+    @pytest.mark.parametrize("tol", [2.0, float("nan")])
+    def test_tolerance_is_checked_before_any_law_is_built(self, monkeypatch, tol):
+        def unbuilt(*args):
+            raise AssertionError("a law was built before tol was checked")
+
+        monkeypatch.setattr(models, "dist_abcd", unbuilt)
+        with pytest.raises(ValueError, match=r"tol must be in \(0, 1\)"):
+            dominance_report(validate_population([0.5, 0.3, 0.2]), tol=tol)
+
     @pytest.mark.parametrize("n", [1, 5, 40])
     def test_verdicts_equal_pairwise_compares(self, rng, n):
         # J and MN run to horizons far past N, so most pairs compare laws of different lengths.

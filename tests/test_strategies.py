@@ -23,6 +23,7 @@ from priorsearch import (
     uniform_weights,
     validate_population,
 )
+from priorsearch.population import Q_FLOOR
 from priorsearch.strategies import Schedule
 
 from conftest import equal_mass_population, random_population, random_simplex
@@ -284,17 +285,19 @@ class TestIklBound:
     @given(priors_and_weights())
     def test_gap_shrinks_along_powers_of_the_priors(self, case):
         # Each pair term is increasing in (p_j/p_i)^k, which falls with k when p_i > p_j.
+        # ikl_search_q's power is past 40 here: the priors lie within a factor 20 of each other.
         pop, _ = case
         abcd = dist_abcd(pop).mean_finite()
         gaps = [ikl_mean_exact(pop, InspectionWeights(q=pop.p**k / np.sum(pop.p**k))) - abcd
                 for k in (0, 1, 2, 5, 10, 20, 40)]
+        gaps.append(ikl_search_q(pop)[1] - abcd)
         assert all(later <= earlier + 1e-12 for earlier, later in zip(gaps, gaps[1:]))
 
 
 class TestIklSearch:
     def test_uniform_prior_cannot_beat_symmetry(self):
         pop = validate_population(np.full(3, 1.0 / 3))
-        _, mean = ikl_search_q(pop, restarts=3, seed=1)
+        _, mean = ikl_search_q(pop)
         assert mean == pytest.approx(2.0, abs=1e-9)
         # Coarse grid confirms no weight choice does better at uniform priors.
         grid = np.linspace(0.01, 0.98, 25)
@@ -308,11 +311,11 @@ class TestIklSearch:
 
     def test_beats_reference_point(self):
         pop = validate_population([0.7, 0.3])
-        _, mean = ikl_search_q(pop, restarts=4, seed=2)
+        _, mean = ikl_search_q(pop)
         assert mean <= 1.46
 
     def test_single_item(self):
-        q, mean = ikl_search_q(validate_population([1.0]), restarts=1, seed=0)
+        q, mean = ikl_search_q(validate_population([1.0]))
         assert q.q[0] == pytest.approx(1.0)
         assert mean == 1.0
 
@@ -320,8 +323,10 @@ class TestIklSearch:
         for _ in range(5):
             n = int(rng.integers(2, 6))
             pop = random_population(rng, n, perfect=True)
-            _, mean = ikl_search_q(pop, restarts=2, seed=9)
+            q, mean = ikl_search_q(pop)
             assert mean <= ikl_mean_exact(pop, uniform_weights(n)) + 1e-12
+            assert q.q.min() >= Q_FLOOR
+            assert mean == ikl_mean_exact(pop, q)
 
 
 class TestJ:
