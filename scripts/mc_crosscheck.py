@@ -2,8 +2,10 @@
 """Cross-check the Monte Carlo engine against every exact law.
 
 Draws a random population and runs `priorsearch simulate --check-exact` on
-it for all seven models: J and MN at their optimal weights, IKL and OP at
-uniform ones. Exits 1 when any run exits nonzero (3 for a failed DKW check).
+it for all seven models: J and MN at their optimal weights, IKL and OP twice,
+at uniform weights and then at random Dirichlet ones from a `--q-file`, so both
+the equal-weight walk and the race kernel meet their exact laws. Exits 1 when
+any run exits nonzero (3 for a failed DKW check).
 
 Usage: python scripts/mc_crosscheck.py [--seed SEED] [--size N] [--reps R] [--alpha A]
 """
@@ -32,17 +34,21 @@ def main():
     pop = validate_population(
         rng.dirichlet(np.ones(args.size)), rng.uniform(0.3, 1.0, size=args.size)
     )
+    q = rng.dirichlet(np.ones(args.size))
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "population.csv"
+        path, q_path = Path(tmp) / "population.csv", Path(tmp) / "weights.csv"
         save_population_csv(path, pop)
+        q_path.write_text("id,q\n" + "".join(f"{i},{w!r}\n" for i, w in zip(pop.ids, q.tolist())))
         for model in MODELS.values():
-            argv = [sys.executable, "-m", "priorsearch.cli", "simulate", "--model", model.label,
-                    "--input", str(path), "--reps", str(args.reps), "--seed", str(args.seed),
-                    "--alpha", str(args.alpha), "--check-exact"]
+            weights = [[]]
             if model.takes_q and model.optimal_q is None:
-                argv.append("--uniform-q")
-            failed |= subprocess.run(argv).returncode != 0
+                weights = [["--uniform-q"], ["--q-file", str(q_path)]]
+            for flags in weights:
+                argv = [sys.executable, "-m", "priorsearch.cli", "simulate", "--model", model.label,
+                        "--input", str(path), "--reps", str(args.reps), "--seed", str(args.seed),
+                        "--alpha", str(args.alpha), "--check-exact", *flags]
+                failed |= subprocess.run(argv).returncode != 0
     return 1 if failed else 0
 
 

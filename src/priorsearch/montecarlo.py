@@ -23,15 +23,19 @@ window whose largest step is at most 4 times its detected steps is counted
 with np.bincount, any other by a sort; both give the same counts in ascending
 order.
 
-The exponential race (IKL, OP) draws one uniform per item and replication,
+IKL and OP sample items by weight without replacement. When every weight is
+equal, every draw order is equally likely, so the target's step is uniform on
+1..N: the walk draws it directly, one integer per replication, at the same
+inputs where the exact law takes its closed form. At unequal weights they run
+the exponential race, which draws one uniform per item and replication,
 item-major, in blocks of at most 2**15, so its memory does not grow with N;
 it compares each uniform with an exp threshold set by the target's, which
 orders the items as the keys -log(u)/q would. When a chunk draws at least
 2**18 uniforms (N >= 64), the chunks of each 16-chunk window run on every
 usable CPU, since numpy releases the interpreter lock while it fills and
 compares the blocks; the result is the same on one core or many. Each thread
-allocates its block buffers once per ``simulate`` call. Every other walk runs
-its chunks in turn.
+allocates its block buffers once per ``simulate`` call. Every other walk,
+the equal-weight one included, runs its chunks in turn.
 """
 
 from __future__ import annotations
@@ -244,20 +248,25 @@ def _race_steps(
 
 def _walk(
     pop: Population, model: Model, cfg: SimConfig, sched: Schedule | None
-) -> Callable[[np.random.Generator, np.ndarray], np.ndarray]:
-    """The chunk walk of ``model``: (rng, targets) -> the step that reaches each target.
+) -> tuple[Callable[[np.random.Generator, np.ndarray], np.ndarray], bool]:
+    """The chunk walk of ``model``, (rng, targets) -> the step that reaches each target,
+    and whether its chunks run on threads.
 
     Every table the walk reads is built here, once per ``simulate`` call; a
-    chunk only draws, gathers and runs in-place ufuncs. A race keeps one set
-    of block buffers per thread that runs its chunks.
+    chunk only draws, gathers and runs in-place ufuncs. At equal weights a
+    race's step is uniform on 1..N whatever the target, and the walk draws it
+    directly. Only a race at unequal weights runs ``_race_steps``, on threads
+    from ``_THREAD_MIN_KEYS`` uniforms a chunk, with one set of block buffers
+    per thread that runs its chunks.
     """
     if model.walk == "order":
         rank = np.empty(pop.n, dtype=np.int64)
         rank[descending_order(model.key(pop, cfg.q))] = np.arange(1, pop.n + 1)
-        return lambda rng, target: rank[target]
+        return (lambda rng, target: rank[target]), False
     if model.walk == "geometric":
         rate = model.key(pop, cfg.q)
-        return lambda rng, target: _geometric_from_uniform(rng.random(target.size), rate[target], cfg.max_steps)
+        return (lambda rng, target: _geometric_from_uniform(rng.random(target.size), rate[target],
+                                                            cfg.max_steps)), False
     if model.walk == "schedule":
         flat, base, cap = _ef_attempt_table(sched, pop.n)
 
@@ -267,16 +276,19 @@ def _walk(
             attempts += base[target]
             return flat[attempts]
 
-        return schedule_walk
+        return schedule_walk, False
+    q = cfg.q.q
+    if (q == q[0]).all():  # the test of distributions._race_pmf's closed form
+        return (lambda rng, target: rng.integers(1, pop.n, endpoint=True, size=target.size)), False
     per_thread = threading.local()
 
     def race_walk(rng: np.random.Generator, target: np.ndarray) -> np.ndarray:
         bufs = getattr(per_thread, "bufs", None)
         if bufs is None:
             bufs = per_thread.bufs = _race_buffers(pop.n)
-        return _race_steps(rng, cfg.q.q, target, bufs)
+        return _race_steps(rng, q, target, bufs)
 
-    return race_walk
+    return race_walk, CHUNK * pop.n >= _THREAD_MIN_KEYS
 
 
 def _simulate_chunk(
@@ -323,7 +335,7 @@ def simulate(pop: Population, cfg: SimConfig, sched: Schedule | None = None) -> 
     if cfg.q is not None:
         check_weights(pop, cfg.q)
     model = MODELS[cfg.model]
-    walk = _walk(pop, model, cfg, walk_schedule(pop, cfg) if sched is None else sched)
+    walk, threaded = _walk(pop, model, cfg, walk_schedule(pop, cfg) if sched is None else sched)
     table = _target_table(pop)
     counts: dict[int, int] = {}
     undetected = capped = 0
@@ -335,7 +347,6 @@ def simulate(pop: Population, cfg: SimConfig, sched: Schedule | None = None) -> 
         target = _draw_targets(table, rng, min(CHUNK, cfg.reps - c * CHUNK))
         return _simulate_chunk(pop, model, cfg, rng, target, walk)
 
-    threaded = model.walk == "race" and CHUNK * pop.n >= _THREAD_MIN_KEYS
     workers = min(_usable_cpus(), _MERGE_CHUNKS, n_chunks) if threaded else 1
     # Every window's detected steps, in one buffer. np.unique's copies of 16 x 4096 steps
     # made the allocator return and refault about 1 MB per simulate call.

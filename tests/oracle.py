@@ -373,7 +373,7 @@ def simulate_per_chunk(pop: Population, cfg: SimConfig) -> tuple[dict[int, int],
     counts before the next chunk runs.
     """
     model = MODELS[cfg.model]
-    walk = _walk(pop, model, cfg, walk_schedule(pop, cfg))
+    walk, _ = _walk(pop, model, cfg, walk_schedule(pop, cfg))
     cum = np.cumsum(pop.p)
     counts: dict[int, int] = {}
     undetected = capped = 0
@@ -411,8 +411,9 @@ def simulate_literal(
 
     Each chunk draws from the same seed-derived stream in the same order: the
     targets, by a binary search over all the cumulative priors; then the walk's
-    draws, geometric counts by the masked inversion and race steps by
-    ``race_steps_literal``; then a defective model's recognition coins. Each
+    draws, geometric counts by the masked inversion, race steps by
+    ``race_steps_literal`` and, when every weight is the same, one step uniform
+    on 1..N per replication; then a defective model's recognition coins. Each
     replication then looks its step up on its own: an order walk's rank from the
     argsort of the visiting order, and an EF attempt in the list of its item's
     scheduled steps, past whose end the walk never reaches the target.
@@ -434,7 +435,9 @@ def simulate_literal(
         size = min(CHUNK, cfg.reps - c * CHUNK)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(c,)))
         target = np.minimum(np.searchsorted(cum, rng.random(size), side="right"), n - 1)
-        if model.walk == "race":
+        if model.walk == "race" and np.unique(cfg.q.q).size == 1:
+            drawn = rng.integers(1, n + 1, size)  # every order of N equal weights is equally likely
+        elif model.walk == "race":
             drawn = race_steps_literal(rng, cfg.q.q, target)
         elif model.walk == "geometric":
             drawn = geometric_masked(rng.random(size), model.key(pop, cfg.q)[target], cfg.max_steps)

@@ -22,6 +22,7 @@ LABELS = ("ABCD", "EF", "GH", "IKL", "J", "MN", "OP")
 UNIFORM_Q = ("IKL", "OP")  # no closed-form optimum; J and MN default to theirs
 OUT = ["--out", "out"]
 ZIPF_NORM = math.fsum(1.0 / k for k in range(1, 101))
+SQRT_NORM = math.fsum(1.0 / math.sqrt(k) for k in range(1, 101))
 
 # Input files by the name the cases use for them.
 INPUTS = {
@@ -37,6 +38,9 @@ INPUTS = {
     # Zipf priors over 100 items, s cycling through 1, .9, ..., .4: target draws span a
     # hundredfold range of priors, and 70,000 replications run past 16 chunks of 4096.
     "zipf100_csv": "id,p,s\n" + "".join(f"z{k},{1.0 / (k * ZIPF_NORM)!r},{(10 - k % 7) / 10}\n"
+                                        for k in range(1, 101)),
+    # q proportional to 1 / sqrt(k) over zipf100's items: unequal, so IKL and OP run the race kernel.
+    "q_sqrt100_csv": "id,q\n" + "".join(f"z{k},{1.0 / (math.sqrt(k) * SQRT_NORM)!r}\n"
                                         for k in range(1, 101)),
     "pop11_csv": "id,p\n" + "".join(f"i{k},{1.0 / 11!r}\n" for k in range(1, 12)),
     "q_short_csv": "id,q\na,0.5\nb,0.5\n",
@@ -76,18 +80,19 @@ CASES = {
     **{
         f"simulate-{model}-zipf100_csv": ["simulate", "--model", model, "--input", "zipf100_csv",
                                           "--reps", "70000", "--seed", "17", "--check-exact", *OUT]
-        for model in ("ABCD", "GH")
+        for model in ("ABCD", "EF", "GH", "J", "MN")
     },
-    # The exponential race over 100 items: 18 chunks, more than one merge window; then the
-    # same runs checked against the race integral's exact law.
+    # The exponential race over 100 items at unequal weights, on threads: 18 chunks, more than
+    # one merge window; then the same runs checked against the race integral's exact law.
     **{
-        f"simulate-{model}-zipf100_csv": ["simulate", "--model", model, "--input", "zipf100_csv", "--uniform-q",
-                                          "--reps", "70000", "--seed", "17", *OUT]
+        f"simulate-{model}-zipf100_csv": ["simulate", "--model", model, "--input", "zipf100_csv",
+                                          "--q-file", "q_sqrt100_csv", "--reps", "70000", "--seed", "17", *OUT]
         for model in UNIFORM_Q
     },
     **{
         f"simulate-{model}-zipf100_csv-check": ["simulate", "--model", model, "--input", "zipf100_csv",
-                                                "--uniform-q", "--reps", "70000", "--seed", "17", "--check-exact"]
+                                                "--q-file", "q_sqrt100_csv", "--reps", "70000", "--seed", "17",
+                                                "--check-exact"]
         for model in UNIFORM_Q
     },
     "evaluate-EF-ten_csv": ["evaluate", "--model", "EF", "--input", "ten_csv", *OUT],

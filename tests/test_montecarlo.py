@@ -37,6 +37,7 @@ from priorsearch.montecarlo import (
     _race_buffers,
     _race_steps,
     _target_table,
+    _walk,
     write_empirical_csv,
 )
 
@@ -243,6 +244,16 @@ class TestWalkOracle:
         emp = simulate(pop, cfg)
         assert (emp.counts, emp.undetected, emp.capped) == want
 
+    @pytest.mark.parametrize("max_steps", [10**7, 5])
+    @pytest.mark.parametrize("model", ["IKL", "OP"])
+    def test_equal_weight_walk_equals_the_literal_draws(self, model, max_steps):
+        pop, _ = crowded_population()
+        cfg = SimConfig(model=model, reps=17 * CHUNK + 5, seed=37, max_steps=max_steps, q=uniform_weights(pop.n))
+        want = simulate_literal(pop, cfg)
+        assert (want[2] > 0) == (max_steps < pop.n)
+        emp = simulate(pop, cfg)
+        assert (emp.counts, emp.undetected, emp.capped) == want
+
     def test_ef_attempts_past_a_short_schedule_never_reach_the_target(self):
         g = np.random.default_rng(8)
         pop = validate_population(g.dirichlet(np.ones(8)), g.uniform(0.2, 0.6, 8))
@@ -308,6 +319,11 @@ def zipf_population(n: int):
     return validate_population(p / math.fsum(p.tolist()), np.linspace(0.4, 1.0, n))
 
 
+def dirichlet_weights(n: int) -> InspectionWeights:
+    """Unequal weights, so that IKL and OP run the race kernel."""
+    return InspectionWeights(q=random_simplex(np.random.default_rng(n), n))
+
+
 @pytest.fixture
 def thread_starts(monkeypatch):
     """Names of the threads started while the test runs, with 16 usable CPUs reported."""
@@ -361,7 +377,7 @@ class TestRace:
     @pytest.mark.parametrize("model", ["IKL", "OP"])
     def test_threaded_chunks_equal_per_chunk_merge(self, model, monkeypatch):
         pop = zipf_population(100)
-        cfg = SimConfig(model=model, reps=17 * CHUNK + 5, seed=31, q=uniform_weights(100))
+        cfg = SimConfig(model=model, reps=17 * CHUNK + 5, seed=31, q=dirichlet_weights(100))
         want = simulate_per_chunk(pop, cfg)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # hand the interpreter lock between threads as often as it can
@@ -372,6 +388,23 @@ class TestRace:
                 assert (emp.counts, emp.undetected, emp.capped) == want, workers
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("n", [10, 100, 1000])
+    @pytest.mark.parametrize("model, law", [("IKL", dist_ikl_exact), ("OP", dist_op_exact)])
+    def test_equal_weights_against_the_exact_law(self, model, law, n):
+        pop, q = zipf_population(n), uniform_weights(n)
+        emp = simulate(pop, SimConfig(model=model, reps=100_000, seed=n, q=q))
+        assert dkw_check(emp, law(pop, q), alpha=1e-3)
+
+    def test_equal_weight_step_does_not_depend_on_the_target(self):
+        n, per_target = 10, 20_000
+        pop = zipf_population(n)
+        walk, _ = _walk(pop, MODELS["IKL"], SimConfig(model="IKL", reps=1, seed=0, q=uniform_weights(n)), None)
+        target = np.repeat(np.arange(n), per_target)
+        steps = walk(np.random.default_rng(19), target).reshape(n, per_target)
+        assert steps.min() == 1 and steps.max() == n
+        stderr = math.sqrt((n * n - 1) / 12 / per_target)  # a step uniform on 1..N has variance (N^2 - 1) / 12
+        assert np.abs(steps.mean(axis=1) - (n + 1) / 2).max() <= 5 * stderr
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_callers_errstate_reaches_every_chunk(self, workers, monkeypatch):
@@ -387,16 +420,21 @@ class TestRace:
         reps = 2 * CHUNK + 1
         for model in LABELS:
             pop = zipf_population(63 if MODELS[model].walk == "race" else 100)
-            q = uniform_weights(pop.n) if MODELS[model].takes_q else None
+            q = dirichlet_weights(pop.n) if MODELS[model].takes_q else None
             simulate(pop, SimConfig(model=model, reps=reps, seed=3, q=q))
         assert thread_starts == []
-        simulate(zipf_population(64), SimConfig(model="IKL", reps=reps, seed=3, q=uniform_weights(64)))
+        simulate(zipf_population(64), SimConfig(model="IKL", reps=reps, seed=3, q=dirichlet_weights(64)))
         assert thread_starts
+
+    @pytest.mark.parametrize("model", ["IKL", "OP"])
+    def test_equal_weight_races_start_no_thread(self, model, thread_starts):
+        simulate(zipf_population(100), SimConfig(model=model, reps=2 * CHUNK + 1, seed=3, q=uniform_weights(100)))
+        assert thread_starts == []
 
     def test_one_chunk_holds_a_bounded_number_of_keys(self):
         n = 2000
         pop = zipf_population(n)
-        cfg = SimConfig(model="OP", reps=CHUNK, seed=5, q=uniform_weights(n))
+        cfg = SimConfig(model="OP", reps=CHUNK, seed=5, q=dirichlet_weights(n))
         tracemalloc.start()
         try:
             simulate(pop, cfg)
