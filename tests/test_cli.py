@@ -5,6 +5,7 @@ import pytest
 
 from priorsearch import (
     InspectionWeights,
+    dist_gh,
     ikl_mean_exact,
     mn_optimal_q,
     models,
@@ -13,6 +14,7 @@ from priorsearch import (
     uniform_weights,
 )
 from priorsearch.cli import main
+from priorsearch.distributions import InspectionDistribution
 from priorsearch.population import load_population, save_population_csv
 
 from conftest import MALFORMED_JSON, equal_mass_population
@@ -402,6 +404,22 @@ class TestOrder:
         assert "ABCD vs GH: equal (expected equal)" in result.output
         assert "J vs MN: equal (expected equal)" in result.output
         assert "IKL vs OP: equal (expected equal)" in result.output
+
+    def test_broken_relations_exit_3_with_one_mismatch_line_each(self, runner, perfect_csv, monkeypatch):
+        # GH's pmf reversed: it now walks the smallest detection masses first.
+        def reversed_gh(pop):
+            law = dist_gh(pop)
+            return InspectionDistribution(pmf=law.pmf[::-1], atom_at_infinity=law.atom_at_infinity)
+
+        monkeypatch.setattr(models, "dist_gh", reversed_gh)
+        result = runner.invoke(main, ["order", "--input", perfect_csv])
+        assert result.exit_code == 3
+        assert result.stderr == (
+            "mismatch: ABCD vs GH: expected equal, got smaller\n"
+            "mismatch: EF vs GH: expected equal, got smaller\n"
+            "mismatch: GH vs OP: expected smaller-or-equal, got larger\n"
+        )
+        assert "all expected relations hold" not in result.output
 
     def test_rerun_reproduces_report_byte_for_byte(self, runner, pop_csv, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -10,6 +10,7 @@ from priorsearch import (
     ComparisonTruncationError,
     InspectionWeights,
     dist_abcd,
+    dist_gh,
     dist_ikl_exact,
     dist_mn,
     dist_op_exact,
@@ -239,6 +240,21 @@ class TestDominanceReport:
         assert len(pairs) == len(report.verdicts) == 21
         laws = report.distributions
         assert pairs == [(laws[a], laws[b]) for a, b in report.verdicts]
+
+    def test_mismatches_name_each_broken_pair_in_label_order(self, monkeypatch):
+        # GH's pmf reversed: it now walks the smallest detection masses first.
+        def reversed_gh(pop):
+            law = dist_gh(pop)
+            return InspectionDistribution(pmf=law.pmf[::-1], atom_at_infinity=law.atom_at_infinity)
+
+        monkeypatch.setattr(models, "dist_gh", reversed_gh)
+        report = dominance_report(validate_population([0.5, 0.3, 0.2]))
+        assert not report.ok
+        assert report.mismatches == (
+            "ABCD vs GH: expected equal, got smaller",
+            "EF vs GH: expected equal, got smaller",
+            "GH vs OP: expected smaller-or-equal, got larger",
+        )
 
     def test_race_laws_come_from_the_model_table(self, rng, monkeypatch):
         pop = random_population(rng, 6, s_lo=0.3)
