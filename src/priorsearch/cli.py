@@ -121,9 +121,12 @@ def _format_q(q: InspectionWeights) -> str:
 
 
 def _summary_lines(
-    model: Model, pop: Population, q: InspectionWeights | None, law: InspectionDistribution
+    model: Model, pop: Population, q: InspectionWeights | None, law: InspectionDistribution | None
 ) -> list[str]:
-    """What evaluate prints about the model's inspection count, after the q line."""
+    """What evaluate prints about the model's inspection count, after the q line.
+
+    ``law`` is None only for a model with a closed mean, which is printed instead.
+    """
     if model.defective:
         detect = min(pop.detect_prob, 1.0)
         cond = law.conditional_on_detection().mean_finite()
@@ -164,7 +167,8 @@ def evaluate(model, input_path, q_source, q_file, out):
     q, q_desc = _resolve_q(m, pop, q_source, q_file)
     click.echo(f"model: {model}")
     click.echo(f"items: {pop.n}")
-    dist = m.law(pop, q)
+    # IKL, J and MN print their closed means, so only --out needs their laws.
+    dist = m.law(pop, q) if out or m.closed_mean is None else None
     if q is not None:
         click.echo(f"q ({q_desc}): {_format_q(q)}")
     for line in _summary_lines(m, pop, q, dist):

@@ -291,30 +291,6 @@ def _walk(
     return race_walk, CHUNK * pop.n >= _THREAD_MIN_KEYS
 
 
-def _simulate_chunk(
-    pop: Population,
-    model: Model,
-    cfg: SimConfig,
-    rng: np.random.Generator,
-    target: np.ndarray,
-    walk: Callable[[np.random.Generator, np.ndarray], np.ndarray],
-) -> tuple[np.ndarray, int, int]:
-    """Detected steps for one chunk, then its undetected and capped counts.
-
-    The chunk has drawn its targets from ``rng``; it then makes the walk's own
-    draws, then a defective model's recognition coins.
-    """
-    m = target.size
-    steps = walk(rng, target)
-    reached = steps <= cfg.max_steps
-    n_reached = int(np.count_nonzero(reached))
-    if not model.defective:
-        return steps[reached], 0, m - n_reached
-    detected = rng.random(m) < pop.s[target]
-    detected &= reached
-    return steps[detected], n_reached - int(np.count_nonzero(detected)), m - n_reached
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -343,9 +319,18 @@ def simulate(pop: Population, cfg: SimConfig, sched: Schedule | None = None) -> 
     n_chunks = (cfg.reps + CHUNK - 1) // CHUNK
 
     def chunk(c: int) -> tuple[np.ndarray, int, int]:
+        # Chunk c's detected steps, undetected and capped counts. It draws its targets,
+        # then the walk's draws, then a defective model's recognition coins.
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(c,)))
         target = _draw_targets(table, rng, min(CHUNK, cfg.reps - c * CHUNK))
-        return _simulate_chunk(pop, model, cfg, rng, target, walk)
+        steps = walk(rng, target)
+        reached = steps <= cfg.max_steps
+        cut = target.size - int(np.count_nonzero(reached))
+        if not model.defective:
+            return steps[reached], 0, cut
+        detected = rng.random(target.size) < pop.s[target]
+        detected &= reached
+        return steps[detected], target.size - cut - int(np.count_nonzero(detected)), cut
 
     workers = min(_usable_cpus(), _MERGE_CHUNKS, n_chunks) if threaded else 1
     # Every window's detected steps, in one buffer. np.unique's copies of 16 x 4096 steps

@@ -9,7 +9,10 @@ one-pass laws (GH, OP) sit above their perfect-recognition counterparts and
 above EF. A one-pass walk finds the target within m steps with probability
 equal to the sum of the detection masses s_i p_i it has walked, so GH, which
 walks the largest masses first, sits below OP. Fourteen ordered pairs follow; the
-remaining seven pairs are not ordered in general.
+remaining seven pairs are not ordered in general. One table,
+``EXPECTED_SMALLER``, holds the fourteen pairs, each with the condition under
+which its two laws are equal, and ``dominance_report`` checks all 21 pairs
+against it in one pass.
 
 All four democratic laws (IKL, J, MN, OP) are evaluated at one common
 weight vector q (default uniform). The coupling arguments behind the
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -41,30 +45,25 @@ EF_EPS = 1e-13
 # float-noise resolution, far below the comparison tolerance.
 CONDITION_TOL = 1e-12
 
-# The fourteen ordered pairs (x, y) with x stochastically smaller than y.
-EXPECTED_SMALLER: tuple[tuple[str, str], ...] = (
-    ("ABCD", "EF"),
-    ("ABCD", "GH"),
-    ("ABCD", "IKL"),
-    ("ABCD", "J"),
-    ("ABCD", "MN"),
-    ("ABCD", "OP"),
-    ("EF", "GH"),
-    ("EF", "MN"),
-    ("EF", "OP"),
-    ("GH", "OP"),
-    ("IKL", "J"),
-    ("IKL", "MN"),
-    ("IKL", "OP"),
-    ("J", "MN"),
-)
-
-# Pairs that collapse to distributional equality under each condition.
-EQUAL_WHEN_PERFECT_DETECTION = (("ABCD", "EF"), ("ABCD", "GH"), ("EF", "GH"), ("J", "MN"), ("IKL", "OP"))
-EQUAL_WHEN_UNIFORM_PRIOR = (("ABCD", "IKL"),)
-# Every one-pass walk, in whatever order, then has the cdf m s_1 p_1.
-EQUAL_WHEN_EQUAL_DETECTION_MASS = (("GH", "OP"),)
-EQUAL_WHEN_SINGLE_ITEM = (("EF", "MN"), ("IKL", "J"))
+# The fourteen ordered pairs (x, y) with x stochastically smaller than y, each
+# with the condition under which the two laws are equal, or None.
+EXPECTED_SMALLER: dict[tuple[str, str], str | None] = {
+    ("ABCD", "EF"): "perfect detection",
+    ("ABCD", "GH"): "perfect detection",
+    ("ABCD", "IKL"): "uniform priors",
+    ("ABCD", "J"): None,
+    ("ABCD", "MN"): None,
+    ("ABCD", "OP"): None,
+    ("EF", "GH"): "perfect detection",
+    ("EF", "MN"): "single item",
+    ("EF", "OP"): None,
+    # Every one-pass walk, in whatever order, then has the cdf m s_1 p_1.
+    ("GH", "OP"): "equal detection masses",
+    ("IKL", "J"): "single item",
+    ("IKL", "MN"): None,
+    ("IKL", "OP"): "perfect detection",
+    ("J", "MN"): "perfect detection",
+}
 
 
 class ComparisonTruncationError(RuntimeError):
@@ -169,32 +168,23 @@ class OrderingReport:
 
 
 def expected_relations(pop: Population) -> dict[tuple[str, str], str]:
-    """Expected verdict per model pair for this population.
+    """Expected verdict per model pair for this population, in ``MODEL_LABELS`` order.
 
-    The fourteen ordered pairs expect "smaller" (weak dominance, so an exact
-    tie also satisfies them) and tighten to "equal" when the matching
-    structural condition holds: full detection probability, uniform priors,
-    equal detection masses s_i p_i, or a single item. All other pairs are
+    The fourteen pairs of ``EXPECTED_SMALLER`` expect "smaller" (weak
+    dominance, so an exact tie also satisfies them) and tighten to "equal"
+    when their condition holds: perfect detection, uniform priors, equal
+    detection masses s_i p_i, or a single item. All other pairs are
     unconstrained.
     """
-    expected: dict[tuple[str, str], str] = {}
-    for i, a in enumerate(MODEL_LABELS):
-        for b in MODEL_LABELS[i + 1 :]:
-            expected[(a, b)] = "unconstrained"
-    for pair in EXPECTED_SMALLER:
-        expected[pair] = "smaller"
-    if abs(pop.detect_prob - 1.0) <= CONDITION_TOL:
-        for pair in EQUAL_WHEN_PERFECT_DETECTION:
-            expected[pair] = "equal"
-    if float(np.max(np.abs(pop.p - 1.0 / pop.n))) <= CONDITION_TOL:
-        for pair in EQUAL_WHEN_UNIFORM_PRIOR:
-            expected[pair] = "equal"
-    if float(np.ptp(pop.s * pop.p)) <= CONDITION_TOL:
-        for pair in EQUAL_WHEN_EQUAL_DETECTION_MASS:
-            expected[pair] = "equal"
-    if pop.n == 1:
-        for pair in EQUAL_WHEN_SINGLE_ITEM:
-            expected[pair] = "equal"
+    holds = {
+        "perfect detection": abs(pop.detect_prob - 1.0) <= CONDITION_TOL,
+        "uniform priors": float(np.max(np.abs(pop.p - 1.0 / pop.n))) <= CONDITION_TOL,
+        "equal detection masses": float(np.ptp(pop.s * pop.p)) <= CONDITION_TOL,
+        "single item": pop.n == 1,
+    }
+    expected = dict.fromkeys(combinations(MODEL_LABELS, 2), "unconstrained")
+    for pair, condition in EXPECTED_SMALLER.items():
+        expected[pair] = "equal" if holds.get(condition) else "smaller"
     return expected
 
 
@@ -217,18 +207,16 @@ def dominance_report(
         for m in MODELS.values()
     }
     _check_comparable(tol, laws.items())
-    verdicts: dict[tuple[str, str], DominanceVerdict] = {}
-    for i, a in enumerate(MODEL_LABELS):
-        for b in MODEL_LABELS[i + 1 :]:
-            verdicts[(a, b)] = stochastic_compare(laws[a], laws[b], tol)
     expected = expected_relations(pop)
+    verdicts: dict[tuple[str, str], DominanceVerdict] = {}
     mismatches: list[str] = []
-    for pair, exp in expected.items():
-        got = verdicts[pair].relation
+    for (a, b), exp in expected.items():
+        verdicts[(a, b)] = stochastic_compare(laws[a], laws[b], tol)
+        got = verdicts[(a, b)].relation
         if exp == "smaller" and got not in ("smaller", "equal"):
-            mismatches.append(f"{pair[0]} vs {pair[1]}: expected smaller-or-equal, got {got}")
+            mismatches.append(f"{a} vs {b}: expected smaller-or-equal, got {got}")
         elif exp == "equal" and got != "equal":
-            mismatches.append(f"{pair[0]} vs {pair[1]}: expected equal, got {got}")
+            mismatches.append(f"{a} vs {b}: expected equal, got {got}")
     return OrderingReport(
         labels=MODEL_LABELS,
         verdicts=verdicts,

@@ -22,7 +22,6 @@ from priorsearch.montecarlo import (
     _RACE_BLOCK_KEYS,
     CHUNK,
     SimConfig,
-    _simulate_chunk,
     _walk,
     walk_schedule,
 )
@@ -368,9 +367,10 @@ def simulate_per_chunk(pop: Population, cfg: SimConfig) -> tuple[dict[int, int],
     """Detection-step counts, undetected and capped of montecarlo.simulate, merged chunk by chunk.
 
     Runs the same chunks on the same seed-derived streams, each drawing its
-    targets by a binary search over all the cumulative priors, but counts each
-    chunk's detected steps with its own np.unique and merges them into the
-    counts before the next chunk runs.
+    targets by a binary search over all the cumulative priors, then the walk's
+    draws, then a defective model's recognition coins. It censors each chunk's
+    replications itself, counts its detected steps with its own np.unique and
+    merges them into the counts before the next chunk runs.
     """
     model = MODELS[cfg.model]
     walk, _ = _walk(pop, model, cfg, walk_schedule(pop, cfg))
@@ -382,10 +382,14 @@ def simulate_per_chunk(pop: Population, cfg: SimConfig) -> tuple[dict[int, int],
         size = min(CHUNK, cfg.reps - c * CHUNK)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(c,)))
         target = np.minimum(np.searchsorted(cum, rng.random(size), side="right"), pop.n - 1)
-        steps, missed, cut = _simulate_chunk(pop, model, cfg, rng, target, walk)
-        undetected += missed
-        capped += cut
-        values, reps_at = np.unique(steps, return_counts=True)
+        steps = walk(rng, target)
+        reached = steps <= cfg.max_steps
+        capped += size - int(reached.sum())
+        if model.defective:
+            recognized = rng.random(size) < pop.s[target]
+            undetected += int((reached & ~recognized).sum())
+            reached &= recognized
+        values, reps_at = np.unique(steps[reached], return_counts=True)
         for step, count in zip(values.tolist(), reps_at.tolist()):
             counts[step] = counts.get(step, 0) + count
     return counts, undetected, capped

@@ -19,6 +19,7 @@ from priorsearch.population import load_population, save_population_csv
 
 from conftest import MALFORMED_JSON, equal_mass_population
 from oracle import ikl_mean_pairwise
+from test_golden import GOLDEN, INPUTS
 
 
 def get_line(output, prefix):
@@ -91,6 +92,31 @@ class TestEvaluate:
             result = runner.invoke(main, ["evaluate", "--model", "IKL", "--input", perfect_csv, "--uniform-q"])
             assert result.exit_code == 0, result.output
             assert len(calls) == runs
+
+    @pytest.mark.parametrize("case, model, q_file", [
+        ("evaluate-IKL-pop_csv-q3", "IKL", True),
+        ("evaluate-J-pop_csv", "J", False),
+        ("evaluate-MN-pop_csv", "MN", False),
+    ])
+    def test_closed_mean_models_build_their_law_only_for_out(
+        self, runner, tmp_path, monkeypatch, case, model, q_file
+    ):
+        def unbuilt(*args):
+            raise RuntimeError("law built")
+
+        for name in ("dist_ikl_exact", "dist_j", "dist_mn"):
+            monkeypatch.setattr(models, name, unbuilt)
+        (tmp_path / "pop.csv").write_text(INPUTS["pop_csv"])
+        (tmp_path / "q3.csv").write_text(INPUTS["q3_csv"])
+        args = ["evaluate", "--model", model, "--input", str(tmp_path / "pop.csv")]
+        if q_file:
+            args += ["--q-file", str(tmp_path / "q3.csv")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        golden = (GOLDEN / case / "stdout.txt").read_text().replace("<tmp>", str(tmp_path))
+        assert result.output == golden[: golden.index("wrote ")]
+        result = runner.invoke(main, args + ["--out", str(tmp_path / "out")])
+        assert str(result.exception) == "law built"
 
     def test_enumerable_model_rejects_weights(self, runner, pop_csv):
         result = runner.invoke(
