@@ -184,7 +184,7 @@ def expected_relations(pop: Population) -> dict[tuple[str, str], str]:
     }
     expected = dict.fromkeys(combinations(MODEL_LABELS, 2), "unconstrained")
     for pair, condition in EXPECTED_SMALLER.items():
-        expected[pair] = "equal" if holds.get(condition) else "smaller"
+        expected[pair] = "equal" if condition and holds[condition] else "smaller"
     return expected
 
 
