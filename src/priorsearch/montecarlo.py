@@ -30,12 +30,17 @@ inputs where the exact law takes its closed form. At unequal weights they run
 the exponential race, which draws one uniform per item and replication,
 item-major, in blocks of at most 2**15, so its memory does not grow with N;
 it compares each uniform with an exp threshold set by the target's, which
-orders the items as the keys -log(u)/q would. When a chunk draws at least
+orders the items as the keys -log(u)/q would. A block forms the thresholds'
+exponents in one einsum and counts each replication's earlier items with
+uint8 sums of at most 255 rows, so every comparison and count is that of an
+outer product and an int32 column sum. When a chunk draws at least
 2**18 uniforms (N >= 64), the chunks of each 16-chunk window run on every
 usable CPU, since numpy releases the interpreter lock while it fills and
 compares the blocks; the result is the same on one core or many. Each thread
 allocates its block buffers once per ``simulate`` call. Every other walk,
-the equal-weight one included, runs its chunks in turn.
+the equal-weight one included, runs its chunks in turn. The mean and standard
+error of the detected steps are fsums over the counts as arrays, bit for bit
+the Python formulas over the sorted counts.
 """
 
 from __future__ import annotations
@@ -128,13 +133,40 @@ class EmpiricalResult:
 
     def cdf_array(self, upto: int) -> np.ndarray:
         """Empirical cdf at 1..upto, conditioned on detection."""
-        dense = np.zeros(upto + 1)
-        for m, c in self.counts.items():
-            if m <= upto:
-                dense[m] = c
-        if self.detected == 0:
+        detected = self.detected
+        if detected == 0:
             return np.zeros(upto)
-        return np.cumsum(dense)[1:] / self.detected
+        steps, cnts = _count_arrays(self.counts)
+        kept = steps <= upto
+        dense = np.zeros(upto + 1)
+        dense[steps[kept]] = cnts[kept]
+        return np.cumsum(dense)[1:] / detected
+
+
+def _count_arrays(counts: Mapping[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The steps and their counts as int64 arrays, in the mapping's order."""
+    return (np.fromiter(counts.keys(), dtype=np.int64, count=len(counts)),
+            np.fromiter(counts.values(), dtype=np.int64, count=len(counts)))
+
+
+def _mean_and_stderr(counts: Mapping[int, int]) -> tuple[float, float]:
+    """Mean of the detected steps and its standard error; NaN where undefined.
+
+    The same bits as fsum over step * cnt and cnt * (step - mean) ** 2 in
+    Python. Steps stay below 2**53 and counts below the replications, so both
+    convert to float64 exactly, and each float64 product rounds once, as
+    Python's exact int product does when fsum converts it. float_power calls
+    the C pow that Python's ** calls, and fsum rounds exactly in any order.
+    """
+    detected = sum(counts.values())
+    if detected == 0:
+        return math.nan, math.nan
+    steps, cnts = (a.astype(np.float64) for a in _count_arrays(counts))
+    mean = math.fsum((steps * cnts).tolist()) / detected
+    if detected == 1:
+        return mean, math.nan
+    var = math.fsum((cnts * np.float_power(steps - mean, 2.0)).tolist())
+    return mean, math.sqrt(var / (detected - 1) / detected)
 
 
 def _target_table(pop: Population) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -177,16 +209,23 @@ def _draw_targets(
     return out
 
 
-def _geometric_from_uniform(u: np.ndarray, rate: np.ndarray, max_steps: int) -> np.ndarray:
+def _log_fail(rate: np.ndarray) -> np.ndarray:
+    """log1p(-rate), which ``_geometric_from_uniform`` divides by; -inf where the rate is 1."""
+    with np.errstate(divide="ignore"):
+        return np.log1p(-rate)
+
+
+def _geometric_from_uniform(u: np.ndarray, log_fail: np.ndarray, max_steps: int) -> np.ndarray:
     """Attempt count T >= 1 with P(T = j) = (1-rate)^(j-1) rate, via inversion; overwrites u.
 
-    Counts beyond ``max_steps`` come back as ``max_steps + 1``: a tiny rate
-    would otherwise overflow the int64 cast into a negative count. A rate of 1
-    gives log1p(-1) = -inf, so the quotient is 0 and the count 1.
+    ``log_fail`` holds each draw's ``_log_fail(rate)``. Counts beyond
+    ``max_steps`` come back as ``max_steps + 1``: a tiny rate would otherwise
+    overflow the int64 cast into a negative count. A rate of 1 has log1p(-1) =
+    -inf, so the quotient is 0 and the count 1.
     """
     raw = np.log1p(np.negative(u, out=u), out=u)
-    with np.errstate(divide="ignore"):
-        np.divide(raw, np.log1p(-rate), out=raw)
+    with np.errstate(divide="ignore"):  # a rate that underflowed to 0: the count is capped
+        np.divide(raw, log_fail, out=raw)
     return np.clip(np.ceil(raw, out=raw), 1.0, max_steps + 1, out=raw).astype(np.int64)
 
 
@@ -224,25 +263,38 @@ def _race_steps(
     drawn item-major in blocks of whole replications (column r of block
     ``rng.random((N, rows))`` is one replication), so at most
     max(N, ``_RACE_BLOCK_KEYS``) are held, in ``bufs`` from ``_race_buffers(N)``.
+
+    A block forms the exponents q_j c_r, c_r = log(u_t) / q_t, with einsum,
+    which writes them in one pass where ``np.multiply.outer`` broadcasts row by
+    row; either rounds each product once, so the bits are the same. A column's
+    count adds the comparisons as uint8, with no cast, in groups of at most 255
+    rows, whose sums fit, and then adds the groups.
     """
     n = q.size
     u_buf, thr_buf, below_buf = bufs
     rows = u_buf.size // n
+    grouped = n - n % 255  # rows summed in groups of 255; the rest, fewer, in one uint8 sum
     steps = np.empty(target.size, dtype=np.int64)
     col = np.arange(min(rows, target.size))
-    for lo in range(0, target.size, rows):
-        tgt = target[lo : lo + rows]
-        size = tgt.size
-        at = tgt * size  # flat index of each replication's target uniform in the block
-        at += col[:size]
-        u = rng.random(out=u_buf[: n * size].reshape(n, size))
-        with np.errstate(divide="ignore"):  # u_t = 0 puts the target last: c = -inf, every threshold 0
-            c = np.log(u_buf[at]) / q[tgt]
-        thr = np.multiply.outer(q, c, out=thr_buf[: n * size].reshape(n, size))
-        below = np.greater_equal(u, np.exp(thr, out=thr), out=below_buf[: n * size].reshape(n, size))
-        below_buf[at] = True  # the target's own threshold may round above u_t
-        # An int32 sum adds whole contiguous rows, and N < 2**31.
-        steps[lo : lo + size] = below.sum(axis=0, dtype=np.int32)
+    q_target = q[target]
+    with np.errstate(divide="ignore"):  # u_t = 0 puts the target last: c = -inf, every threshold 0
+        for lo in range(0, target.size, rows):
+            tgt = target[lo : lo + rows]
+            size = tgt.size
+            at = tgt * size  # flat index of each replication's target uniform in the block
+            at += col[:size]
+            u = rng.random(out=u_buf[: n * size].reshape(n, size))
+            c = np.log(u_buf[at]) / q_target[lo : lo + size]
+            thr = np.einsum("i,j->ij", q, c, out=thr_buf[: n * size].reshape(n, size))
+            below = np.greater_equal(u, np.exp(thr, out=thr), out=below_buf[: n * size].reshape(n, size))
+            below_buf[at] = True  # the target's own threshold may round above u_t
+            ones = below.view(np.uint8)
+            rest = np.add.reduce(ones[grouped:], axis=0, dtype=np.uint8)
+            if grouped:
+                groups = np.add.reduce(ones[:grouped].reshape(-1, 255, size), axis=1, dtype=np.uint8)
+                np.add(groups.sum(axis=0), rest, out=steps[lo : lo + size])
+            else:
+                steps[lo : lo + size] = rest
     return steps
 
 
@@ -264,14 +316,15 @@ def _walk(
         rank[descending_order(model.key(pop, cfg.q))] = np.arange(1, pop.n + 1)
         return (lambda rng, target: rank[target]), False
     if model.walk == "geometric":
-        rate = model.key(pop, cfg.q)
-        return (lambda rng, target: _geometric_from_uniform(rng.random(target.size), rate[target],
+        log_fail = _log_fail(model.key(pop, cfg.q))
+        return (lambda rng, target: _geometric_from_uniform(rng.random(target.size), log_fail[target],
                                                             cfg.max_steps)), False
     if model.walk == "schedule":
         flat, base, cap = _ef_attempt_table(sched, pop.n)
+        log_miss = _log_fail(pop.s)
 
         def schedule_walk(rng: np.random.Generator, target: np.ndarray) -> np.ndarray:
-            attempts = _geometric_from_uniform(rng.random(target.size), pop.s[target], cfg.max_steps)
+            attempts = _geometric_from_uniform(rng.random(target.size), log_miss[target], cfg.max_steps)
             np.minimum(attempts, cap[target], out=attempts)
             attempts += base[target]
             return flat[attempts]
@@ -374,17 +427,7 @@ def simulate(pop: Population, cfg: SimConfig, sched: Schedule | None = None) -> 
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    detected = sum(counts.values())
-    if detected == 0:
-        mean = math.nan
-        stderr = math.nan
-    else:
-        mean = math.fsum(step * cnt for step, cnt in sorted(counts.items())) / detected
-        if detected > 1:
-            var = math.fsum(cnt * (step - mean) ** 2 for step, cnt in sorted(counts.items()))
-            stderr = math.sqrt(var / (detected - 1) / detected)
-        else:
-            stderr = math.nan
+    mean, stderr = _mean_and_stderr(counts)
     return EmpiricalResult(counts=counts, undetected=undetected, capped=capped, max_steps=cfg.max_steps,
                            mean_detected=mean, stderr=stderr)
 

@@ -334,6 +334,50 @@ def race_steps_literal(rng: np.random.Generator, q: np.ndarray, target: np.ndarr
     return np.concatenate(steps)
 
 
+def race_steps_outer(rng: np.random.Generator, q: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """montecarlo._race_steps as an outer product of the exponents and an int32 column sum.
+
+    Draws the same item-major blocks and compares each uniform with the same
+    exp threshold, forming q_j log(u_t) / q_t with ``np.multiply.outer`` and
+    counting each column with a casting int32 sum.
+    """
+    n = q.size
+    rows = max(1, _RACE_BLOCK_KEYS // n)
+    steps = []
+    for lo in range(0, target.size, rows):
+        tgt = target[lo : lo + rows]
+        cols = np.arange(tgt.size)
+        u = rng.random((n, tgt.size))
+        with np.errstate(divide="ignore"):
+            c = np.log(u[tgt, cols]) / q[tgt]
+        below = u >= np.exp(np.multiply.outer(q, c))
+        below[tgt, cols] = True
+        steps.append(below.sum(axis=0, dtype=np.int32))
+    return np.concatenate(steps).astype(np.int64)
+
+
+def mean_and_stderr_literal(counts: dict[int, int]) -> tuple[float, float]:
+    """Mean of the detected steps and its standard error, over the sorted counts in Python arithmetic."""
+    detected = sum(counts.values())
+    if detected == 0:
+        return math.nan, math.nan
+    mean = math.fsum(step * cnt for step, cnt in sorted(counts.items())) / detected
+    if detected == 1:
+        return mean, math.nan
+    var = math.fsum(cnt * (step - mean) ** 2 for step, cnt in sorted(counts.items()))
+    return mean, math.sqrt(var / (detected - 1) / detected)
+
+
+def cdf_literal(counts: dict[int, int], upto: int) -> np.ndarray:
+    """Detection-conditioned empirical cdf at 1..upto, one entry at a time."""
+    detected = sum(counts.values())
+    dense = np.zeros(upto + 1)
+    for m, c in counts.items():
+        if m <= upto:
+            dense[m] = c
+    return np.zeros(upto) if detected == 0 else np.cumsum(dense)[1:] / detected
+
+
 def geometric_mixture_pmf_powers(
     pop: Population, rates: np.ndarray, horizon: int | None
 ) -> InspectionDistribution:

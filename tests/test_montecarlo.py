@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from priorsearch import (
@@ -34,6 +34,7 @@ from priorsearch.models import LABELS, MODELS
 from priorsearch.montecarlo import (
     CHUNK,
     _draw_targets,
+    _mean_and_stderr,
     _race_buffers,
     _race_steps,
     _target_table,
@@ -42,7 +43,15 @@ from priorsearch.montecarlo import (
 )
 
 from conftest import random_population, random_simplex
-from oracle import ikl_mean_pairwise, race_steps_literal, simulate_literal, simulate_per_chunk
+from oracle import (
+    cdf_literal,
+    ikl_mean_pairwise,
+    mean_and_stderr_literal,
+    race_steps_literal,
+    race_steps_outer,
+    simulate_literal,
+    simulate_per_chunk,
+)
 
 
 class TestSimConfig:
@@ -219,6 +228,48 @@ class TestSimulate:
         assert emp.censored > 0
 
 
+def same_float(a: float, b: float) -> bool:
+    return a == b or math.isnan(a) and math.isnan(b)
+
+
+class TestSummary:
+    @given(
+        counts=st.dictionaries(
+            st.one_of(st.integers(1, 10**4), st.integers(2**52, 2**53 - 1)), st.integers(1, 10**9), max_size=40
+        )
+    )
+    # Counts at which squaring by multiplication, not by the C pow that Python's ** calls, moves the stderr.
+    @example(counts={2395: 23, 8514: 8, 6739: 11})
+    @example(counts={6603: 49, 9337: 28, 5745: 26})
+    @example(counts={})  # no detection: both NaN
+    @example(counts={7: 1})  # one detection: no stderr
+    def test_mean_and_stderr_equal_the_python_formulas(self, counts):
+        got, want = _mean_and_stderr(counts), mean_and_stderr_literal(counts)
+        assert same_float(got[0], want[0]) and same_float(got[1], want[1]), (got, want)
+
+    @pytest.mark.parametrize("model", LABELS)
+    def test_simulated_summaries_equal_the_python_formulas(self, model, rng):
+        pop = random_population(rng, 12, s_lo=0.3)
+        q = InspectionWeights(q=random_simplex(rng, 12)) if MODELS[model].takes_q else None
+        emp = simulate(pop, SimConfig(model=model, reps=3 * CHUNK + 7, seed=13, q=q))
+        mean, stderr = mean_and_stderr_literal(emp.counts)
+        assert same_float(emp.mean_detected, mean) and same_float(emp.stderr, stderr)
+        for upto in (1, 5, max(emp.counts) + 3):
+            assert np.array_equal(emp.cdf_array(upto), cdf_literal(emp.counts, upto))
+
+    def test_steps_near_2_to_the_53(self):
+        # A rate of 2**-52 spreads the steps up to max_steps = 2**53 - 1, where step * cnt
+        # and each squared deviation round.
+        pop = validate_population([0.5, 0.5])
+        q = InspectionWeights(q=np.array([2.0**-52, 1.0 - 2.0**-52]))
+        emp = simulate(pop, SimConfig(model="J", reps=20_000, seed=17, max_steps=2**53 - 1, q=q))
+        assert max(emp.counts) > 2**52 and emp.capped > 0
+        mean, stderr = mean_and_stderr_literal(emp.counts)
+        assert same_float(emp.mean_detected, mean) and same_float(emp.stderr, stderr)
+        for upto in (1, 2**20):
+            assert np.array_equal(emp.cdf_array(upto), cdf_literal(emp.counts, upto))
+
+
 def crowded_population() -> tuple:
     """30 items with Dirichlet(0.05) priors, a third of them with s = 1, and weights q whose
     largest-prior item has q = 1e-19."""
@@ -362,6 +413,27 @@ class TestRace:
         assert np.array_equal(steps, race_steps_literal(literal, q, target))
         assert thresholds.random() == literal.random()
 
+    @pytest.mark.parametrize("q_kind", ["spread", "dirichlet", "near-equal"])
+    @pytest.mark.parametrize("m", [1, 4095, 4096])
+    @pytest.mark.parametrize("n", [2, 255, 256, 257, 1000, 2**15 + 1])
+    def test_steps_equal_the_outer_product_kernel(self, n, m, q_kind):
+        # 255 rows is the most one uint8 column sum holds; 2**15 + 1 items leave one replication a block.
+        m = min(m, 2**22 // n)
+        g = np.random.default_rng([n, m])
+        if q_kind == "spread":  # q from 2**-1000 to 1, both ends present
+            q = 2.0 ** g.uniform(-1000.0, 0.0, n)
+            q[0], q[-1] = 2.0**-1000, 1.0
+        elif q_kind == "dirichlet":
+            q = g.dirichlet(np.ones(n))
+        else:  # 1/N, one ulp apart or not: thresholds within an ulp of u_t
+            q = np.full(n, 1.0 / n)
+            q[g.random(n) < 0.5] = np.nextafter(1.0 / n, 1.0)
+        target = g.integers(0, n, m)
+        kernel, reference = np.random.default_rng(m), np.random.default_rng(m)
+        steps = _race_steps(kernel, q, target, _race_buffers(n))
+        assert np.array_equal(steps, race_steps_outer(reference, q, target))
+        assert kernel.random() == reference.random()
+
     @pytest.mark.parametrize("model", ["IKL", "OP"])
     def test_means_where_no_exact_law_exists(self, model):
         # N = 100 is past the subset DP; q spans a ratio of 10^6, so the race's order matters.
@@ -376,16 +448,18 @@ class TestRace:
 
     @pytest.mark.parametrize("model", ["IKL", "OP"])
     def test_threaded_chunks_equal_per_chunk_merge(self, model, monkeypatch):
-        pop = zipf_population(100)
-        cfg = SimConfig(model=model, reps=17 * CHUNK + 5, seed=31, q=dirichlet_weights(100))
-        want = simulate_per_chunk(pop, cfg)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # hand the interpreter lock between threads as often as it can
         try:
-            for workers in (1, 2, 3, 16):
-                monkeypatch.setattr(montecarlo, "_usable_cpus", lambda workers=workers: workers)
-                emp = simulate(pop, cfg)
-                assert (emp.counts, emp.undetected, emp.capped) == want, workers
+            # 1000 items sum their comparisons in groups of 255 rows.
+            for n, reps in ((100, 17 * CHUNK + 5), (1000, 3 * CHUNK + 5)):
+                pop = zipf_population(n)
+                cfg = SimConfig(model=model, reps=reps, seed=31, q=dirichlet_weights(n))
+                want = simulate_per_chunk(pop, cfg)
+                for workers in (1, 2, 3, 16):
+                    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda workers=workers: workers)
+                    emp = simulate(pop, cfg)
+                    assert (emp.counts, emp.undetected, emp.capped) == want, (n, workers)
         finally:
             sys.setswitchinterval(interval)
 
