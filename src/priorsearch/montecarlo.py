@@ -31,16 +31,17 @@ the exponential race, which draws one uniform per item and replication,
 item-major, in blocks of at most 2**15, so its memory does not grow with N;
 it compares each uniform with an exp threshold set by the target's, which
 orders the items as the keys -log(u)/q would. A block forms the thresholds'
-exponents in one einsum and counts each replication's earlier items with
-uint8 sums of at most 255 rows, so every comparison and count is that of an
-outer product and an int32 column sum. When a chunk draws at least
-2**18 uniforms (N >= 64), the chunks of each 16-chunk window run on every
-usable CPU, since numpy releases the interpreter lock while it fills and
-compares the blocks; the result is the same on one core or many. Each thread
-allocates its block buffers once per ``simulate`` call. Every other walk,
-the equal-weight one included, runs its chunks in turn. The mean and standard
-error of the detected steps are fsums over the counts as arrays, bit for bit
-the Python formulas over the sorted counts.
+exponents in one einsum and counts the items that come no later than each
+replication's target with uint8 sums of at most 255 rows, so every
+comparison and count is that of an outer product and an int32 column sum.
+When a chunk draws at least 2**18 uniforms (N >= 64), the chunks of each
+16-chunk window run on every usable CPU, since numpy releases the
+interpreter lock while it fills and compares the blocks; the result is the
+same on one core or many. Each thread allocates its block buffers once per
+``simulate`` call. Every other walk, the equal-weight one included, runs its
+chunks in turn. The mean and standard error of the detected steps are fsums
+over the counts as arrays, bit for bit the Python formulas over the sorted
+counts.
 """
 
 from __future__ import annotations
