@@ -18,10 +18,10 @@ Targets are drawn by inverting the cumulative priors through the target
 table, a guide table whose buckets carry their first index and whether a cut
 point falls inside, which picks the same index as a full binary search bit for
 bit. Detected steps are counted and merged once per 16 chunks, in chunk order,
-so memory stays bounded by 16 x 4096 steps whatever the replication count. A
-window whose largest step is at most 4 times its detected steps is counted
-with np.bincount, any other by a sort; both give the same counts in ascending
-order.
+so memory stays bounded by 16 x 4096 steps plus 16 bytes per distinct step. A
+window is counted by np.bincount when its largest step is at most 4 times its
+detected steps, else by a sort; np.searchsorted matches its ascending distinct
+steps against the law's ascending arrays, and np.insert adds the new ones.
 
 IKL and OP sample items by weight without replacement. When every weight is
 equal, every draw order is equally likely, so the target's step is uniform on
@@ -40,8 +40,7 @@ interpreter lock while it fills and compares the blocks; the result is the
 same on one core or many. Each thread allocates its block buffers once per
 ``simulate`` call. Every other walk, the equal-weight one included, runs its
 chunks in turn. The mean and standard error of the detected steps are fsums
-over the counts as arrays, bit for bit the Python formulas over the sorted
-counts.
+over the law's arrays, bit for bit the Python formulas over the sorted counts.
 """
 
 from __future__ import annotations
@@ -103,17 +102,20 @@ class SimConfig:
             raise ValueError(f"model {self.model} does not take inspection weights")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalResult:
-    """Simulation outcome: detection-step counts plus censoring.
+    """Simulation outcome: the detection-step law plus censoring.
 
+    ``steps`` (the distinct detected steps, strictly ascending) and ``counts``
+    (the replications detected at each, all >= 1) are read-only int64 arrays.
     A censored replication is ``undetected`` when a defective model reached the
     target and missed it, ``capped`` when the walk did not reach it within
     ``max_steps`` steps (or, for EF, the schedule). ``mean_detected`` and
     ``stderr`` cover detected replications only; with none they are NaN.
     """
 
-    counts: Mapping[int, int]
+    steps: np.ndarray
+    counts: np.ndarray
     undetected: int
     capped: int
     max_steps: int
@@ -126,31 +128,23 @@ class EmpiricalResult:
 
     @property
     def reps(self) -> int:
-        return sum(self.counts.values()) + self.censored
+        return self.detected + self.censored
 
     @property
     def detected(self) -> int:
-        return sum(self.counts.values())
+        return int(self.counts.sum())
 
     def cdf_array(self, upto: int) -> np.ndarray:
         """Empirical cdf at 1..upto, conditioned on detection."""
-        detected = self.detected
-        if detected == 0:
+        if not self.steps.size:
             return np.zeros(upto)
-        steps, cnts = _count_arrays(self.counts)
-        kept = steps <= upto
+        kept = np.searchsorted(self.steps, upto, side="right")
         dense = np.zeros(upto + 1)
-        dense[steps[kept]] = cnts[kept]
-        return np.cumsum(dense)[1:] / detected
+        dense[self.steps[:kept]] = self.counts[:kept]
+        return np.cumsum(dense)[1:] / self.detected
 
 
-def _count_arrays(counts: Mapping[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The steps and their counts as int64 arrays, in the mapping's order."""
-    return (np.fromiter(counts.keys(), dtype=np.int64, count=len(counts)),
-            np.fromiter(counts.values(), dtype=np.int64, count=len(counts)))
-
-
-def _mean_and_stderr(counts: Mapping[int, int]) -> tuple[float, float]:
+def _mean_and_stderr(steps: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
     """Mean of the detected steps and its standard error; NaN where undefined.
 
     The same bits as fsum over step * cnt and cnt * (step - mean) ** 2 in
@@ -159,10 +153,10 @@ def _mean_and_stderr(counts: Mapping[int, int]) -> tuple[float, float]:
     Python's exact int product does when fsum converts it. float_power calls
     the C pow that Python's ** calls, and fsum rounds exactly in any order.
     """
-    detected = sum(counts.values())
+    detected = int(counts.sum())
     if detected == 0:
         return math.nan, math.nan
-    steps, cnts = (a.astype(np.float64) for a in _count_arrays(counts))
+    steps, cnts = steps.astype(np.float64), counts.astype(np.float64)
     mean = math.fsum((steps * cnts).tolist()) / detected
     if detected == 1:
         return mean, math.nan
@@ -367,7 +361,7 @@ def simulate(pop: Population, cfg: SimConfig, sched: Schedule | None = None) -> 
     model = MODELS[cfg.model]
     walk, threaded = _walk(pop, model, cfg, walk_schedule(pop, cfg) if sched is None else sched)
     table = _target_table(pop)
-    counts: dict[int, int] = {}
+    steps, counts = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     undetected = capped = 0
     seed = int(cfg.seed) % (1 << 64)
     n_chunks = (cfg.reps + CHUNK - 1) // CHUNK
@@ -406,11 +400,11 @@ def simulate(pop: Population, cfg: SimConfig, sched: Schedule | None = None) -> 
                 contexts = [contextvars.copy_context() for _ in window]
                 results = pool.map(lambda ctx, c: ctx.run(chunk, c), contexts, window)
             filled = 0
-            for steps, missed, cut in results:  # in chunk order, whatever order they finish in
+            for found, missed, cut in results:  # in chunk order, whatever order they finish in
                 undetected += missed
                 capped += cut
-                held[filled : filled + steps.size] = steps
-                filled += steps.size
+                held[filled : filled + found.size] = found
+                filled += found.size
             if not filled:
                 continue
             window_steps = held[:filled]
@@ -422,15 +416,22 @@ def simulate(pop: Population, cfg: SimConfig, sched: Schedule | None = None) -> 
                 window_steps.sort()
                 starts = np.flatnonzero(np.concatenate(([True], window_steps[1:] != window_steps[:-1])))
                 values, runs = window_steps[starts], np.diff(starts, append=filled)
-            # Ascending either way. Python ints from tolist() update the dict 4x faster than numpy scalars.
-            for step_val, cnt in zip(values.tolist(), runs.tolist()):
-                counts[step_val] = counts.get(step_val, 0) + cnt
+            # Both ascending and distinct: add the runs of the steps seen, insert the others in order.
+            if not steps.size:
+                steps, counts = values, runs
+                continue
+            at = np.searchsorted(steps, values)
+            seen = steps[np.minimum(at, steps.size - 1)] == values
+            counts[at[seen]] += runs[seen]
+            if not seen.all():
+                steps, counts = np.insert(steps, at[~seen], values[~seen]), np.insert(counts, at[~seen], runs[~seen])
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    mean, stderr = _mean_and_stderr(counts)
-    return EmpiricalResult(counts=counts, undetected=undetected, capped=capped, max_steps=cfg.max_steps,
-                           mean_detected=mean, stderr=stderr)
+    steps.flags.writeable = counts.flags.writeable = False
+    mean, stderr = _mean_and_stderr(steps, counts)
+    return EmpiricalResult(steps=steps, counts=counts, undetected=undetected, capped=capped,
+                           max_steps=cfg.max_steps, mean_detected=mean, stderr=stderr)
 
 
 def check_alpha(alpha: float) -> None:
@@ -459,9 +460,8 @@ def dkw_check(emp: EmpiricalResult, exact: InspectionDistribution, alpha: float 
     replication counts the bands exceed 1 and the check is vacuously true.
     """
     cut = min(emp.max_steps, exact.horizon) if exact.truncated else emp.max_steps
-    last, late = max(emp.counts, default=1), 0
-    if last > cut:
-        late, last = sum(c for m, c in emp.counts.items() if m > cut), cut
+    last = min(int(emp.steps[-1]) if emp.steps.size else 1, cut)
+    late = int(emp.counts[np.searchsorted(emp.steps, cut, side="right"):].sum())
     atom = exact.atom_at_infinity + math.fsum(exact.pmf[cut:].tolist())
     reps = emp.reps
     band_all = dkw_band(reps, alpha)
@@ -492,6 +492,5 @@ def write_empirical_csv(path: str | Path, emp: EmpiricalResult, config_echo: Map
         fh.write("# config " + json.dumps(config_echo, sort_keys=True) + "\n")
         writer = csv.writer(fh)
         writer.writerow(["m", "count"])
-        for m in sorted(emp.counts):
-            writer.writerow([m, emp.counts[m]])
+        writer.writerows(zip(emp.steps.tolist(), emp.counts.tolist()))
         writer.writerow(["censored", emp.censored])

@@ -54,6 +54,11 @@ from oracle import (
 )
 
 
+def count_dict(emp) -> dict[int, int]:
+    """The empirical law as a step -> count dict, the form of the references in ``oracle``."""
+    return dict(zip(emp.steps.tolist(), emp.counts.tolist()))
+
+
 class TestSimConfig:
     def test_q_required_for_democratic_models(self):
         with pytest.raises(ValueError, match="requires"):
@@ -77,7 +82,7 @@ class TestSimConfig:
         pop = validate_population([0.5, 0.5])
         q = InspectionWeights(q=np.array([1e-19, 1.0]))
         emp = simulate(pop, SimConfig(model="J", reps=1000, seed=1, q=q, max_steps=2**53 - 1))
-        assert emp.censored > 0 and max(emp.counts) <= 2**53 - 1
+        assert emp.censored > 0 and emp.steps[-1] <= 2**53 - 1
         with pytest.raises(ValueError, match="max_steps"):
             SimConfig(model="ABCD", reps=1, seed=0, max_steps=2**53)
 
@@ -147,13 +152,16 @@ class TestSimulate:
     def test_deterministic(self):
         pop = validate_population([0.5, 0.3, 0.2], [0.9, 0.7, 0.8])
         cfg = SimConfig(model="GH", reps=30_000, seed=7)
-        assert simulate(pop, cfg) == simulate(pop, cfg)
+        a, b = simulate(pop, cfg), simulate(pop, cfg)
+        assert np.array_equal(a.steps, b.steps) and np.array_equal(a.counts, b.counts)
+        assert (a.undetected, a.capped, a.mean_detected) == (b.undetected, b.capped, b.mean_detected)
+        assert a.stderr == b.stderr
 
     def test_seed_changes_results(self):
         pop = validate_population([0.5, 0.5])
         a = simulate(pop, SimConfig(model="ABCD", reps=10_000, seed=1))
         b = simulate(pop, SimConfig(model="ABCD", reps=10_000, seed=2))
-        assert a.counts != b.counts
+        assert not np.array_equal(a.counts, b.counts)
 
     def test_abcd_never_censors_and_matches_mean(self):
         pop = validate_population([0.5, 0.3, 0.2])
@@ -189,7 +197,7 @@ class TestSimulate:
         q = uniform_weights(3)
         ej = simulate(pop, SimConfig(model="J", reps=50_000, seed=3, q=q))
         em = simulate(pop, SimConfig(model="MN", reps=50_000, seed=3, q=q))
-        assert ej.counts == em.counts
+        assert count_dict(ej) == count_dict(em)
         assert dkw_check(em, dist_j(pop, q), alpha=0.001)
 
     @pytest.mark.parametrize("model", LABELS)
@@ -199,14 +207,37 @@ class TestSimulate:
         q = InspectionWeights(q=random_simplex(rng, 6)) if MODELS[model].takes_q else None
         cfg = SimConfig(model=model, reps=17 * CHUNK + 5, seed=29, q=q)
         emp = simulate(pop, cfg)
-        assert (emp.counts, emp.undetected, emp.capped) == simulate_per_chunk(pop, cfg)
+        assert (count_dict(emp), emp.undetected, emp.capped) == simulate_per_chunk(pop, cfg)
+
+    def test_wide_support_merges_new_steps_from_every_window(self):
+        # Rate 1e-6 spreads half the steps over millions, so the windows are sorted, not counted by
+        # np.bincount, and later windows of the four bring steps the earlier ones never saw.
+        pop = validate_population([0.5, 0.5])
+        q = InspectionWeights(q=np.array([1e-6, 1 - 1e-6]))
+        cfg = SimConfig(model="J", reps=3 * 16 * CHUNK + 5, seed=47, max_steps=10**9, q=q)
+        emp = simulate(pop, cfg)
+        assert emp.steps[-1] > montecarlo._TALLY_SPAN * 16 * CHUNK
+        assert len(emp.steps) > 16 * CHUNK and emp.counts.max() > 1
+        assert (count_dict(emp), emp.undetected, emp.capped) == simulate_per_chunk(pop, cfg)
+
+    @pytest.mark.parametrize("model", LABELS)
+    def test_law_is_ascending_read_only_arrays(self, model, rng):
+        pop = random_population(rng, 6, s_lo=0.3)
+        q = InspectionWeights(q=random_simplex(rng, 6)) if MODELS[model].takes_q else None
+        emp = simulate(pop, SimConfig(model=model, reps=17 * CHUNK + 5, seed=29, q=q))
+        for arr in (emp.steps, emp.counts):
+            assert arr.dtype == np.int64 and arr.ndim == 1 and not arr.flags.writeable
+        assert (np.diff(emp.steps) > 0).all() and (emp.counts >= 1).all()
+        assert type(emp.reps) is int and type(emp.detected) is int
+        assert len(emp.counts) == len(emp.steps) == len(count_dict(emp))
+        assert emp.detected == sum(count_dict(emp).values())
 
     def test_windows_without_detections_add_no_counts(self):
         # s = 1e-300: every replication is missed, so no merge window holds a step.
         pop = validate_population([0.5, 0.5], [1e-300, 1e-300])
         cfg = SimConfig(model="GH", reps=17 * CHUNK + 5, seed=29)
         emp = simulate(pop, cfg)
-        assert (emp.counts, emp.undetected, emp.capped) == ({}, cfg.reps, 0)
+        assert (count_dict(emp), emp.undetected, emp.capped) == ({}, cfg.reps, 0)
         assert math.isnan(emp.mean_detected)
 
     def test_counts_add_up(self, rng):
@@ -214,7 +245,7 @@ class TestSimulate:
         cfg = SimConfig(model="OP", reps=12_345, seed=9, q=uniform_weights(4))
         emp = simulate(pop, cfg)
         assert emp.reps == 12_345
-        assert sum(emp.counts.values()) + emp.censored == 12_345
+        assert sum(count_dict(emp).values()) + emp.censored == 12_345
 
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -223,7 +254,7 @@ class TestSimulate:
         pop = validate_population([0.5, 0.5])
         q = InspectionWeights(q=np.array([1e-19, 1.0]))
         emp = simulate(pop, SimConfig(model="J", reps=1000, seed=1, q=q))
-        assert min(emp.counts) >= 1
+        assert emp.steps[0] >= 1
         assert math.isfinite(emp.mean_detected) and emp.mean_detected >= 1.0
         assert emp.censored > 0
 
@@ -244,7 +275,8 @@ class TestSummary:
     @example(counts={})  # no detection: both NaN
     @example(counts={7: 1})  # one detection: no stderr
     def test_mean_and_stderr_equal_the_python_formulas(self, counts):
-        got, want = _mean_and_stderr(counts), mean_and_stderr_literal(counts)
+        steps, cnts = np.array(sorted(counts.items()), dtype=np.int64).reshape(-1, 2).T
+        got, want = _mean_and_stderr(steps, cnts), mean_and_stderr_literal(counts)
         assert same_float(got[0], want[0]) and same_float(got[1], want[1]), (got, want)
 
     @pytest.mark.parametrize("model", LABELS)
@@ -252,10 +284,10 @@ class TestSummary:
         pop = random_population(rng, 12, s_lo=0.3)
         q = InspectionWeights(q=random_simplex(rng, 12)) if MODELS[model].takes_q else None
         emp = simulate(pop, SimConfig(model=model, reps=3 * CHUNK + 7, seed=13, q=q))
-        mean, stderr = mean_and_stderr_literal(emp.counts)
+        mean, stderr = mean_and_stderr_literal(count_dict(emp))
         assert same_float(emp.mean_detected, mean) and same_float(emp.stderr, stderr)
-        for upto in (1, 5, max(emp.counts) + 3):
-            assert np.array_equal(emp.cdf_array(upto), cdf_literal(emp.counts, upto))
+        for upto in (1, 5, emp.steps[-1] + 3):
+            assert np.array_equal(emp.cdf_array(upto), cdf_literal(count_dict(emp), upto))
 
     def test_steps_near_2_to_the_53(self):
         # A rate of 2**-52 spreads the steps up to max_steps = 2**53 - 1, where step * cnt
@@ -263,11 +295,11 @@ class TestSummary:
         pop = validate_population([0.5, 0.5])
         q = InspectionWeights(q=np.array([2.0**-52, 1.0 - 2.0**-52]))
         emp = simulate(pop, SimConfig(model="J", reps=20_000, seed=17, max_steps=2**53 - 1, q=q))
-        assert max(emp.counts) > 2**52 and emp.capped > 0
-        mean, stderr = mean_and_stderr_literal(emp.counts)
+        assert emp.steps[-1] > 2**52 and emp.capped > 0
+        mean, stderr = mean_and_stderr_literal(count_dict(emp))
         assert same_float(emp.mean_detected, mean) and same_float(emp.stderr, stderr)
         for upto in (1, 2**20):
-            assert np.array_equal(emp.cdf_array(upto), cdf_literal(emp.counts, upto))
+            assert np.array_equal(emp.cdf_array(upto), cdf_literal(count_dict(emp), upto))
 
 
 def crowded_population() -> tuple:
@@ -293,7 +325,7 @@ class TestWalkOracle:
         if model in ("J", "MN") or max_steps < pop.n:
             assert want[2] > 0  # the 1e-19 rate, or the cap below N, censors some walks
         emp = simulate(pop, cfg)
-        assert (emp.counts, emp.undetected, emp.capped) == want
+        assert (count_dict(emp), emp.undetected, emp.capped) == want
 
     @pytest.mark.parametrize("max_steps", [10**7, 5])
     @pytest.mark.parametrize("model", ["IKL", "OP"])
@@ -303,7 +335,7 @@ class TestWalkOracle:
         want = simulate_literal(pop, cfg)
         assert (want[2] > 0) == (max_steps < pop.n)
         emp = simulate(pop, cfg)
-        assert (emp.counts, emp.undetected, emp.capped) == want
+        assert (count_dict(emp), emp.undetected, emp.capped) == want
 
     def test_ef_attempts_past_a_short_schedule_never_reach_the_target(self):
         g = np.random.default_rng(8)
@@ -314,7 +346,7 @@ class TestWalkOracle:
         want = simulate_literal(pop, cfg, short)
         assert want[2] > 0
         emp = simulate(pop, cfg, short)
-        assert (emp.counts, emp.undetected, emp.capped) == want
+        assert (count_dict(emp), emp.undetected, emp.capped) == want
 
     @pytest.mark.parametrize("q, counted_by", [((1e-9, 1 - 1e-9), "sort"), ((0.5, 0.5), "bincount")])
     def test_both_window_counts_match_the_sort(self, q, counted_by, monkeypatch):
@@ -322,11 +354,11 @@ class TestWalkOracle:
         pop = validate_population([0.5, 0.5])
         cfg = SimConfig(model="J", reps=16 * CHUNK, seed=43, q=InspectionWeights(np.array(q)))
         emp = simulate(pop, cfg)
-        spread = max(emp.counts) > montecarlo._TALLY_SPAN * emp.detected
+        spread = emp.steps[-1] > montecarlo._TALLY_SPAN * emp.detected
         assert spread == (counted_by == "sort")
         monkeypatch.setattr(montecarlo, "_TALLY_SPAN", 0)  # every window sorted
         sorted_emp = simulate(pop, cfg)
-        assert list(emp.counts.items()) == list(sorted_emp.counts.items())
+        assert np.array_equal(emp.steps, sorted_emp.steps) and np.array_equal(emp.counts, sorted_emp.counts)
         assert (emp.undetected, emp.capped) == (sorted_emp.undetected, sorted_emp.capped)
 
 
@@ -359,7 +391,7 @@ class TestCensoring:
         assert exact.truncated and exact.horizon == 10**6 and exact.atom_at_infinity > 0.45
         for seed in range(1, 7):
             emp = simulate(pop, SimConfig(model="J", reps=5000, seed=seed, q=q))
-            assert max(emp.counts) > exact.horizon
+            assert emp.steps[-1] > exact.horizon
             assert dkw_check(emp, exact, alpha=0.001), seed
         # Twice the small weight leaves a tail of .5 exp(-.2) = .409, far outside the band of .028.
         assert not dkw_check(emp, dist_j(pop, InspectionWeights(q=np.array([2e-7, 1.0]))), alpha=0.001)
@@ -459,7 +491,7 @@ class TestRace:
                 for workers in (1, 2, 3, 16):
                     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda workers=workers: workers)
                     emp = simulate(pop, cfg)
-                    assert (emp.counts, emp.undetected, emp.capped) == want, (n, workers)
+                    assert (count_dict(emp), emp.undetected, emp.capped) == want, (n, workers)
         finally:
             sys.setswitchinterval(interval)
 
