@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Cross-check the Monte Carlo engine against every exact law.
+"""Cross-check the CLI's exact laws on one random population.
 
-Draws a random population and runs `priorsearch simulate --check-exact` on
-it for all seven models: J and MN at their optimal weights, IKL and OP twice,
-at uniform weights and then at random Dirichlet ones from a `--q-file`, so both
-the equal-weight walk and the race kernel meet their exact laws. Exits 1 when
-any run exits nonzero (3 for a failed DKW check).
+Draws a population (p ~ Dirichlet(1), s ~ U(0.3, 1)) and Dirichlet weights q,
+writes both to temporary CSV files and runs the CLI on them. First
+`priorsearch order` checks the partial order of the seven laws at uniform
+weights. Then `priorsearch simulate --check-exact` checks each simulated
+process against its exact law: J and MN at their optimal weights, IKL and OP
+twice, at uniform weights and at q from a `--q-file`, so both the equal-weight
+walk and the race meet their exact laws. Exits 1 when any run exits nonzero.
 
-Usage: python scripts/mc_crosscheck.py [--seed SEED] [--size N] [--reps R] [--alpha A]
+Usage: python scripts/crosscheck.py [--seed SEED] [--size N] [--reps R] [--alpha A]
 """
 
 import argparse
@@ -35,21 +37,20 @@ def main():
         rng.dirichlet(np.ones(args.size)), rng.uniform(0.3, 1.0, size=args.size)
     )
     q = rng.dirichlet(np.ones(args.size))
-    failed = False
     with tempfile.TemporaryDirectory() as tmp:
         path, q_path = Path(tmp) / "population.csv", Path(tmp) / "weights.csv"
         save_population_csv(path, pop)
         q_path.write_text("id,q\n" + "".join(f"{i},{w!r}\n" for i, w in zip(pop.ids, q.tolist())))
+        runs = [["order", "--input", str(path)]]
         for model in MODELS.values():
             weights = [[]]
             if model.takes_q and model.optimal_q is None:
                 weights = [["--uniform-q"], ["--q-file", str(q_path)]]
-            for flags in weights:
-                argv = [sys.executable, "-m", "priorsearch.cli", "simulate", "--model", model.label,
-                        "--input", str(path), "--reps", str(args.reps), "--seed", str(args.seed),
-                        "--alpha", str(args.alpha), "--check-exact", *flags]
-                failed |= subprocess.run(argv).returncode != 0
-    return 1 if failed else 0
+            runs += [["simulate", "--model", model.label, "--input", str(path), "--reps", str(args.reps),
+                      "--seed", str(args.seed), "--alpha", str(args.alpha), "--check-exact", *flags]
+                     for flags in weights]
+        codes = [subprocess.run([sys.executable, "-m", "priorsearch.cli", *run]).returncode for run in runs]
+    return 1 if any(codes) else 0
 
 
 if __name__ == "__main__":

@@ -202,11 +202,16 @@ def dominance_report(
     if q is None:
         q = uniform_weights(pop.n)
     check_weights(pop, q)
+    # The race laws are never truncated and are the slowest to build, so a
+    # truncated law is refused before either of them is built.
     laws = {
         m.label: dist_ef(ef_schedule(pop, eps=EF_EPS)) if m.walk == "schedule" else m.law(pop, q)
         for m in MODELS.values()
+        if m.walk != "race"
     }
     _check_comparable(tol, laws.items())
+    laws |= {m.label: m.law(pop, q) for m in MODELS.values() if m.walk == "race"}
+    laws = {label: laws[label] for label in MODEL_LABELS}
     expected = expected_relations(pop)
     verdicts: dict[tuple[str, str], DominanceVerdict] = {}
     mismatches: list[str] = []

@@ -471,8 +471,14 @@ class TestOrder:
         assert result.exit_code == 2
         assert result.stderr == f"error: tol must be in (0, 1), got {float(tol)!r}\n"
 
-    def test_truncated_law_is_refused_by_its_model_and_cut(self, runner, tmp_path):
+    def test_truncated_law_is_refused_by_its_model_and_cut(self, runner, tmp_path, monkeypatch):
         # J's law stops at 10^6 steps with mass .5 (1 - 1e-7)^(10^6) = .452 left, which no option changes.
+        # The refusal comes before either race law, the slowest to build, is built.
+        def unbuilt(*args):
+            raise RuntimeError("race law built")
+
+        for name in ("dist_ikl_exact", "dist_op_exact"):
+            monkeypatch.setattr(models, name, unbuilt)
         pop_path, q_path = tmp_path / "pop.csv", tmp_path / "q.csv"
         pop_path.write_text("id,p\na,0.5\nb,0.5\n")
         q_path.write_text("id,q\na,1e-7\nb,1\n")

@@ -125,6 +125,7 @@ class TestDominanceReport:
         pop = random_population(rng, 4, s_lo=0.3, s_hi=0.95)
         report = dominance_report(pop)
         assert report.ok
+        assert tuple(report.distributions) == MODEL_LABELS
         for pair in EXPECTED_SMALLER:
             assert report.verdicts[pair].relation == "smaller"
 
