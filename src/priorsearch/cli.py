@@ -32,9 +32,9 @@ from .population import (
     InspectionWeights,
     Population,
     bayes_update,
-    load_likelihoods_csv,
+    load_likelihoods,
     load_population,
-    load_weights_csv,
+    load_weights,
     save_population_csv,
     solve_conditional_inspection,
     uniform_weights,
@@ -92,7 +92,7 @@ def _resolve_q(
             raise ValueError(f"model {model.label} does not take inspection weights")
         return None, "none"
     if q_file:
-        return load_weights_csv(q_file, pop), f"file:{q_file}"
+        return load_weights(q_file, pop), f"file:{q_file}"
     if q_source == "uniform":
         return uniform_weights(pop.n), "uniform"
     if model.optimal_q is not None:
@@ -103,7 +103,7 @@ def _resolve_q(
     raise ValueError(f"model {model.label} requires --uniform-q or --q-file")
 
 
-_input = click.option("--input", "input_path", required=True, type=click.Path(exists=True, dir_okay=False))
+_input = click.option("--input", "input_path", required=True, type=click.Path())
 
 
 def _q_flags(fn):
@@ -111,8 +111,8 @@ def _q_flags(fn):
                       help="Use the model's closed-form optimal weights (J, MN).")(fn)
     fn = click.option("--uniform-q", "q_source", flag_value="uniform",
                       help="Use uniform inspection weights.")(fn)
-    fn = click.option("--q-file", type=click.Path(exists=True, dir_okay=False),
-                      help="CSV with header id,q supplying inspection weights.")(fn)
+    fn = click.option("--q-file", type=click.Path(),
+                      help="CSV (header id,q) or JSON file supplying inspection weights.")(fn)
     return fn
 
 
@@ -262,14 +262,14 @@ def profile():
 
 @profile.command()
 @_input
-@click.option("--likelihood", "likelihood_path", required=True, type=click.Path(exists=True, dir_okay=False),
-              help="CSV with header id,likelihood.")
+@click.option("--likelihood", "likelihood_path", required=True, type=click.Path(),
+              help="CSV (header id,likelihood) or JSON file.")
 @click.option("--out", type=click.Path(file_okay=False), help="Directory for the updated population file.")
 @_exit_codes()
 def bayes(input_path, likelihood_path, out):
     """Apply a likelihood column to the priors and write the updated population."""
     loaded = load_population(input_path)
-    updated = bayes_update(loaded.population, load_likelihoods_csv(likelihood_path, loaded.population))
+    updated = bayes_update(loaded.population, load_likelihoods(likelihood_path, loaded.population))
     if out:
         _write_out(out, "profile bayes", input_path, {"likelihood": likelihood_path}, "population_updated.csv",
                    lambda path: save_population_csv(path, updated, loaded.lam))
@@ -284,8 +284,7 @@ def bayes(input_path, likelihood_path, out):
                                            + ["uniform"]),
               default="optimal-J", show_default=True,
               help="Which inspection weights the decomposition should induce.")
-@click.option("--q-file", type=click.Path(exists=True, dir_okay=False),
-              help="Explicit target weights (overrides --target).")
+@click.option("--q-file", type=click.Path(), help="Explicit target weights (overrides --target).")
 @click.option("--scale", type=float, default=1.0, show_default=True,
               help="Overall inspection intensity: max_i pi_i.")
 @click.option("--out", type=click.Path(file_okay=False))
@@ -299,7 +298,7 @@ def decompose(input_path, target, q_file, scale, out):
         click.echo("note: no lambda column in input; assuming uniform attention")
         lam = np.full(pop.n, 1.0 / pop.n)
     if q_file:
-        target_q = load_weights_csv(q_file, pop)
+        target_q = load_weights(q_file, pop)
     elif target == "uniform":
         target_q = uniform_weights(pop.n)
     else:

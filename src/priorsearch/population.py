@@ -14,7 +14,7 @@ there):
     q_i = lambda_i * pi_i / sum_j lambda_j * pi_j
 
 This module owns validation, Bayes updating of the priors, the
-decomposition above, and the CSV/JSON file formats for populations.
+decomposition above, and the CSV and JSON input files.
 """
 
 from __future__ import annotations
@@ -244,11 +244,7 @@ def solve_conditional_inspection(
 
 
 # ---------------------------------------------------------------------------
-# File formats.
-#
-# CSV: header `id,p,s,lambda` with `s` and `lambda` optional; one row per
-# item. JSON: an object with fields "id", "p", "s", "lambda" holding
-# parallel arrays ("s" and "lambda" optional).
+# File formats: CSV with a header row, or a JSON object of parallel arrays.
 # ---------------------------------------------------------------------------
 
 
@@ -260,74 +256,75 @@ class PopulationFile:
     lam: np.ndarray | None
 
 
-def load_population(path: str | Path) -> PopulationFile:
-    """Load a population from CSV or JSON, dispatched on file extension."""
-    path = Path(path)
-    if path.suffix.lower() == ".json":
-        return load_population_json(path)
-    return load_population_csv(path)
+def _is_json(path: str | Path) -> bool:
+    return Path(path).suffix.lower() == ".json"
 
 
-def _read_columns(
-    path: str | Path, required: tuple[str, ...], optional: tuple[str, ...] = ()
-) -> dict[str, list]:
-    """The named columns of a CSV file with a header row, one entry per row.
+def _by_name(path: str | Path, pairs: list[tuple[str, object]]) -> dict:
+    """``pairs`` as a dict, refusing a name that comes twice."""
+    table = dict(pairs)
+    if len(table) < len(pairs):
+        twice = next(name for name, k in Counter(name for name, _ in pairs).items() if k > 1)
+        raise PopulationError(f"{path}: column `{twice}` is named twice")
+    return table
 
-    ``id`` comes back as stripped strings and every other column as floats;
-    an optional column missing from the header is left out.
+
+def _read_columns(path: str | Path, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict[str, list]:
+    """The named columns of an input file: ``id`` as strings, every other column as floats.
+
+    A name ending in `.json` is read as a JSON object of arrays, any other as a
+    CSV file with a header row, blank lines skipped. Each column must be named
+    once and each CSV row must hold one field per header name. An optional
+    column that the file lacks is left out.
     """
+    json_file = _is_json(path)
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        header = [f.strip() for f in reader.fieldnames or ()]
+        if json_file:
+            try:
+                table = json.load(fh, object_pairs_hook=lambda pairs: _by_name(path, pairs))
+            except json.JSONDecodeError as exc:
+                raise PopulationError(f"{path}: malformed JSON ({exc})") from exc
+        else:
+            reader = filter(None, csv.reader(fh))
+            header = [name.strip() for name in next(reader, ())]
+            rows = list(reader)
+    if json_file:
+        if not isinstance(table, dict) or any(table.get(c) is None for c in required):
+            raise PopulationError(f"{path}: expected an object with arrays `{','.join(required)}`")
+        columns = {c: table[c] for c in required + optional if table.get(c) is not None}
+        for c, values in columns.items():
+            if not isinstance(values, list):
+                raise PopulationError(f"{path}: malformed JSON (`{c}` is not an array)")
+            # float() would read true and false as 1.0 and 0.0.
+            if c != "id" and any(isinstance(v, bool) for v in values):
+                raise PopulationError(f"{path}: malformed array (`{c}` holds true or false)")
+        to_id, what = str, "array"
+    else:
         if not set(required) <= set(header):
             raise PopulationError(f"{path}: header must contain `{','.join(required)}`")
-        reader.fieldnames = header
-        rows = list(reader)
-    if not rows:
-        raise PopulationError(f"{path}: no rows")
-    names = [c for c in required + optional if c in header]
+        if not rows:
+            raise PopulationError(f"{path}: no rows")
+        if set(map(len, rows)) != {len(header)}:
+            k, row = next((k, row) for k, row in enumerate(rows, 1) if len(row) != len(header))
+            raise PopulationError(f"{path}: row {k} has {len(row)} fields but the header has {len(header)}")
+        table = _by_name(path, list(zip(header, zip(*rows))))
+        columns = {c: table[c] for c in required + optional if c in table}
+        to_id, what = str.strip, "row"
     try:
-        return {c: [row[c].strip() if c == "id" else float(row[c]) for row in rows] for c in names}
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise PopulationError(f"{path}: malformed row ({exc})") from exc
+        return {c: list(map(to_id if c == "id" else float, values)) for c, values in columns.items()}
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise PopulationError(f"{path}: malformed {what} ({exc})") from exc
 
 
-def _population_file(path, p, s, ids, lam) -> PopulationFile:
+def load_population(path: str | Path) -> PopulationFile:
+    """Population file: columns `id,p,s,lambda`, `s` and `lambda` optional, and `id` too in JSON."""
+    cols = _read_columns(path, ("p",) if _is_json(path) else ("id", "p"), ("id", "s", "lambda"))
+    ids = cols.get("id")
     try:
-        lam_arr = _normalized(lam, "lambda") if lam is not None else None
-        return PopulationFile(population=validate_population(p, s, ids), lam=lam_arr)
+        lam = _normalized(cols["lambda"], "lambda") if "lambda" in cols else None
+        return PopulationFile(population=validate_population(cols["p"], cols.get("s"), ids), lam=lam)
     except _BadEntry as exc:
         raise exc.by_id(path, ids) from None
-
-
-def load_population_csv(path: str | Path) -> PopulationFile:
-    cols = _read_columns(path, ("id", "p"), ("s", "lambda"))
-    return _population_file(path, cols["p"], cols.get("s"), cols["id"], cols.get("lambda"))
-
-
-def load_population_json(path: str | Path) -> PopulationFile:
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise PopulationError(f"{path}: malformed JSON ({exc})") from exc
-    if not isinstance(data, dict) or "p" not in data:
-        raise PopulationError(f"{path}: expected an object with a `p` array")
-    for k in ("id", "p", "s", "lambda"):
-        if data.get(k) is not None and not isinstance(data[k], list):
-            raise PopulationError(f"{path}: malformed population (`{k}` is not an array)")
-    for k in ("p", "s", "lambda"):
-        # numpy would read true and false as 1.0 and 0.0.
-        if any(isinstance(v, bool) for v in data.get(k) or ()):
-            raise PopulationError(f"{path}: malformed array (`{k}` holds true or false)")
-    try:
-        p, s, lam = (
-            None if data.get(k) is None else np.asarray(data[k], dtype=float) for k in ("p", "s", "lambda")
-        )
-        ids = None if data.get("id") is None else [str(i) for i in data["id"]]
-    except (TypeError, ValueError) as exc:
-        raise PopulationError(f"{path}: malformed array ({exc})") from exc
-    return _population_file(path, p, s, ids, lam)
 
 
 def save_population_csv(path: str | Path, pop: Population, lam: np.ndarray | None = None) -> None:
@@ -343,8 +340,10 @@ def save_population_csv(path: str | Path, pop: Population, lam: np.ndarray | Non
 
 
 def _column_by_id(path: str | Path, column: str, what: str, pop: Population) -> np.ndarray:
-    """A CSV's `column` in item order, from exactly one row per item, matched by `id`."""
+    """A file's `column` in item order, from exactly one entry per item, matched by `id`."""
     cols = _read_columns(path, ("id", column))
+    if len(cols["id"]) != len(cols[column]):
+        raise PopulationError(f"{path}: {len(cols['id'])} ids for {len(cols[column])} {what}")
     by_id = dict(zip(cols["id"], cols[column]))
     known = set(pop.ids)
     for problem, bad in (
@@ -357,14 +356,14 @@ def _column_by_id(path: str | Path, column: str, what: str, pop: Population) -> 
     return np.asarray([by_id[i] for i in pop.ids], dtype=float)
 
 
-def load_weights_csv(path: str | Path, pop: Population) -> InspectionWeights:
-    """Weights file: CSV with header `id,q`, matched to the population by id."""
+def load_weights(path: str | Path, pop: Population) -> InspectionWeights:
+    """Weights file: columns `id` and `q`, matched to the population by id."""
     try:
         return InspectionWeights(q=_column_by_id(path, "q", "weights", pop))
     except _BadEntry as exc:
         raise exc.by_id(path, pop.ids) from None
 
 
-def load_likelihoods_csv(path: str | Path, pop: Population) -> np.ndarray:
-    """Likelihood file: CSV with header `id,likelihood`, matched to the population by id."""
+def load_likelihoods(path: str | Path, pop: Population) -> np.ndarray:
+    """Likelihood file: columns `id` and `likelihood`, matched to the population by id."""
     return _column_by_id(path, "likelihood", "likelihoods", pop)

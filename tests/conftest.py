@@ -56,6 +56,7 @@ MALFORMED_JSON = {
     "id-object": '{"p": [0.5, 0.5], "id": {"x": 1, "y": 2}}',
     "p-s-booleans": '{"p": [true], "s": [true]}',
     "s-booleans": '{"p": [0.5, 0.5], "s": [true, false]}',
+    "p-huge-integer": '{"p": [1' + "0" * 400 + "]}",
 }
 
 

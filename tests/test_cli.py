@@ -662,3 +662,48 @@ class TestWeightsFile:
             )
             assert result.exit_code == 0, result.output
             assert get_line(result.output, "dkw check:") == "PASS (alpha=0.001)"
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize(
+        "files, args, message",
+        [
+            ({"pop.csv": "id,p,s,p\na,1.5,1,0.5\nb,-0.5,1,0.5\n"}, ["--model", "ABCD", "--input", "pop.csv"],
+             "pop.csv: column `p` is named twice"),
+            ({"pop.json": '{"p": [0.5, 0.5], "p": [0.2, 0.8]}'}, ["--model", "ABCD", "--input", "pop.json"],
+             "pop.json: column `p` is named twice"),
+            ({"pop.csv": "id,p\na,0.5\nb,0.5\n", "q.csv": "id,q,q\na,0.5,0.2\nb,0.5,0.8\n"},
+             ["--model", "IKL", "--input", "pop.csv", "--q-file", "q.csv"], "q.csv: column `q` is named twice"),
+            ({"pop.csv": "id,p,s\n1,0.5,1\n2,0.5,1,7\n"}, ["--model", "ABCD", "--input", "pop.csv"],
+             "pop.csv: row 2 has 4 fields but the header has 3"),
+        ],
+        ids=["population-csv-p-twice", "population-json-p-twice", "weights-q-twice", "row-with-extra-field"],
+    )
+    def test_misread_file_exits_2(self, runner, tmp_path, monkeypatch, files, args, message):
+        # Each of these files used to load: the last column of a name won, and an extra field was dropped.
+        monkeypatch.chdir(tmp_path)
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        result = runner.invoke(main, ["evaluate", *args])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "args, path",
+        [
+            (["evaluate", "--model", "ABCD", "--input", "missing.csv"], "missing.csv"),
+            (["order", "--input", "pop.csv", "--q-file", "missing.csv"], "missing.csv"),
+            (["profile", "bayes", "--input", "pop.csv", "--likelihood", "missing.csv"], "missing.csv"),
+            (["evaluate", "--model", "ABCD", "--input", "folder"], "folder"),
+        ],
+        ids=["missing-input", "missing-q-file", "missing-likelihood", "directory-input"],
+    )
+    def test_unusable_file_exits_2_with_an_error_line(self, runner, tmp_path, monkeypatch, args, path):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "pop.csv").write_text("id,p\na,0.5\nb,0.5\n")
+        (tmp_path / "folder").mkdir()
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith("error: ")
+        assert path in result.stderr
+        assert result.stdout == ""

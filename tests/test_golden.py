@@ -51,6 +51,8 @@ INPUTS = {
     "q10_csv": "id,q\na,0.05\nb,0.2\nc,0.15\nd,0.1\ne,0.02\nf,0.08\ng,0.12\nh,0.18\ni,0.04\nj,0.06\n",
     "likelihood_csv": "id,likelihood\na,0.2\nb,0.5\nc,0.9\n",
     "bad_likelihood_csv": "id,likelihood\na,0.2\nb,abc\nc,0.9\n",
+    # pop_csv with a second `p` column, which once silently replaced the first.
+    "dup_column_csv": "id,p,s,p\na,0.5,1,0.2\nb,0.3,1,0.3\nc,0.2,0.5,0.5\n",
 }
 
 
@@ -124,6 +126,7 @@ CASES = {
     # Error cases.
     "error-profile-bayes-bad-likelihood": ["profile", "bayes", "--input", "pop_csv",
                                            "--likelihood", "bad_likelihood_csv", *OUT],
+    "error-evaluate-duplicate-column": ["evaluate", "--model", "ABCD", "--input", "dup_column_csv", *OUT],
     "error-profile-decompose-q-size": ["profile", "decompose", "--input", "pop_csv",
                                        "--q-file", "q_short_csv", *OUT],
 }

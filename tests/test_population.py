@@ -30,17 +30,34 @@ from priorsearch import (
     validate_population,
 )
 from priorsearch.population import (
-    PopulationFile,
-    load_likelihoods_csv,
+    load_likelihoods,
     load_population,
-    load_population_csv,
-    load_population_json,
-    load_weights_csv,
+    load_weights,
     save_population_csv,
 )
 
 from conftest import MALFORMED_JSON
 from oracle import profile_to_weights
+
+# Each kind of input file as CSV and as its JSON twin, which holds the same columns.
+TWINS = {
+    "population_csv": "id,p,s,lambda\na,0.6,1,0.3\nb,0.4,0.5,0.7\n",
+    "population_json": '{"id": ["a", "b"], "p": [0.6, 0.4], "s": [1, 0.5], "lambda": [0.3, 0.7]}',
+    "weights_csv": "id,q\nb,0.75\na,0.25\n",
+    "weights_json": '{"id": ["b", "a"], "q": [0.75, 0.25]}',
+    "likelihoods_csv": "id,likelihood\nb,0.2\na,0.1\n",
+    "likelihoods_json": '{"id": ["b", "a"], "likelihood": [0.2, 0.1]}',
+}
+
+
+def load_kind(kind, path):
+    """The arrays and ids that a ``kind`` file at ``path`` loads to (ids None for weights and likelihoods)."""
+    pop = validate_population([0.5, 0.5], ids=["a", "b"])
+    if kind == "population":
+        loaded = load_population(path)
+        return [loaded.population.p, loaded.population.s, loaded.lam], loaded.population.ids
+    return [load_weights(path, pop).q if kind == "weights" else load_likelihoods(path, pop)], None
+
 
 probability_vectors = st.lists(
     st.floats(min_value=1e-3, max_value=10.0, allow_nan=False), min_size=1, max_size=12
@@ -268,14 +285,14 @@ class TestFiles:
     def test_weights_csv(self, tmp_path):
         path = tmp_path / "q.csv"
         path.write_text("id,q\nb,0.75\na,0.25\n")
-        q = load_weights_csv(path, validate_population([0.5, 0.5], ids=["a", "b"]))
+        q = load_weights(path, validate_population([0.5, 0.5], ids=["a", "b"]))
         assert np.allclose(q.q, [0.25, 0.75])
 
     def test_likelihood_csv_alignment(self, tmp_path):
         pop = validate_population([0.5, 0.5], ids=["b", "a"])
         path = tmp_path / "lik.csv"
         path.write_text("id,likelihood\na,0.1\nb,0.2\n")
-        lik = load_likelihoods_csv(path, pop)
+        lik = load_likelihoods(path, pop)
         assert np.allclose(lik, [0.2, 0.1])
 
     def test_likelihood_csv_missing_item(self, tmp_path):
@@ -283,34 +300,68 @@ class TestFiles:
         path = tmp_path / "lik.csv"
         path.write_text("id,likelihood\na,0.1\n")
         with pytest.raises(PopulationError, match="missing likelihoods"):
-            load_likelihoods_csv(path, pop)
+            load_likelihoods(path, pop)
+
+    @pytest.mark.parametrize("case", TWINS)
+    def test_byte_order_mark_is_accepted(self, tmp_path, case):
+        # Excel's "CSV UTF-8" starts the file with a UTF-8 byte-order mark.
+        suffix = "." + case.split("_")[1]
+        plain, marked, twin = tmp_path / f"plain{suffix}", tmp_path / f"marked{suffix}", tmp_path / "twin.csv"
+        plain.write_text(TWINS[case])
+        marked.write_bytes(codecs.BOM_UTF8 + TWINS[case].encode())
+        twin.write_text(TWINS[case.replace("_json", "_csv")])
+        kind = case.split("_")[0]
+        want, want_ids = load_kind(kind, twin)
+        for path in (plain, marked):
+            got, got_ids = load_kind(kind, path)
+            assert got_ids == want_ids
+            assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
 
     @pytest.mark.parametrize(
-        "load, text",
+        "kind, name, text, column",
         [
-            (load_population_csv, "id,p,s,lambda\na,0.6,1,0.3\nb,0.4,0.5,0.7\n"),
-            (load_population_json, '{"id": ["a", "b"], "p": [0.6, 0.4], "s": [1, 0.5], "lambda": [0.3, 0.7]}'),
-            (lambda path: load_weights_csv(path, validate_population([0.5, 0.5], ids=["a", "b"])),
-             "id,q\nb,0.75\na,0.25\n"),
-            (lambda path: load_likelihoods_csv(path, validate_population([0.5, 0.5], ids=["a", "b"])),
-             "id,likelihood\nb,0.2\na,0.1\n"),
+            ("population", "pop.csv", "id,p,s,p\na,0.5,1,0.2\nb,0.5,1,0.8\n", "p"),
+            ("population", "pop.json", '{"p": [0.5, 0.5], "p": [0.2, 0.8]}', "p"),
+            ("population", "pop.csv", " id ,p,id\na,1,b\n", "id"),
+            ("weights", "q.csv", "id,q,q\na,0.5,0.2\nb,0.5,0.8\n", "q"),
+            ("weights", "q.json", '{"id": ["a", "b"], "q": [0.5, 0.5], "q": [0.2, 0.8]}', "q"),
+            ("likelihoods", "lik.csv", "id,likelihood,id\na,0.5,b\nb,0.5,a\n", "id"),
+            ("likelihoods", "lik.json", '{"id": ["a", "b"], "likelihood": [1, 1], "id": ["b", "a"]}', "id"),
         ],
-        ids=["population_csv", "population_json", "weights_csv", "likelihoods_csv"],
+        ids=["population-csv", "population-json", "population-csv-after-strip", "weights-csv", "weights-json",
+             "likelihoods-csv", "likelihoods-json"],
     )
-    def test_byte_order_mark_is_accepted(self, tmp_path, load, text):
-        # Excel's "CSV UTF-8" starts the file with a UTF-8 byte-order mark.
-        def arrays_and_ids(loaded):
-            if isinstance(loaded, PopulationFile):
-                return [loaded.population.p, loaded.population.s, loaded.lam], loaded.population.ids
-            return [getattr(loaded, "q", loaded)], None
+    def test_column_named_twice_is_refused(self, tmp_path, kind, name, text, column):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(PopulationError, match=f"^{re.escape(str(path))}: column `{column}` is named twice$"):
+            load_kind(kind, path)
 
-        plain, marked = tmp_path / "plain", tmp_path / "marked"
-        plain.write_text(text)
-        marked.write_bytes(codecs.BOM_UTF8 + text.encode())
-        want, want_ids = arrays_and_ids(load(plain))
-        got, got_ids = arrays_and_ids(load(marked))
-        assert got_ids == want_ids
-        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("1,0.5,1\n2,0.5,1,7\n", "row 2 has 4 fields but the header has 3"),
+            ("1,0.5\n2,0.5,1\n", "row 1 has 2 fields but the header has 3"),
+            ("1,0.5,1,\n2,0.5,1\n", "row 1 has 4 fields but the header has 3"),
+        ],
+        ids=["extra", "short", "trailing-comma"],
+    )
+    def test_row_must_hold_one_field_per_header_name(self, tmp_path, rows, message):
+        path = tmp_path / "pop.csv"
+        path.write_text("id,p,s\n" + rows)
+        with pytest.raises(PopulationError, match=f"^{re.escape(str(path))}: {message}$"):
+            load_population(path)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "pop.csv"
+        path.write_text("\nid,p\n\na,0.5\n\nb,0.5\n\n")
+        assert load_population(path).population.ids == ("a", "b")
+
+    def test_json_weights_need_one_weight_per_id(self, tmp_path):
+        path = tmp_path / "q.json"
+        path.write_text('{"id": ["a", "b"], "q": [0.25, 0.5, 0.25]}')
+        with pytest.raises(PopulationError, match=f"^{re.escape(str(path))}: 2 ids for 3 weights$"):
+            load_weights(path, validate_population([0.5, 0.5], ids=["a", "b"]))
 
     @pytest.mark.parametrize("text", MALFORMED_JSON.values(), ids=MALFORMED_JSON)
     def test_malformed_json_names_the_file(self, tmp_path, text):
