@@ -27,7 +27,7 @@ from . import __version__
 from .distributions import InspectionDistribution, dist_ef, write_distribution_csv
 from .models import LABELS, MODELS, Model
 from .montecarlo import SimConfig, check_alpha, dkw_check, simulate, walk_schedule, write_empirical_csv
-from .ordering import DEFAULT_COMPARE_TOL, ComparisonTruncationError, dominance_report
+from .ordering import DEFAULT_COMPARE_TOL, dominance_report
 from .population import (
     InspectionWeights,
     Population,
@@ -39,7 +39,7 @@ from .population import (
     solve_conditional_inspection,
     uniform_weights,
 )
-from .strategies import ScheduleTruncationError, descending_order
+from .strategies import descending_order
 
 EXIT_VALIDATION = 2
 EXIT_MISMATCH = 3
@@ -49,13 +49,13 @@ EXIT_MISMATCH = 3
 def _exit_codes():
     """Turn bad input into `error: <message>` on stderr and exit code 2.
 
-    Bad input is a ValueError (PopulationError and a malformed JSON file's
-    decode error among them), an unreadable file, or a schedule or
-    comparison that cannot be carried out honestly.
+    Bad input is a ValueError (a PopulationError names the file at fault, if
+    any; a schedule or comparison may be too truncated to carry out honestly)
+    or an unreadable file. Every check on the input runs before a command prints.
     """
     try:
         yield
-    except (ValueError, OSError, ScheduleTruncationError, ComparisonTruncationError) as exc:
+    except (ValueError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
 
@@ -95,12 +95,10 @@ def _resolve_q(
         return load_weights(q_file, pop), f"file:{q_file}"
     if q_source == "uniform":
         return uniform_weights(pop.n), "uniform"
-    if model.optimal_q is not None:
-        # Mean-optimal weights exist in closed form; they are the default.
-        return model.optimal_q(pop), "optimal"
-    if q_source == "optimal":
+    if model.optimal_q is None:
         raise ValueError(f"model {model.label} has no closed-form optimal weights; use --uniform-q or --q-file")
-    raise ValueError(f"model {model.label} requires --uniform-q or --q-file")
+    # Mean-optimal weights exist in closed form; they are the default.
+    return model.optimal_q(pop), "optimal"
 
 
 _input = click.option("--input", "input_path", required=True, type=click.Path())
@@ -114,10 +112,6 @@ def _q_flags(fn):
     fn = click.option("--q-file", type=click.Path(),
                       help="CSV (header id,q) or JSON file supplying inspection weights.")(fn)
     return fn
-
-
-def _format_q(q: InspectionWeights) -> str:
-    return " ".join(f"{v:.6f}" for v in q.q)
 
 
 def _summary_lines(
@@ -165,12 +159,12 @@ def evaluate(model, input_path, q_source, q_file, out):
     pop = load_population(input_path).population
     m = MODELS[model]
     q, q_desc = _resolve_q(m, pop, q_source, q_file)
-    click.echo(f"model: {model}")
-    click.echo(f"items: {pop.n}")
     # IKL, J and MN print their closed means, so only --out needs their laws.
     dist = m.law(pop, q) if out or m.closed_mean is None else None
+    click.echo(f"model: {model}")
+    click.echo(f"items: {pop.n}")
     if q is not None:
-        click.echo(f"q ({q_desc}): {_format_q(q)}")
+        click.echo(f"q ({q_desc}): " + " ".join(f"{v:.6f}" for v in q.q))
     for line in _summary_lines(m, pop, q, dist):
         click.echo(line)
     if out:
@@ -284,26 +278,27 @@ def bayes(input_path, likelihood_path, out):
                                            + ["uniform"]),
               default="optimal-J", show_default=True,
               help="Which inspection weights the decomposition should induce.")
-@click.option("--q-file", type=click.Path(), help="Explicit target weights (overrides --target).")
+@click.option("--q-file", type=click.Path(), help="Explicit target weights, in place of --target.")
 @click.option("--scale", type=float, default=1.0, show_default=True,
               help="Overall inspection intensity: max_i pi_i.")
 @click.option("--out", type=click.Path(file_okay=False))
 @_exit_codes()
 def decompose(input_path, target, q_file, scale, out):
     """Solve conditional inspection probabilities for a target weight vector."""
+    if q_file and click.get_current_context().get_parameter_source("target") is not click.core.ParameterSource.DEFAULT:
+        raise ValueError("--q-file cannot be combined with --target")
     loaded = load_population(input_path)
     pop = loaded.population
-    lam = loaded.lam
-    if lam is None:
-        click.echo("note: no lambda column in input; assuming uniform attention")
-        lam = np.full(pop.n, 1.0 / pop.n)
     if q_file:
         target_q = load_weights(q_file, pop)
     elif target == "uniform":
         target_q = uniform_weights(pop.n)
     else:
         target_q = MODELS[target.removeprefix("optimal-")].optimal_q(pop)
+    lam = np.full(pop.n, 1.0 / pop.n) if loaded.lam is None else loaded.lam
     decomp = solve_conditional_inspection(lam, target_q, scale=scale)
+    if loaded.lam is None:
+        click.echo("note: no lambda column in input; assuming uniform attention")
     lines = ["id,lambda,pi,q"]
     for i in range(pop.n):
         lines.append(

@@ -66,7 +66,7 @@ EXPECTED_SMALLER: dict[tuple[str, str], str | None] = {
 }
 
 
-class ComparisonTruncationError(RuntimeError):
+class ComparisonTruncationError(ValueError):
     """A truncated law carries too much unresolved tail mass to compare honestly."""
 
 

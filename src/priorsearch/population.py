@@ -41,6 +41,10 @@ Q_FLOOR = 2.0**-1000
 class PopulationError(ValueError):
     """Invalid population, weight, or decomposition data."""
 
+    def by_id(self, path: str | Path, ids: Sequence[str] | None) -> PopulationError:
+        """The same error for the file at ``path``; `_BadEntry`'s also names the item from ``ids``."""
+        return PopulationError(f"{path}: {self}")
+
 
 class DecompositionError(PopulationError):
     """No valid conditional-inspection decomposition exists for the request."""
@@ -49,7 +53,7 @@ class DecompositionError(PopulationError):
 class _BadEntry(PopulationError):
     """Entry ``index`` (0-based) of the vector ``what``, ``value``, is ``problem``."""
 
-    def __init__(self, what: str, index: int, value: float, problem: str = "not strictly positive"):
+    def __init__(self, what: str, index: int, value: float, problem: str):
         super().__init__(f"{what}[{index + 1}] = {value!r} is {problem}")
         self.what, self.index, self.value, self.problem = what, index, value, problem
 
@@ -59,15 +63,19 @@ class _BadEntry(PopulationError):
         return PopulationError(f"{path}: {self.what} for item {item} is {self.value!r}, {self.problem}")
 
 
+def _refuse_first(arr: np.ndarray, what: str, wrong: np.ndarray, problem: str) -> None:
+    """Raise _BadEntry for the first entry of ``arr`` that ``wrong`` flags, if any."""
+    if wrong.any():
+        bad = int(np.argmax(wrong))
+        raise _BadEntry(what, bad, float(arr[bad]), problem)
+
+
 def _normalized(raw: Sequence[float], what: str) -> np.ndarray:
     arr = np.asarray(raw, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise PopulationError(f"{what} must be a non-empty vector")
-    if not np.all(np.isfinite(arr)):
-        raise PopulationError(f"{what} contains non-finite entries")
-    if np.any(arr <= 0.0):
-        bad = int(np.argmin(arr))
-        raise _BadEntry(what, bad, float(arr[bad]))
+    _refuse_first(arr, what, ~np.isfinite(arr), "not finite")
+    _refuse_first(arr, what, arr <= 0.0, "not strictly positive")
     total = math.fsum(arr.tolist())
     if abs(total - 1.0) > SUM_PRETOLERANCE:
         raise PopulationError(
@@ -83,8 +91,7 @@ def _probabilities(raw: Sequence[float], what: str, n: int) -> np.ndarray:
     arr = np.array(raw, dtype=float)
     if arr.shape != (n,):
         raise PopulationError(f"{what} has length {arr.size}, expected {n}")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr > 1.0):
-        raise PopulationError(f"every {what}_i must lie in (0, 1]")
+    _refuse_first(arr, what, ~((arr > 0.0) & (arr <= 1.0)), f"outside (0, 1], where every {what}_i must lie")
     arr.setflags(write=False)
     return arr
 
@@ -108,7 +115,7 @@ class Population:
         if len(ids) != p.size:
             raise PopulationError(f"ids has length {len(ids)}, expected {p.size}")
         if len(set(ids)) != len(ids):
-            raise PopulationError("item ids must be unique")
+            raise PopulationError(f"item ids must be unique; repeated: {[i for i, k in Counter(ids).items() if k > 1]}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "ids", ids)
@@ -131,9 +138,7 @@ class InspectionWeights:
 
     def __post_init__(self):
         q = _normalized(self.q, "q")
-        if q.min() < Q_FLOOR:
-            bad = int(np.argmin(q))
-            raise _BadEntry("q", bad, float(q[bad]), "below 2**-1000 (about 9.3e-302) once normalized")
+        _refuse_first(q, "q", q < Q_FLOOR, "below 2**-1000 (about 9.3e-302) once normalized")
         object.__setattr__(self, "q", q)
 
     @property
@@ -229,13 +234,8 @@ def solve_conditional_inspection(
         raise PopulationError(
             f"lambda has length {lam_arr.size} but target_q has length {target_q.n}"
         )
-    if not (0.0 < scale):
-        raise PopulationError(f"scale must be positive, got {scale!r}")
-    if scale > 1.0:
-        raise DecompositionError(
-            f"impossible decomposition: scale {scale!r} would require some "
-            "conditional inspection probability to exceed 1"
-        )
+    if not 0.0 < scale <= 1.0:
+        raise DecompositionError(f"impossible decomposition: scale must be positive and at most 1, got {scale!r}")
     ratio = target_q.q / lam_arr
     pi = ratio * (scale / ratio.max())
     # Guard against rounding pushing the max a hair above the requested scale.
@@ -322,8 +322,11 @@ def load_population(path: str | Path) -> PopulationFile:
     ids = cols.get("id")
     try:
         lam = _normalized(cols["lambda"], "lambda") if "lambda" in cols else None
-        return PopulationFile(population=validate_population(cols["p"], cols.get("s"), ids), lam=lam)
-    except _BadEntry as exc:
+        pop = validate_population(cols["p"], cols.get("s"), ids)
+        if lam is not None and lam.size != pop.n:
+            raise PopulationError(f"lambda has length {lam.size}, expected {pop.n}")
+        return PopulationFile(population=pop, lam=lam)
+    except PopulationError as exc:
         raise exc.by_id(path, ids) from None
 
 
@@ -358,9 +361,10 @@ def _column_by_id(path: str | Path, column: str, what: str, pop: Population) -> 
 
 def load_weights(path: str | Path, pop: Population) -> InspectionWeights:
     """Weights file: columns `id` and `q`, matched to the population by id."""
+    q = _column_by_id(path, "q", "weights", pop)
     try:
-        return InspectionWeights(q=_column_by_id(path, "q", "weights", pop))
-    except _BadEntry as exc:
+        return InspectionWeights(q=q)
+    except PopulationError as exc:
         raise exc.by_id(path, pop.ids) from None
 
 

@@ -41,7 +41,7 @@ DEFAULT_EF_MAX_STEPS = 10**6
 _PAIR_ROWS = 256
 
 
-class ScheduleTruncationError(RuntimeError):
+class ScheduleTruncationError(ValueError):
     """Greedy schedule hit its step budget while far from covering the mass."""
 
 

@@ -29,6 +29,14 @@ def get_line(output, prefix):
     raise AssertionError(f"no line starting with {prefix!r} in:\n{output}")
 
 
+def assert_refused(result, prefix):
+    """Exit 2 with one `error:` line on stderr, starting with ``prefix``, and nothing on stdout."""
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert result.stderr.startswith(prefix), result.stderr
+    assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
+
+
 def tiny_rate_inputs(tmp_path):
     """Two equal priors; J's rate for the first item is so small that 1 - rate rounds to 1."""
     pop_path, q_path = tmp_path / "pop.csv", tmp_path / "q.csv"
@@ -225,6 +233,20 @@ class TestSimulate:
         )
         assert result.exit_code == 0
         assert "dkw check: PASS" in result.output
+
+    def test_check_exact_failure_exits_3(self, runner, tmp_path):
+        # At alpha = 0.999 the DKW band is so narrow that 100k fair draws miss it.
+        path = tmp_path / "pop.csv"
+        path.write_text("id,p\na,0.5\nb,0.5\n")
+        result = runner.invoke(
+            main,
+            [
+                "simulate", "--model", "ABCD", "--input", str(path),
+                "--reps", "100000", "--seed", "1", "--alpha", "0.999", "--check-exact",
+            ],
+        )
+        assert result.exit_code == 3, result.output
+        assert result.stdout.splitlines()[-1] == "dkw check: FAIL (alpha=0.999)"
 
     def test_outputs_reproducible_byte_for_byte(self, runner, pop_csv, tmp_path):
         args = [
@@ -543,12 +565,12 @@ class TestProfile:
         assert np.max(np.abs(pi - expected)) <= 1e-12
 
     def test_decompose_impossible_scale(self, runner, perfect_csv):
-        result = runner.invoke(
-            main,
-            ["profile", "decompose", "--input", perfect_csv, "--scale", "1.5"],
-        )
-        assert result.exit_code == 2
-        assert "impossible decomposition" in result.output
+        for scale in ("0", "1.5"):
+            result = runner.invoke(
+                main,
+                ["profile", "decompose", "--input", perfect_csv, "--scale", scale],
+            )
+            assert_refused(result, "error: impossible decomposition: scale must be positive and at most 1")
 
     def test_decompose_round_trip_with_lambda_column(self, runner, tmp_path):
         pop_path = tmp_path / "withlam.csv"
@@ -632,18 +654,34 @@ class TestWeightsFile:
             f"error: {q_path}: q for item b is 1e-320, below 2**-1000 (about 9.3e-302) once normalized\n"
         )
 
-    # decompose is left out: its --q-file overrides --target by design.
-    @pytest.mark.parametrize("command", [c for c in WEIGHTS_COMMANDS if c != "decompose"])
+    @pytest.mark.parametrize("command", WEIGHTS_COMMANDS)
     @pytest.mark.parametrize("flag", ["--optimal-q", "--uniform-q"])
     def test_weights_file_with_a_weight_flag_exits_2(self, runner, pop_csv, tmp_path, command, flag):
+        # decompose names its weights with --target: optimal-J by default, uniform on request.
+        if command == "decompose":
+            args, named = ["--target", "optimal-J" if flag == "--optimal-q" else "uniform"], "--target"
+        else:
+            args, named = [flag], "--optimal-q or --uniform-q"
         q_path = tmp_path / "q.csv"
         q_path.write_text("id,q\na,0.5\nb,0.3\nc,0.2\n")
         result = runner.invoke(
-            main, [*WEIGHTS_COMMANDS[command], "--input", pop_csv, "--q-file", str(q_path), flag]
+            main, [*WEIGHTS_COMMANDS[command], "--input", pop_csv, "--q-file", str(q_path), *args]
         )
         assert result.exit_code == 2, result.output
-        assert result.stderr == "error: --q-file cannot be combined with --optimal-q or --uniform-q\n"
+        assert result.stderr == f"error: --q-file cannot be combined with {named}\n"
         assert result.stdout == ""
+
+    def test_decompose_weights_file_without_target_keeps_the_default_manifest(self, runner, pop_csv, tmp_path):
+        q_path, out = tmp_path / "q.csv", tmp_path / "dec"
+        q_path.write_text("id,q\na,0.5\nb,0.3\nc,0.2\n")
+        result = runner.invoke(
+            main, ["profile", "decompose", "--input", pop_csv, "--q-file", str(q_path), "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["parameters"] == {"target": f"file:{q_path}", "scale": 1.0}
+        q = [float(row.split(",")[3]) for row in (out / "decomposition.csv").read_text().splitlines()[1:]]
+        assert q == pytest.approx([0.5, 0.3, 0.2], rel=1e-15)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_weights_at_the_floor_keep_the_race_exact(self, runner, tmp_path):
@@ -707,3 +745,40 @@ class TestInputFiles:
         assert result.stderr.startswith("error: ")
         assert path in result.stderr
         assert result.stdout == ""
+
+
+class TestRefusals:
+    """Every refusal is one `error:` line and exit 2, with an empty stdout; a bad file names itself."""
+
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("pop.csv", "id,p,s\na,0.5,1.5\nb,0.5,1\n", "s for item a is 1.5, outside (0, 1], where every s_i must lie"),
+            ("pop.json", '{"p": [0.5, 0.5], "s": [1]}', "s has length 1, expected 2"),
+            ("pop.csv", "id,p\na,0.5\nb,0.4\n", "p sums to 0.9, deviating from 1 by more than 1e-06"),
+            ("pop.csv", "id,p\na,0.5\na,0.5\n", "item ids must be unique; repeated: ['a']"),
+            ("pop.csv", "id,p\na,nan\nb,1\n", "p for item a is nan, not finite"),
+            ("pop.json", '{"p": [0.5, 0.5], "lambda": [1]}', "lambda has length 1, expected 2"),
+        ],
+        ids=["s-above-1", "json-s-short", "p-sums-to-0.9", "repeated-id", "nan-prior", "json-lambda-short"],
+    )
+    def test_bad_population_file_names_itself(self, runner, tmp_path, name, text, message):
+        path = tmp_path / name
+        path.write_text(text)
+        result = runner.invoke(main, ["evaluate", "--model", "ABCD", "--input", str(path)])
+        assert_refused(result, f"error: {path}: ")
+        assert result.stderr == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("command", WEIGHTS_COMMANDS)
+    def test_weights_file_summing_to_0_9_names_itself(self, runner, pop_csv, tmp_path, command):
+        q_path = tmp_path / "q.csv"
+        q_path.write_text("id,q\na,0.4\nb,0.3\nc,0.2\n")
+        result = runner.invoke(main, [*WEIGHTS_COMMANDS[command], "--input", pop_csv, "--q-file", str(q_path)])
+        assert_refused(result, f"error: {q_path}: q sums to 0.9")
+
+    def test_exhausted_ef_schedule_prints_nothing_on_stdout(self, runner, tmp_path):
+        # Recognition 1e-9 leaves the greedy schedule almost all its mass after 10^6 steps.
+        path = tmp_path / "pop.csv"
+        path.write_text("id,p,s\na,0.5,1e-9\nb,0.5,1e-9\n")
+        result = runner.invoke(main, ["evaluate", "--model", "EF", "--input", str(path)])
+        assert_refused(result, "error: schedule budget of 1000000 steps exhausted")

@@ -30,9 +30,11 @@ from priorsearch import (
     uniform_weights,
     validate_population,
 )
+from priorsearch.distributions import InspectionDistribution
 from priorsearch.models import LABELS, MODELS
 from priorsearch.montecarlo import (
     CHUNK,
+    EmpiricalResult,
     _draw_targets,
     _mean_and_stderr,
     _race_buffers,
@@ -607,6 +609,30 @@ class TestDkw:
         emp = simulate(pop, SimConfig(model="GH", reps=100_000, seed=2))
         perfect = validate_population([0.5, 0.5])
         assert not dkw_check(emp, dist_abcd(perfect), alpha=0.001)
+
+
+def capped_result(detected_at: dict[int, int], capped: int, max_steps: int) -> EmpiricalResult:
+    """An empirical law with the given detections per step and ``capped`` censored replications."""
+    steps = np.array(sorted(detected_at), dtype=np.int64)
+    counts = np.array([detected_at[k] for k in sorted(detected_at)], dtype=np.int64)
+    return EmpiricalResult(steps, counts, 0, capped, max_steps, math.nan, math.nan)
+
+
+class TestNoDetections:
+    def test_cdf_of_a_law_with_no_detections_is_zero(self):
+        assert capped_result({}, 5, 3).cdf_array(4).tolist() == [0.0] * 4
+
+    def test_dkw_check_with_every_replication_censored_rests_on_the_censored_fraction(self):
+        # Cut at step 1, the exact law leaves mass .5 to the atom; four replications, all capped, fit the
+        # band of .975, but a thousand do not.
+        exact = InspectionDistribution([0.5, 0.5], 0.0)
+        assert dkw_check(capped_result({}, 4, 1), exact, alpha=0.001)
+        assert not dkw_check(capped_result({}, 1000, 1), exact, alpha=0.001)
+
+    def test_dkw_check_fails_a_detection_where_the_exact_law_has_no_mass(self):
+        # Below the cut at step 1 the exact law has no finite mass, yet one replication was found there.
+        exact = InspectionDistribution([0.0, 1.0], 0.0)
+        assert not dkw_check(capped_result({1: 1}, 9, 1), exact, alpha=0.001)
 
 
 class TestEmpiricalExport:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from priorsearch import (
     DecompositionError,
     InspectionWeights,
+    Population,
     PopulationError,
     ProfileDecomposition,
     SimConfig,
@@ -101,6 +102,10 @@ class TestValidatePopulation:
         with pytest.raises(PopulationError):
             validate_population([])
 
+    def test_ids_of_the_wrong_length_rejected(self):
+        with pytest.raises(PopulationError, match=r"^ids has length 1, expected 2$"):
+            Population(p=np.array([0.6, 0.4]), s=np.ones(2), ids=("a",))
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(PopulationError, match="unique"):
             validate_population([0.6, 0.4], ids=["a", "a"])
@@ -158,6 +163,11 @@ class TestBayesUpdate:
         pop = validate_population([0.5, 0.3, 0.2])
         with pytest.raises(PopulationError, match="drop those items"):
             bayes_update(pop, [1.0, 0.0, 1.0])
+
+    def test_likelihoods_of_the_wrong_length_rejected(self):
+        pop = validate_population([0.5, 0.5])
+        with pytest.raises(PopulationError, match=r"^likelihood vector has length 3, expected 2$"):
+            bayes_update(pop, [1.0, 1.0, 1.0])
 
     def test_negative_likelihood_rejected(self):
         pop = validate_population([0.5, 0.5])
@@ -232,6 +242,10 @@ class TestSolveConditionalInspection:
         with pytest.raises(DecompositionError, match="impossible decomposition"):
             solve_conditional_inspection([0.5, 0.5], q, scale=1.5)
 
+    def test_attention_and_weights_of_different_lengths(self):
+        with pytest.raises(PopulationError, match=r"^lambda has length 2 but target_q has length 3$"):
+            solve_conditional_inspection([0.5, 0.5], uniform_weights(3))
+
     def test_nonpositive_scale(self):
         q = uniform_weights(2)
         with pytest.raises(PopulationError, match="positive"):
@@ -268,6 +282,19 @@ class TestFiles:
         loaded = load_population(path)
         assert np.all(loaded.population.s == 1.0)
         assert loaded.lam is None
+
+    def test_csv_with_a_header_only(self, tmp_path):
+        path = tmp_path / "pop.csv"
+        path.write_text("id,p,s\n")
+        with pytest.raises(PopulationError, match=f"^{re.escape(str(path))}: no rows$"):
+            load_population(path)
+
+    @pytest.mark.parametrize("text", ["[0.5, 0.5]", '"p"', "null"])
+    def test_json_that_is_not_an_object(self, tmp_path, text):
+        path = tmp_path / "pop.json"
+        path.write_text(text)
+        with pytest.raises(PopulationError, match=f"^{re.escape(str(path))}: expected an object with arrays `p`$"):
+            load_population(path)
 
     def test_csv_missing_header(self, tmp_path):
         path = tmp_path / "pop.csv"
