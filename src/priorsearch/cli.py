@@ -14,9 +14,10 @@ reproduce outputs byte for byte.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
-from contextlib import contextmanager
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -45,37 +46,53 @@ EXIT_VALIDATION = 2
 EXIT_MISMATCH = 3
 
 
-@contextmanager
-def _exit_codes():
-    """Turn bad input into `error: <message>` on stderr and exit code 2.
+@dataclass
+class _Report:
+    """What a command prints and writes; `_runs` writes its --out file, then prints it and exits."""
+
+    head: list[str]  # stdout before the `wrote …` line
+    name: str  # the --out file, written by write(path)
+    write: Callable[[Path], None]
+    parameters: dict  # for manifest.json
+    tail: list[str] = field(default_factory=list)  # stdout after the `wrote …` line
+    err: list[str] = field(default_factory=list)
+    code: int = 0
+
+
+def _runs(command: str):
+    """Run a command that returns a _Report: write --out, then print stdout and stderr once each, then exit.
 
     Bad input is a ValueError (a PopulationError names the file at fault, if
     any; a schedule or comparison may be too truncated to carry out honestly)
-    or an unreadable file. Every check on the input runs before a command prints.
+    or an unreadable file or unusable --out directory (OSError). It prints only
+    `error: <message>`, on stderr, and exits 2, since nothing is printed before the last write.
     """
-    try:
-        yield
-    except (ValueError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_VALIDATION)
 
+    def decorate(fn):
+        @functools.wraps(fn)
+        def run(**kwargs):
+            try:
+                report = fn(**kwargs)
+                if kwargs["out"]:
+                    out_dir = Path(kwargs["out"])
+                    out_dir.mkdir(parents=True, exist_ok=True)
+                    report.write(out_dir / report.name)
+                    manifest = {"command": command, "input": kwargs["input_path"], "parameters": report.parameters,
+                                "outputs": [report.name], "tool_version": __version__}
+                    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+                    report.head.append(f"wrote {out_dir / report.name}")
+            except (ValueError, OSError) as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(EXIT_VALIDATION)
+            click.echo("\n".join(report.head + report.tail))
+            if report.err:
+                click.echo("\n".join(report.err), err=True)
+            if report.code:
+                sys.exit(report.code)
 
-def _write_out(
-    out: str, command: str, input_path: str, parameters: dict, name: str, write: Callable[[Path], None]
-) -> None:
-    """Write the command's one output file into the --out directory, next to manifest.json."""
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write(out_dir / name)
-    manifest = {
-        "command": command,
-        "input": input_path,
-        "parameters": parameters,
-        "outputs": [name],
-        "tool_version": __version__,
-    }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    click.echo(f"wrote {out_dir / name}")
+        return run
+
+    return decorate
 
 
 def _resolve_q(
@@ -152,8 +169,8 @@ def main():
 @click.option("--model", type=click.Choice(LABELS), required=True)
 @_input
 @_q_flags
-@click.option("--out", type=click.Path(file_okay=False), help="Directory for distribution CSV and manifest.")
-@_exit_codes()
+@click.option("--out", type=click.Path(), help="Directory for distribution CSV and manifest.")
+@_runs("evaluate")
 def evaluate(model, input_path, q_source, q_file, out):
     """Optimal policy, exact mean, and optionally the exact distribution."""
     pop = load_population(input_path).population
@@ -161,16 +178,11 @@ def evaluate(model, input_path, q_source, q_file, out):
     q, q_desc = _resolve_q(m, pop, q_source, q_file)
     # IKL, J and MN print their closed means, so only --out needs their laws.
     dist = m.law(pop, q) if out or m.closed_mean is None else None
-    click.echo(f"model: {model}")
-    click.echo(f"items: {pop.n}")
+    lines = [f"model: {model}", f"items: {pop.n}"]
     if q is not None:
-        click.echo(f"q ({q_desc}): " + " ".join(f"{v:.6f}" for v in q.q))
-    for line in _summary_lines(m, pop, q, dist):
-        click.echo(line)
-    if out:
-        parameters = {"model": model, "q_source": q_desc}
-        _write_out(out, "evaluate", input_path, parameters, f"dist_{model}.csv",
-                   lambda path: write_distribution_csv(path, dist))
+        lines.append(f"q ({q_desc}): " + " ".join(f"{v:.6f}" for v in q.q))
+    return _Report(lines + _summary_lines(m, pop, q, dist), f"dist_{model}.csv",
+                   lambda path: write_distribution_csv(path, dist), {"model": model, "q_source": q_desc})
 
 
 @main.command(name="simulate")
@@ -183,10 +195,10 @@ def evaluate(model, input_path, q_source, q_file, out):
 @click.option("--alpha", type=float, default=0.001, show_default=True,
               help="DKW band level for --check-exact.")
 @_q_flags
-@click.option("--out", type=click.Path(file_okay=False), help="Directory for empirical CSV and manifest.")
+@click.option("--out", type=click.Path(), help="Directory for empirical CSV and manifest.")
 @click.option("--check-exact", is_flag=True,
               help="Compare the empirical law against the exact one (exit 3 on mismatch).")
-@_exit_codes()
+@_runs("simulate")
 def simulate_cmd(model, input_path, reps, seed, max_steps, alpha, q_source, q_file, out, check_exact):
     """Seeded Monte Carlo simulation of a model's inspection process."""
     check_alpha(alpha)
@@ -196,57 +208,43 @@ def simulate_cmd(model, input_path, reps, seed, max_steps, alpha, q_source, q_fi
     cfg = SimConfig(model=model, reps=reps, seed=seed, max_steps=max_steps, q=q)
     sched = walk_schedule(pop, cfg)
     emp = simulate(pop, cfg, sched)
-    click.echo(f"model: {model}")
-    click.echo(f"reps: {emp.reps}")
-    click.echo(f"detected: {emp.detected}")
-    click.echo(f"censored: {emp.censored}")
-    click.echo(f"mean_detected: {emp.mean_detected!r}")
-    click.echo(f"stderr: {emp.stderr!r}")
-    if out:
-        parameters = {
-            "model": model,
-            "reps": reps,
-            "seed": seed,
-            "max_steps": max_steps,
-            "alpha": alpha,
-            "q_source": q_desc,
-        }
-        _write_out(out, "simulate", input_path, parameters, "empirical.csv",
-                   lambda path: write_empirical_csv(path, emp, config_echo=parameters))
+    parameters = {"model": model, "reps": reps, "seed": seed, "max_steps": max_steps, "alpha": alpha,
+                  "q_source": q_desc}
+    report = _Report(
+        [f"model: {model}", f"reps: {emp.reps}", f"detected: {emp.detected}", f"censored: {emp.censored}",
+         f"mean_detected: {emp.mean_detected!r}", f"stderr: {emp.stderr!r}"],
+        "empirical.csv", lambda path: write_empirical_csv(path, emp, config_echo=parameters), parameters,
+    )
     if check_exact:
         # EF is checked against the law of the schedule the simulation walked.
-        exact = dist_ef(sched) if sched is not None else m.law(pop, q)
-        ok = dkw_check(emp, exact, alpha)
-        click.echo(f"dkw check: {'PASS' if ok else 'FAIL'} (alpha={alpha})")
-        if not ok:
-            sys.exit(EXIT_MISMATCH)
+        ok = dkw_check(emp, dist_ef(sched) if sched is not None else m.law(pop, q), alpha)
+        report.tail.append(f"dkw check: {'PASS' if ok else 'FAIL'} (alpha={alpha})")
+        report.code = 0 if ok else EXIT_MISMATCH
+    return report
 
 
 @main.command()
 @_input
 @click.option("--tol", type=float, default=DEFAULT_COMPARE_TOL, show_default=True)
 @_q_flags
-@click.option("--out", type=click.Path(file_okay=False), help="Directory for the report JSON and manifest.")
-@_exit_codes()
+@click.option("--out", type=click.Path(), help="Directory for the report JSON and manifest.")
+@_runs("order")
 def order(input_path, tol, q_source, q_file, out):
     """Pairwise dominance report; exit 3 if any expected relation fails."""
     pop = load_population(input_path).population
     # One q for all four democratic models: uniform unless given a file or asked for MN's optimum.
     q, q_desc = _resolve_q(MODELS["MN"], pop, q_source or (None if q_file else "uniform"), q_file)
     report = dominance_report(pop, q=q, tol=tol)
-    for (a, b), verdict in report.verdicts.items():
-        exp = report.expected[(a, b)]
-        extra = f" witnesses={verdict.witnesses}" if verdict.witnesses else ""
-        click.echo(f"{a} vs {b}: {verdict.relation} (expected {exp}){extra}")
-    if out:
-        parameters = {"tol": tol, "q_source": q_desc}
-        _write_out(out, "order", input_path, parameters, "ordering_report.json",
-                   lambda path: path.write_text(report.to_json() + "\n"))
-    if report.mismatches:
-        for line in report.mismatches:
-            click.echo(f"mismatch: {line}", err=True)
-        sys.exit(EXIT_MISMATCH)
-    click.echo("all expected relations hold")
+    lines = [
+        f"{a} vs {b}: {verdict.relation} (expected {report.expected[(a, b)]})"
+        + (f" witnesses={verdict.witnesses}" if verdict.witnesses else "")
+        for (a, b), verdict in report.verdicts.items()
+    ]
+    return _Report(
+        lines, "ordering_report.json", lambda path: path.write_text(report.to_json() + "\n"),
+        {"tol": tol, "q_source": q_desc}, tail=[] if report.mismatches else ["all expected relations hold"],
+        err=[f"mismatch: {line}" for line in report.mismatches], code=EXIT_MISMATCH if report.mismatches else 0,
+    )
 
 
 @main.group()
@@ -258,18 +256,15 @@ def profile():
 @_input
 @click.option("--likelihood", "likelihood_path", required=True, type=click.Path(),
               help="CSV (header id,likelihood) or JSON file.")
-@click.option("--out", type=click.Path(file_okay=False), help="Directory for the updated population file.")
-@_exit_codes()
+@click.option("--out", type=click.Path(), help="Directory for the updated population file.")
+@_runs("profile bayes")
 def bayes(input_path, likelihood_path, out):
     """Apply a likelihood column to the priors and write the updated population."""
     loaded = load_population(input_path)
     updated = bayes_update(loaded.population, load_likelihoods(likelihood_path, loaded.population))
-    if out:
-        _write_out(out, "profile bayes", input_path, {"likelihood": likelihood_path}, "population_updated.csv",
-                   lambda path: save_population_csv(path, updated, loaded.lam))
-    else:
-        for i in range(updated.n):
-            click.echo(f"{updated.ids[i]},{float(updated.p[i])!r},{float(updated.s[i])!r}")
+    rows = [f"{updated.ids[i]},{float(updated.p[i])!r},{float(updated.s[i])!r}" for i in range(updated.n)]
+    return _Report([] if out else rows, "population_updated.csv",
+                   lambda path: save_population_csv(path, updated, loaded.lam), {"likelihood": likelihood_path})
 
 
 @profile.command()
@@ -281,8 +276,8 @@ def bayes(input_path, likelihood_path, out):
 @click.option("--q-file", type=click.Path(), help="Explicit target weights, in place of --target.")
 @click.option("--scale", type=float, default=1.0, show_default=True,
               help="Overall inspection intensity: max_i pi_i.")
-@click.option("--out", type=click.Path(file_okay=False))
-@_exit_codes()
+@click.option("--out", type=click.Path())
+@_runs("profile decompose")
 def decompose(input_path, target, q_file, scale, out):
     """Solve conditional inspection probabilities for a target weight vector."""
     if q_file and click.get_current_context().get_parameter_source("target") is not click.core.ParameterSource.DEFAULT:
@@ -297,20 +292,14 @@ def decompose(input_path, target, q_file, scale, out):
         target_q = MODELS[target.removeprefix("optimal-")].optimal_q(pop)
     lam = np.full(pop.n, 1.0 / pop.n) if loaded.lam is None else loaded.lam
     decomp = solve_conditional_inspection(lam, target_q, scale=scale)
-    if loaded.lam is None:
-        click.echo("note: no lambda column in input; assuming uniform attention")
-    lines = ["id,lambda,pi,q"]
-    for i in range(pop.n):
-        lines.append(
-            f"{pop.ids[i]},{float(decomp.lam[i])!r},{float(decomp.pi[i])!r},{float(target_q.q[i])!r}"
-        )
-    text = "\n".join(lines) + "\n"
-    if out:
-        parameters = {"target": f"file:{q_file}" if q_file else target, "scale": scale}
-        _write_out(out, "profile decompose", input_path, parameters, "decomposition.csv",
-                   lambda path: path.write_text(text))
-    else:
-        click.echo(text, nl=False)
+    rows = ["id,lambda,pi,q"] + [
+        f"{pop.ids[i]},{float(decomp.lam[i])!r},{float(decomp.pi[i])!r},{float(target_q.q[i])!r}"
+        for i in range(pop.n)
+    ]
+    lines = [] if loaded.lam is not None else ["note: no lambda column in input; assuming uniform attention"]
+    return _Report(lines + ([] if out else rows), "decomposition.csv",
+                   lambda path: path.write_text("\n".join(rows) + "\n"),
+                   {"target": f"file:{q_file}" if q_file else target, "scale": scale})
 
 
 if __name__ == "__main__":

@@ -190,6 +190,12 @@ def uniform_weights(n: int) -> InspectionWeights:
     return InspectionWeights(q=np.full(n, 1.0 / n))
 
 
+def _likelihoods(lik: np.ndarray) -> np.ndarray:
+    """``lik`` itself, refusing its first entry that is not a finite nonnegative number."""
+    _refuse_first(lik, "likelihood", ~(np.isfinite(lik) & (lik >= 0.0)), "not a finite nonnegative number")
+    return lik
+
+
 def bayes_update(pop: Population, likelihoods: Sequence[float]) -> Population:
     """Posterior population after observing evidence with the given likelihoods.
 
@@ -201,8 +207,7 @@ def bayes_update(pop: Population, likelihoods: Sequence[float]) -> Population:
     lik = np.asarray(likelihoods, dtype=float)
     if lik.shape != pop.p.shape:
         raise PopulationError(f"likelihood vector has length {lik.size}, expected {pop.n}")
-    if not np.all(np.isfinite(lik)) or np.any(lik < 0.0):
-        raise PopulationError("likelihoods must be finite and nonnegative")
+    _likelihoods(lik)
     weighted = lik * pop.p
     total = math.fsum(weighted.tolist())
     if total <= 0.0:
@@ -370,4 +375,8 @@ def load_weights(path: str | Path, pop: Population) -> InspectionWeights:
 
 def load_likelihoods(path: str | Path, pop: Population) -> np.ndarray:
     """Likelihood file: columns `id` and `likelihood`, matched to the population by id."""
-    return _column_by_id(path, "likelihood", "likelihoods", pop)
+    lik = _column_by_id(path, "likelihood", "likelihoods", pop)
+    try:
+        return _likelihoods(lik)
+    except PopulationError as exc:
+        raise exc.by_id(path, pop.ids) from None

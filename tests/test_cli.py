@@ -238,15 +238,19 @@ class TestSimulate:
         # At alpha = 0.999 the DKW band is so narrow that 100k fair draws miss it.
         path = tmp_path / "pop.csv"
         path.write_text("id,p\na,0.5\nb,0.5\n")
-        result = runner.invoke(
-            main,
-            [
-                "simulate", "--model", "ABCD", "--input", str(path),
-                "--reps", "100000", "--seed", "1", "--alpha", "0.999", "--check-exact",
-            ],
-        )
+        args = [
+            "simulate", "--model", "ABCD", "--input", str(path),
+            "--reps", "100000", "--seed", "1", "--alpha", "0.999", "--check-exact",
+        ]
+        result = runner.invoke(main, args)
         assert result.exit_code == 3, result.output
         assert result.stdout.splitlines()[-1] == "dkw check: FAIL (alpha=0.999)"
+        # With --out, both files are written before anything is printed, and the verdict follows `wrote …`.
+        out = tmp_path / "out"
+        result = runner.invoke(main, args + ["--out", str(out)])
+        assert result.exit_code == 3, result.output
+        assert result.stdout.splitlines()[-2:] == [f"wrote {out / 'empirical.csv'}", "dkw check: FAIL (alpha=0.999)"]
+        assert sorted(f.name for f in out.iterdir()) == ["empirical.csv", "manifest.json"]
 
     def test_outputs_reproducible_byte_for_byte(self, runner, pop_csv, tmp_path):
         args = [
@@ -782,3 +786,25 @@ class TestRefusals:
         path.write_text("id,p,s\na,0.5,1e-9\nb,0.5,1e-9\n")
         result = runner.invoke(main, ["evaluate", "--model", "EF", "--input", str(path)])
         assert_refused(result, "error: schedule budget of 1000000 steps exhausted")
+
+    @pytest.mark.parametrize("text, item, value", [("a,nan\nb,1\nc,1\n", "a", "nan"), ("a,1\nb,1\nc,-1\n", "c", "-1.0")],
+                             ids=["nan", "negative"])
+    def test_bad_likelihood_names_its_file_and_item(self, runner, pop_csv, tmp_path, text, item, value):
+        lik = tmp_path / "lik.csv"
+        lik.write_text("id,likelihood\n" + text)
+        result = runner.invoke(main, ["profile", "bayes", "--input", pop_csv, "--likelihood", str(lik)])
+        assert_refused(result, f"error: {lik}: likelihood for item {item} is {value}, not a finite nonnegative number")
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    @pytest.mark.parametrize("command", [*WEIGHTS_COMMANDS, "bayes"])
+    def test_out_that_is_or_lies_under_a_file(self, runner, pop_csv, tmp_path, command, under):
+        afile, lik = tmp_path / "afile", tmp_path / "lik.csv"
+        afile.write_text("keep\n")
+        lik.write_text("id,likelihood\na,1\nb,1\nc,1\n")
+        args = ["profile", "bayes", "--likelihood", str(lik)] if command == "bayes" else WEIGHTS_COMMANDS[command]
+        if command in ("evaluate", "simulate"):
+            args = [*args, "--uniform-q"]
+        out = afile / "sub" if under else afile
+        result = runner.invoke(main, [*args, "--input", pop_csv, "--out", str(out)])
+        assert_refused(result, "error: ")
+        assert afile.read_text() == "keep\n"
