@@ -2,12 +2,12 @@
 """Cross-check the CLI's exact laws on one random population.
 
 Draws a population (p ~ Dirichlet(1), s ~ U(0.3, 1)) and Dirichlet weights q,
-writes both to temporary CSV files and runs the CLI on them. First
+writes them to one CSV file, `id,p,s,q`, and runs the CLI on it. First
 `priorsearch order` checks the partial order of the seven laws at uniform
 weights. Then `priorsearch simulate --check-exact` checks each simulated
-process against its exact law: J and MN at their optimal weights, IKL and OP
-twice, at uniform weights and at q from a `--q-file`, so both the equal-weight
-walk and the race meet their exact laws. Exits 1 when any run exits nonzero.
+process against its exact law: J and MN at their optimal weights, IKL and OP at
+uniform weights and with the file as `--q-file`, so both the equal-weight walk
+and the race meet their exact laws. Exits 1 when any run exits nonzero.
 
 Usage: python scripts/crosscheck.py [--seed SEED] [--size N] [--reps R] [--alpha A]
 """
@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from priorsearch import save_population_csv, validate_population
 from priorsearch.models import MODELS
+from priorsearch.population import validate_population, write_table
 
 
 def main():
@@ -38,14 +38,14 @@ def main():
     )
     q = rng.dirichlet(np.ones(args.size))
     with tempfile.TemporaryDirectory() as tmp:
-        path, q_path = Path(tmp) / "population.csv", Path(tmp) / "weights.csv"
-        save_population_csv(path, pop)
-        q_path.write_text("id,q\n" + "".join(f"{i},{w!r}\n" for i, w in zip(pop.ids, q.tolist())))
+        path = Path(tmp) / "population.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            write_table(fh, ["id", "p", "s", "q"], zip(pop.ids, pop.p.tolist(), pop.s.tolist(), q.tolist()))
         runs = [["order", "--input", str(path)]]
         for model in MODELS.values():
             weights = [[]]
             if model.takes_q and model.optimal_q is None:
-                weights = [["--uniform-q"], ["--q-file", str(q_path)]]
+                weights = [["--uniform-q"], ["--q-file", str(path)]]
             runs += [["simulate", "--model", model.label, "--input", str(path), "--reps", str(args.reps),
                       "--seed", str(args.seed), "--alpha", str(args.alpha), "--check-exact", *flags]
                      for flags in weights]

@@ -15,6 +15,7 @@ reproduce outputs byte for byte.
 from __future__ import annotations
 
 import functools
+import io
 import json
 import sys
 from dataclasses import dataclass, field
@@ -36,9 +37,10 @@ from .population import (
     load_likelihoods,
     load_population,
     load_weights,
-    save_population_csv,
+    population_table,
     solve_conditional_inspection,
     uniform_weights,
+    write_table,
 )
 from .strategies import descending_order
 
@@ -116,6 +118,14 @@ def _resolve_q(
         raise ValueError(f"model {model.label} has no closed-form optimal weights; use --uniform-q or --q-file")
     # Mean-optimal weights exist in closed form; they are the default.
     return model.optimal_q(pop), "optimal"
+
+
+def _table_report(out: str | None, name: str, table: tuple, parameters: dict, err: tuple[str, ...] = ()) -> _Report:
+    """A report that prints the CSV ``table`` (header and rows), or writes the same text to --out as ``name``."""
+    write_table(buf := io.StringIO(), *table)
+    text = buf.getvalue()
+    return _Report([] if out else [text.removesuffix("\n")], name,
+                   lambda path: path.write_text(text, encoding="utf-8", newline=""), parameters, err=list(err))
 
 
 _input = click.option("--input", "input_path", required=True, type=click.Path())
@@ -259,12 +269,11 @@ def profile():
 @click.option("--out", type=click.Path(), help="Directory for the updated population file.")
 @_runs("profile bayes")
 def bayes(input_path, likelihood_path, out):
-    """Apply a likelihood column to the priors and write the updated population."""
+    """Apply a likelihood column to the priors and print or write the updated population table."""
     loaded = load_population(input_path)
     updated = bayes_update(loaded.population, load_likelihoods(likelihood_path, loaded.population))
-    rows = [f"{updated.ids[i]},{float(updated.p[i])!r},{float(updated.s[i])!r}" for i in range(updated.n)]
-    return _Report([] if out else rows, "population_updated.csv",
-                   lambda path: save_population_csv(path, updated, loaded.lam), {"likelihood": likelihood_path})
+    return _table_report(out, "population_updated.csv", population_table(updated, loaded.lam),
+                         {"likelihood": likelihood_path})
 
 
 @profile.command()
@@ -292,14 +301,10 @@ def decompose(input_path, target, q_file, scale, out):
         target_q = MODELS[target.removeprefix("optimal-")].optimal_q(pop)
     lam = np.full(pop.n, 1.0 / pop.n) if loaded.lam is None else loaded.lam
     decomp = solve_conditional_inspection(lam, target_q, scale=scale)
-    rows = ["id,lambda,pi,q"] + [
-        f"{pop.ids[i]},{float(decomp.lam[i])!r},{float(decomp.pi[i])!r},{float(target_q.q[i])!r}"
-        for i in range(pop.n)
-    ]
-    lines = [] if loaded.lam is not None else ["note: no lambda column in input; assuming uniform attention"]
-    return _Report(lines + ([] if out else rows), "decomposition.csv",
-                   lambda path: path.write_text("\n".join(rows) + "\n"),
-                   {"target": f"file:{q_file}" if q_file else target, "scale": scale})
+    note = () if loaded.lam is not None else ("note: no lambda column in input; assuming uniform attention",)
+    table = (["id", "lambda", "pi", "q"], zip(pop.ids, decomp.lam.tolist(), decomp.pi.tolist(), target_q.q.tolist()))
+    return _table_report(out, "decomposition.csv", table,
+                         {"target": f"file:{q_file}" if q_file else target, "scale": scale}, err=note)
 
 
 if __name__ == "__main__":

@@ -9,14 +9,14 @@ geometric-type J/MN laws); ``truncated`` distinguishes the two cases.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .population import InspectionWeights, Population, check_weights
+from .population import InspectionWeights, Population, check_weights, write_table
 from .strategies import Schedule, descending_order
 
 MASS_BALANCE_TOL = 1e-9
@@ -229,9 +229,7 @@ def dist_op_exact(pop: Population, q: InspectionWeights) -> InspectionDistributi
 
 def write_distribution_csv(path: str | Path, dist: InspectionDistribution) -> None:
     """Rows `m,pmf,cdf`, then metadata rows `atom_at_infinity,<v>` and `truncated,<bool>`."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m", "pmf", "cdf"])
-        writer.writerows(zip(range(1, dist.horizon + 1), dist.pmf.tolist(), dist.cdf.tolist()))
-        writer.writerow(["atom_at_infinity", repr(dist.atom_at_infinity)])
-        writer.writerow(["truncated", str(dist.truncated).lower()])
+    rows = zip(range(1, dist.horizon + 1), dist.pmf.tolist(), dist.cdf.tolist())
+    metadata = [("atom_at_infinity", repr(dist.atom_at_infinity)), ("truncated", str(dist.truncated).lower())]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        write_table(fh, ["m", "pmf", "cdf"], chain(rows, metadata))

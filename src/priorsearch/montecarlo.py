@@ -46,12 +46,12 @@ over the law's arrays, bit for bit the Python formulas over the sorted counts.
 from __future__ import annotations
 
 import contextvars
-import csv
 import json
 import math
 import os
 import threading
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -59,7 +59,7 @@ import numpy as np
 
 from .distributions import InspectionDistribution
 from .models import LABELS, MODELS, Model
-from .population import InspectionWeights, Population, check_weights
+from .population import InspectionWeights, Population, check_weights, write_table
 from .strategies import Schedule, descending_order, ef_schedule
 
 CHUNK = 4096
@@ -483,14 +483,8 @@ def dkw_check(emp: EmpiricalResult, exact: InspectionDistribution, alpha: float 
 
 
 def write_empirical_csv(path: str | Path, emp: EmpiricalResult, config_echo: Mapping) -> None:
-    """Rows `m,count` plus a trailing `censored,<n>` row.
-
-    The run configuration is echoed as a JSON comment on the first line so
-    the file is self-describing.
-    """
-    with open(path, "w", newline="") as fh:
+    """A `# config {...}` line echoing the run's configuration as JSON, then rows `m,count` and `censored,<n>`."""
+    rows = chain(zip(emp.steps.tolist(), emp.counts.tolist()), [("censored", emp.censored)])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("# config " + json.dumps(config_echo, sort_keys=True) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["m", "count"])
-        writer.writerows(zip(emp.steps.tolist(), emp.counts.tolist()))
-        writer.writerow(["censored", emp.censored])
+        write_table(fh, ["m", "count"], rows)

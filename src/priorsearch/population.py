@@ -14,7 +14,7 @@ there):
     q_i = lambda_i * pi_i / sum_j lambda_j * pi_j
 
 This module owns validation, Bayes updating of the priors, the
-decomposition above, and the CSV and JSON input files.
+decomposition above, the CSV and JSON input files, and the one CSV writer.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterable, Sequence, TextIO, TypeVar
 
 import numpy as np
 
@@ -36,6 +36,7 @@ SUM_PRETOLERANCE = 1e-6
 # for every standard exponential draw numpy makes (E < 45); a sub-normal q_i made
 # them overflow to inf and tie, which skewed the simulated and the exact race laws.
 Q_FLOOR = 2.0**-1000
+T = TypeVar("T")
 
 
 class PopulationError(ValueError):
@@ -63,11 +64,12 @@ class _BadEntry(PopulationError):
         return PopulationError(f"{path}: {self.what} for item {item} is {self.value!r}, {self.problem}")
 
 
-def _refuse_first(arr: np.ndarray, what: str, wrong: np.ndarray, problem: str) -> None:
-    """Raise _BadEntry for the first entry of ``arr`` that ``wrong`` flags, if any."""
+def _refuse_first(arr: np.ndarray, what: str, wrong: np.ndarray, problem: str) -> np.ndarray:
+    """Raise _BadEntry for the first entry of ``arr`` that ``wrong`` flags, if any; else return ``arr``."""
     if wrong.any():
         bad = int(np.argmax(wrong))
         raise _BadEntry(what, bad, float(arr[bad]), problem)
+    return arr
 
 
 def _normalized(raw: Sequence[float], what: str) -> np.ndarray:
@@ -192,8 +194,7 @@ def uniform_weights(n: int) -> InspectionWeights:
 
 def _likelihoods(lik: np.ndarray) -> np.ndarray:
     """``lik`` itself, refusing its first entry that is not a finite nonnegative number."""
-    _refuse_first(lik, "likelihood", ~(np.isfinite(lik) & (lik >= 0.0)), "not a finite nonnegative number")
-    return lik
+    return _refuse_first(lik, "likelihood", ~(np.isfinite(lik) & (lik >= 0.0)), "not a finite nonnegative number")
 
 
 def bayes_update(pop: Population, likelihoods: Sequence[float]) -> Population:
@@ -251,6 +252,13 @@ def solve_conditional_inspection(
 # ---------------------------------------------------------------------------
 # File formats: CSV with a header row, or a JSON object of parallel arrays.
 # ---------------------------------------------------------------------------
+
+
+def write_table(out: TextIO, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``header``, then ``rows`` as they come, to ``out`` as CSV with `\\n` line ends and RFC 4180 quoting."""
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,20 +343,19 @@ def load_population(path: str | Path) -> PopulationFile:
         raise exc.by_id(path, ids) from None
 
 
+def population_table(pop: Population, lam: np.ndarray | None = None) -> tuple[list[str], Iterable[tuple]]:
+    """The header and rows of a population file: `id,p,s`, and `lambda` when ``lam`` is given."""
+    columns = [pop.ids, pop.p.tolist(), pop.s.tolist()] + ([] if lam is None else [lam.tolist()])
+    return ["id", "p", "s", "lambda"][: len(columns)], zip(*columns)
+
+
 def save_population_csv(path: str | Path, pop: Population, lam: np.ndarray | None = None) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["id", "p", "s"] + (["lambda"] if lam is not None else [])
-        writer.writerow(header)
-        for i in range(pop.n):
-            row = [pop.ids[i], repr(float(pop.p[i])), repr(float(pop.s[i]))]
-            if lam is not None:
-                row.append(repr(float(lam[i])))
-            writer.writerow(row)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        write_table(fh, *population_table(pop, lam))
 
 
-def _column_by_id(path: str | Path, column: str, what: str, pop: Population) -> np.ndarray:
-    """A file's `column` in item order, from exactly one entry per item, matched by `id`."""
+def _column_by_id(path: str | Path, column: str, what: str, pop: Population, check: Callable[[np.ndarray], T]) -> T:
+    """``check`` of a file's `column` in item order, one entry per item matched by `id`; its errors name the file."""
     cols = _read_columns(path, ("id", column))
     if len(cols["id"]) != len(cols[column]):
         raise PopulationError(f"{path}: {len(cols['id'])} ids for {len(cols[column])} {what}")
@@ -361,22 +368,18 @@ def _column_by_id(path: str | Path, column: str, what: str, pop: Population) -> 
     ):
         if bad:
             raise PopulationError(f"{path}: {problem} {bad}")
-    return np.asarray([by_id[i] for i in pop.ids], dtype=float)
+    try:
+        return check(np.asarray([by_id[i] for i in pop.ids], dtype=float))
+    except PopulationError as exc:
+        raise exc.by_id(path, pop.ids) from None
 
 
 def load_weights(path: str | Path, pop: Population) -> InspectionWeights:
     """Weights file: columns `id` and `q`, matched to the population by id."""
-    q = _column_by_id(path, "q", "weights", pop)
-    try:
-        return InspectionWeights(q=q)
-    except PopulationError as exc:
-        raise exc.by_id(path, pop.ids) from None
+    return _column_by_id(path, "q", "weights", pop, InspectionWeights)
 
 
 def load_likelihoods(path: str | Path, pop: Population) -> np.ndarray:
-    """Likelihood file: columns `id` and `likelihood`, matched to the population by id."""
-    lik = _column_by_id(path, "likelihood", "likelihoods", pop)
-    try:
-        return _likelihoods(lik)
-    except PopulationError as exc:
-        raise exc.by_id(path, pop.ids) from None
+    """Likelihood file: columns `id` and `likelihood`, matched to the population by id, each finite and positive."""
+    return _column_by_id(path, "likelihood", "likelihoods", pop, lambda lik: _refuse_first(
+        _likelihoods(lik), "likelihood", lik == 0.0, "which would leave the item a posterior prior of exactly 0"))

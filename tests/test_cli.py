@@ -15,7 +15,7 @@ from priorsearch import (
 )
 from priorsearch.cli import main
 from priorsearch.distributions import InspectionDistribution
-from priorsearch.population import load_population, save_population_csv
+from priorsearch.population import bayes_update, load_likelihoods, load_population, load_weights, save_population_csv
 
 from conftest import MALFORMED_JSON, equal_mass_population
 from oracle import ikl_mean_pairwise
@@ -555,7 +555,9 @@ class TestProfile:
             main, ["profile", "bayes", "--input", str(pop_path), "--likelihood", str(lik)]
         )
         assert result.exit_code == 0
-        assert result.output.splitlines()[0].startswith("a,0.666666666666666")
+        printed = tmp_path / "printed.csv"
+        printed.write_bytes(result.stdout_bytes)
+        assert np.max(np.abs(load_population(printed).population.p - [2 / 3, 1 / 3])) <= 1e-12
 
     def test_decompose_optimal_j_with_uniform_attention(self, runner, perfect_csv):
         result = runner.invoke(
@@ -594,6 +596,69 @@ class TestProfile:
         w = lam * pi
         q = w / w.sum()
         assert np.max(np.abs(q - 0.5)) <= 1e-12
+
+
+# Ids holding a comma and a quote, which the printed and written tables must quote.
+ODD_IDS = ("a,b", 'c "q"', "plain")
+ODD_POP_CSV = 'id,p,s\n"a,b",0.5,1\n"c ""q""",0.3,0.5\nplain,0.2,0.25\n'
+ODD_LAMBDA_CSV = 'id,p,s,lambda\n"a,b",0.5,1,0.7\n"c ""q""",0.3,0.5,0.2\nplain,0.2,0.25,0.1\n'
+
+
+def printed_and_written(runner, args, out, name):
+    """The stdout and stderr of ``args`` without --out, after checking that stdout is the file --out writes."""
+    printed, written = runner.invoke(main, args), runner.invoke(main, [*args, "--out", str(out)])
+    assert printed.exit_code == written.exit_code == 0, printed.output + written.output
+    assert printed.stdout_bytes == (out / name).read_bytes()
+    (out / "printed.csv").write_bytes(printed.stdout_bytes)
+    return printed
+
+
+class TestPrintedTables:
+    """profile bayes and profile decompose print the table that --out writes, and it loads back as input."""
+
+    @pytest.mark.parametrize("pop_text", [ODD_POP_CSV, ODD_LAMBDA_CSV], ids=["no-lambda", "lambda"])
+    def test_bayes_table_loads_back_as_the_posterior(self, runner, tmp_path, pop_text):
+        pop_path, lik_path, out = tmp_path / "pop.csv", tmp_path / "lik.csv", tmp_path / "out"
+        pop_path.write_text(pop_text)
+        lik_path.write_text('id,likelihood\nplain,0.9\n"c ""q""",0.5\n"a,b",0.2\n')
+        args = ["profile", "bayes", "--input", str(pop_path), "--likelihood", str(lik_path)]
+        printed_and_written(runner, args, out, "population_updated.csv")
+        loaded = load_population(pop_path)
+        want = bayes_update(loaded.population, load_likelihoods(lik_path, loaded.population))
+        for path in (out / "population_updated.csv", out / "printed.csv"):
+            got = load_population(path)
+            assert got.population.ids == want.ids == ODD_IDS
+            assert np.max(np.abs(got.population.p - want.p)) <= 1e-15
+            assert np.array_equal(got.population.s, want.s)
+            assert (got.lam is None) == (loaded.lam is None)
+            assert got.lam is None or np.array_equal(got.lam, loaded.lam)
+
+    @pytest.mark.parametrize("pop_text", [ODD_POP_CSV, ODD_LAMBDA_CSV], ids=["no-lambda", "lambda"])
+    def test_decompose_table_loads_back_as_the_target_weights(self, runner, tmp_path, pop_text):
+        pop_path, q_path, out = tmp_path / "pop.csv", tmp_path / "q.csv", tmp_path / "out"
+        pop_path.write_text(pop_text)
+        q_path.write_text('id,q\n"c ""q""",0.25\nplain,0.15\n"a,b",0.6\n')
+        args = ["profile", "decompose", "--input", str(pop_path), "--q-file", str(q_path)]
+        printed = printed_and_written(runner, args, out, "decomposition.csv")
+        note = "note: no lambda column in input; assuming uniform attention\n"
+        assert printed.stderr == ("" if "lambda" in pop_text else note)
+        pop = load_population(pop_path).population
+        assert pop.ids == ODD_IDS
+        for path in (out / "decomposition.csv", out / "printed.csv"):
+            assert np.max(np.abs(load_weights(path, pop).q - load_weights(q_path, pop).q)) <= 1e-15
+
+    def test_written_tables_end_lines_in_line_feeds_only(self, runner, tmp_path):
+        pop_path, lik_path, out = tmp_path / "pop.csv", tmp_path / "lik.csv", tmp_path / "out"
+        pop_path.write_text(ODD_LAMBDA_CSV)
+        lik_path.write_text('id,likelihood\n"a,b",1\n"c ""q""",1\nplain,1\n')
+        for args in (["evaluate", "--model", "J"], ["simulate", "--model", "GH", "--reps", "100", "--seed", "1"],
+                     ["profile", "bayes", "--likelihood", str(lik_path)], ["profile", "decompose"]):
+            result = runner.invoke(main, [*args, "--input", str(pop_path), "--out", str(out)])
+            assert result.exit_code == 0, result.output
+        tables = sorted(path.name for path in out.glob("*.csv"))
+        assert tables == ["decomposition.csv", "dist_J.csv", "empirical.csv", "population_updated.csv"]
+        for name in tables:
+            assert b"\r" not in (out / name).read_bytes(), name
 
 
 WEIGHTS_COMMANDS = {
@@ -787,13 +852,16 @@ class TestRefusals:
         result = runner.invoke(main, ["evaluate", "--model", "EF", "--input", str(path)])
         assert_refused(result, "error: schedule budget of 1000000 steps exhausted")
 
-    @pytest.mark.parametrize("text, item, value", [("a,nan\nb,1\nc,1\n", "a", "nan"), ("a,1\nb,1\nc,-1\n", "c", "-1.0")],
-                             ids=["nan", "negative"])
-    def test_bad_likelihood_names_its_file_and_item(self, runner, pop_csv, tmp_path, text, item, value):
+    @pytest.mark.parametrize("text, item, value, problem", [
+        ("a,nan\nb,1\nc,1\n", "a", "nan", "not a finite nonnegative number"),
+        ("a,1\nb,1\nc,-1\n", "c", "-1.0", "not a finite nonnegative number"),
+        ("a,0\nb,1\nc,1\n", "a", "0.0", "which would leave the item a posterior prior of exactly 0"),
+    ], ids=["nan", "negative", "zero"])
+    def test_bad_likelihood_names_its_file_and_item(self, runner, pop_csv, tmp_path, text, item, value, problem):
         lik = tmp_path / "lik.csv"
         lik.write_text("id,likelihood\n" + text)
         result = runner.invoke(main, ["profile", "bayes", "--input", pop_csv, "--likelihood", str(lik)])
-        assert_refused(result, f"error: {lik}: likelihood for item {item} is {value}, not a finite nonnegative number")
+        assert_refused(result, f"error: {lik}: likelihood for item {item} is {value}, {problem}\n")
 
     @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
     @pytest.mark.parametrize("command", [*WEIGHTS_COMMANDS, "bayes"])
