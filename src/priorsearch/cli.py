@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .distributions import InspectionDistribution, dist_ef, write_distribution_csv
 from .models import LABELS, MODELS, Model
-from .montecarlo import SimConfig, check_alpha, dkw_check, simulate, walk_schedule, write_empirical_csv
+from .montecarlo import SimConfig, check_alpha, dkw_check, simulate, write_empirical_csv
 from .ordering import DEFAULT_COMPARE_TOL, dominance_report
 from .population import (
     InspectionWeights,
@@ -42,7 +42,7 @@ from .population import (
     uniform_weights,
     write_table,
 )
-from .strategies import descending_order
+from .strategies import descending_order, ef_schedule
 
 EXIT_VALIDATION = 2
 EXIT_MISMATCH = 3
@@ -216,7 +216,7 @@ def simulate_cmd(model, input_path, reps, seed, max_steps, alpha, q_source, q_fi
     m = MODELS[model]
     q, q_desc = _resolve_q(m, pop, q_source, q_file)
     cfg = SimConfig(model=model, reps=reps, seed=seed, max_steps=max_steps, q=q)
-    sched = walk_schedule(pop, cfg)
+    sched = ef_schedule(pop) if m.walk == "schedule" else None
     emp = simulate(pop, cfg, sched)
     parameters = {"model": model, "reps": reps, "seed": seed, "max_steps": max_steps, "alpha": alpha,
                   "q_source": q_desc}

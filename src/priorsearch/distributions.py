@@ -17,11 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .population import InspectionWeights, Population, check_weights, write_table
-from .strategies import Schedule, descending_order
+from .strategies import HORIZON_CAP, TAIL_EPS, Schedule, descending_order
 
 MASS_BALANCE_TOL = 1e-9
-DEFAULT_TAIL_EPS = 1e-12
-HORIZON_CAP = 10**6
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,13 +135,13 @@ def _geometric_mixture_dist(
     live = fail < 1.0
     p, rates, fail = pop.p[live], rates[live], fail[live]
     if horizon is None:
-        # Smallest horizon with tail mass below DEFAULT_TAIL_EPS, capped.
+        # Smallest horizon with tail mass below TAIL_EPS, capped.
         slowest = float(rates.min(initial=1.0))
         if slowest >= 1.0:
             horizon = 1
         else:
-            horizon = int(min(HORIZON_CAP, max(1, math.ceil(math.log(DEFAULT_TAIL_EPS) / math.log1p(-slowest)))))
-            while horizon < HORIZON_CAP and float(p @ fail**horizon) >= DEFAULT_TAIL_EPS:
+            horizon = int(min(HORIZON_CAP, max(1, math.ceil(math.log(TAIL_EPS) / math.log1p(-slowest)))))
+            while horizon < HORIZON_CAP and float(p @ fail**horizon) >= TAIL_EPS:
                 horizon = min(HORIZON_CAP, horizon * 2)
     elif horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon!r}")

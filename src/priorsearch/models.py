@@ -47,19 +47,24 @@ class Model:
     rate ``key``). A ``defective`` model recognizes the target, once its walk
     reaches it, only with probability s_i.
 
-    ``law(pop, q)`` builds the exact law at the library's fixed truncation
-    targets. ``closed_mean`` is the exact mean of a model whose law is cut
-    at a horizon (J, MN) or integrated numerically (IKL).
+    ``law(pop, q)`` builds the exact law; EF's, J's and MN's are cut where
+    their tail falls below ``strategies.TAIL_EPS``, or at ``HORIZON_CAP``
+    steps. ``closed_mean`` is the exact mean of a model whose law is cut at
+    a horizon (J, MN) or integrated numerically (IKL). ``takes_q`` says
+    whether the model samples items with weights q.
     """
 
     label: str
     walk: str
     law: Callable[[Population, InspectionWeights | None], InspectionDistribution]
     defective: bool = False
-    takes_q: bool = False
     optimal_q: Callable[[Population], InspectionWeights] | None = None
     closed_mean: Callable[[Population, InspectionWeights], float] | None = None
     key: Callable[[Population, InspectionWeights | None], np.ndarray] | None = None
+
+    @property
+    def takes_q(self) -> bool:
+        return self.walk in ("race", "geometric")
 
 
 MODELS: dict[str, Model] = {
@@ -69,13 +74,13 @@ MODELS: dict[str, Model] = {
         Model("EF", "schedule", lambda pop, q: dist_ef(ef_schedule(pop))),
         Model("GH", "order", lambda pop, q: dist_gh(pop), defective=True,
               key=lambda pop, q: pop.s * pop.p),
-        Model("IKL", "race", lambda pop, q: dist_ikl_exact(pop, q), takes_q=True,
+        Model("IKL", "race", lambda pop, q: dist_ikl_exact(pop, q),
               closed_mean=lambda pop, q: ikl_mean_exact(pop, q)),
-        Model("J", "geometric", lambda pop, q: dist_j(pop, q), takes_q=True,
+        Model("J", "geometric", lambda pop, q: dist_j(pop, q),
               optimal_q=j_optimal_q, closed_mean=j_mean, key=lambda pop, q: q.q),
-        Model("MN", "geometric", lambda pop, q: dist_mn(pop, q), takes_q=True,
+        Model("MN", "geometric", lambda pop, q: dist_mn(pop, q),
               optimal_q=mn_optimal_q, closed_mean=mn_mean, key=lambda pop, q: q.q * pop.s),
-        Model("OP", "race", lambda pop, q: dist_op_exact(pop, q), defective=True, takes_q=True),
+        Model("OP", "race", lambda pop, q: dist_op_exact(pop, q), defective=True),
     )
 }
 LABELS = tuple(MODELS)

@@ -346,20 +346,17 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def walk_schedule(pop: Population, cfg: SimConfig) -> Schedule | None:
-    """The EF schedule, at its defaults whatever the cap, that ``cfg.model`` walks; else None."""
-    return ef_schedule(pop) if MODELS[cfg.model].walk == "schedule" else None
-
-
 def simulate(pop: Population, cfg: SimConfig, sched: Schedule | None = None) -> EmpiricalResult:
-    """Run ``cfg.reps`` replications of the model's process; EF walks ``walk_schedule(pop, cfg)``.
+    """Run ``cfg.reps`` replications of the model's process; EF walks ``ef_schedule(pop)``, whatever the cap.
 
     A caller that has built that schedule passes it as ``sched``.
     """
     if cfg.q is not None:
         check_weights(pop, cfg.q)
     model = MODELS[cfg.model]
-    walk, threaded = _walk(pop, model, cfg, walk_schedule(pop, cfg) if sched is None else sched)
+    if sched is None and model.walk == "schedule":
+        sched = ef_schedule(pop)
+    walk, threaded = _walk(pop, model, cfg, sched)
     table = _target_table(pop)
     steps, counts = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     undetected = capped = 0

@@ -31,16 +31,12 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .distributions import InspectionDistribution, dist_ef
+from .distributions import InspectionDistribution
 from .models import LABELS as MODEL_LABELS
 from .models import MODELS
 from .population import InspectionWeights, Population, check_weights, uniform_weights
-from .strategies import ef_schedule
 
 DEFAULT_COMPARE_TOL = 1e-9
-# The report's EF schedule stops once its residual mass is below this, a
-# tenth of the library default, far under the tol/10 a comparison allows.
-EF_EPS = 1e-13
 # Equality conditions are structural (exact zeros), so they are detected at
 # float-noise resolution, far below the comparison tolerance.
 CONDITION_TOL = 1e-12
@@ -204,11 +200,7 @@ def dominance_report(
     check_weights(pop, q)
     # The race laws are never truncated and are the slowest to build, so a
     # truncated law is refused before either of them is built.
-    laws = {
-        m.label: dist_ef(ef_schedule(pop, eps=EF_EPS)) if m.walk == "schedule" else m.law(pop, q)
-        for m in MODELS.values()
-        if m.walk != "race"
-    }
+    laws = {m.label: m.law(pop, q) for m in MODELS.values() if m.walk != "race"}
     _check_comparable(tol, laws.items())
     laws |= {m.label: m.law(pop, q) for m in MODELS.values() if m.walk == "race"}
     laws = {label: laws[label] for label in MODEL_LABELS}

@@ -102,8 +102,9 @@ def _probabilities(raw: Sequence[float], what: str, n: int) -> np.ndarray:
 class Population:
     """Items 1..N with priors ``p`` (sum 1) and recognition probs ``s``.
 
-    Items additionally carry stable string ids so reports stay meaningful
-    after sorting. Instances are immutable; the arrays are read-only.
+    Items additionally carry stable string ids, unique and free of line
+    breaks, so reports stay meaningful after sorting and written tables read
+    back. Instances are immutable; the arrays are read-only.
     """
 
     p: np.ndarray
@@ -118,6 +119,9 @@ class Population:
             raise PopulationError(f"ids has length {len(ids)}, expected {p.size}")
         if len(set(ids)) != len(ids):
             raise PopulationError(f"item ids must be unique; repeated: {[i for i, k in Counter(ids).items() if k > 1]}")
+        # csv.writer leaves a lone \r unquoted, so a table holding one would not read back.
+        if broken := [i for i in ids if "\r" in i or "\n" in i]:
+            raise PopulationError(f"item ids must not hold a line break; found: {broken}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "ids", ids)
@@ -283,7 +287,7 @@ def _by_name(path: str | Path, pairs: list[tuple[str, object]]) -> dict:
 
 
 def _read_columns(path: str | Path, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict[str, list]:
-    """The named columns of an input file: ``id`` as strings, every other column as floats.
+    """The named columns of an input file: ``id`` as stripped strings, every other column as floats.
 
     A name ending in `.json` is read as a JSON object of arrays, any other as a
     CSV file with a header row, blank lines skipped. Each column must be named
@@ -311,7 +315,6 @@ def _read_columns(path: str | Path, required: tuple[str, ...], optional: tuple[s
             # float() would read true and false as 1.0 and 0.0.
             if c != "id" and any(isinstance(v, bool) for v in values):
                 raise PopulationError(f"{path}: malformed array (`{c}` holds true or false)")
-        to_id, what = str, "array"
     else:
         if not set(required) <= set(header):
             raise PopulationError(f"{path}: header must contain `{','.join(required)}`")
@@ -322,11 +325,11 @@ def _read_columns(path: str | Path, required: tuple[str, ...], optional: tuple[s
             raise PopulationError(f"{path}: row {k} has {len(row)} fields but the header has {len(header)}")
         table = _by_name(path, list(zip(header, zip(*rows))))
         columns = {c: table[c] for c in required + optional if c in table}
-        to_id, what = str.strip, "row"
     try:
-        return {c: list(map(to_id if c == "id" else float, values)) for c, values in columns.items()}
+        return {c: [str(v).strip() for v in values] if c == "id" else list(map(float, values))
+                for c, values in columns.items()}
     except (TypeError, ValueError, OverflowError) as exc:
-        raise PopulationError(f"{path}: malformed {what} ({exc})") from exc
+        raise PopulationError(f"{path}: malformed {'array' if json_file else 'row'} ({exc})") from exc
 
 
 def load_population(path: str | Path) -> PopulationFile:

@@ -35,8 +35,10 @@ import numpy as np
 
 from .population import Q_FLOOR, InspectionWeights, Population, check_weights
 
-DEFAULT_EF_EPS = 1e-12
-DEFAULT_EF_MAX_STEPS = 10**6
+# The one truncation rule: the EF schedule and the J and MN laws run until their
+# uncovered tail is below TAIL_EPS, for at most HORIZON_CAP steps, in every command.
+TAIL_EPS = 1e-13
+HORIZON_CAP = 10**6
 # Rows of the pair quotients q_j / (q_i + q_j) that ikl_mean_exact holds at once.
 _PAIR_ROWS = 256
 
@@ -71,8 +73,8 @@ def descending_order(mass: np.ndarray) -> np.ndarray:
 
 def ef_schedule(
     pop: Population,
-    eps: float = DEFAULT_EF_EPS,
-    max_steps: int = DEFAULT_EF_MAX_STEPS,
+    eps: float = TAIL_EPS,
+    max_steps: int = HORIZON_CAP,
 ) -> Schedule:
     """Greedy schedule: each step inspects the item maximizing its detection mass.
 

@@ -16,17 +16,18 @@ from itertools import permutations, product
 
 import numpy as np
 
-from priorsearch.distributions import DEFAULT_TAIL_EPS, HORIZON_CAP, InspectionDistribution
+from priorsearch.distributions import InspectionDistribution
 from priorsearch.models import MODELS
-from priorsearch.montecarlo import (
-    _RACE_BLOCK_KEYS,
-    CHUNK,
-    SimConfig,
-    _walk,
-    walk_schedule,
-)
+from priorsearch.montecarlo import _RACE_BLOCK_KEYS, CHUNK, SimConfig, _walk
 from priorsearch.population import InspectionWeights, Population, ProfileDecomposition
-from priorsearch.strategies import Schedule, ScheduleTruncationError, descending_order
+from priorsearch.strategies import (
+    HORIZON_CAP,
+    TAIL_EPS,
+    Schedule,
+    ScheduleTruncationError,
+    descending_order,
+    ef_schedule,
+)
 
 
 @dataclass(frozen=True)
@@ -395,8 +396,8 @@ def geometric_mixture_pmf_powers(
         if slowest >= 1.0:
             horizon = 1
         else:
-            horizon = int(min(HORIZON_CAP, max(1, math.ceil(math.log(DEFAULT_TAIL_EPS) / math.log1p(-slowest)))))
-            while horizon < HORIZON_CAP and float(p @ fail**horizon) >= DEFAULT_TAIL_EPS:
+            horizon = int(min(HORIZON_CAP, max(1, math.ceil(math.log(TAIL_EPS) / math.log1p(-slowest)))))
+            while horizon < HORIZON_CAP and float(p @ fail**horizon) >= TAIL_EPS:
                 horizon = min(HORIZON_CAP, horizon * 2)
     pmf = np.empty(horizon)
     block = 1 << 15
@@ -417,7 +418,7 @@ def simulate_per_chunk(pop: Population, cfg: SimConfig) -> tuple[dict[int, int],
     merges them into the counts before the next chunk runs.
     """
     model = MODELS[cfg.model]
-    walk, _ = _walk(pop, model, cfg, walk_schedule(pop, cfg))
+    walk, _ = _walk(pop, model, cfg, ef_schedule(pop) if model.walk == "schedule" else None)
     cum = np.cumsum(pop.p)
     counts: dict[int, int] = {}
     undetected = capped = 0
@@ -472,7 +473,7 @@ def simulate_literal(
         rank = np.argsort(descending_order(model.key(pop, cfg.q))) + 1
     elif model.walk == "schedule":
         item_steps: list[list[int]] = [[] for _ in range(n)]
-        sched = walk_schedule(pop, cfg) if sched is None else sched
+        sched = ef_schedule(pop) if sched is None else sched
         for step, item in enumerate(sched.steps.tolist(), start=1):
             item_steps[item].append(step)
     cum = np.cumsum(pop.p)

@@ -5,6 +5,7 @@ import pytest
 
 from priorsearch import (
     InspectionWeights,
+    cli,
     dist_gh,
     ikl_mean_exact,
     mn_optimal_q,
@@ -17,7 +18,7 @@ from priorsearch.cli import main
 from priorsearch.distributions import InspectionDistribution
 from priorsearch.population import bayes_update, load_likelihoods, load_population, load_weights, save_population_csv
 
-from conftest import MALFORMED_JSON, equal_mass_population
+from conftest import MALFORMED_JSON, POP_CSV_TEXT, equal_mass_population
 from oracle import ikl_mean_pairwise
 from test_golden import GOLDEN, INPUTS
 
@@ -359,7 +360,7 @@ class TestSimulate:
             calls.append(args)
             return strategies.ef_schedule(*args, **kwargs)
 
-        for module in (montecarlo, models):
+        for module in (cli, montecarlo, models):
             monkeypatch.setattr(module, "ef_schedule", counted)
         result = runner.invoke(
             main,
@@ -497,6 +498,16 @@ class TestOrder:
         assert result.exit_code == 2
         assert result.stderr == f"error: tol must be in (0, 1), got {float(tol)!r}\n"
 
+    @pytest.mark.parametrize("text", [POP_CSV_TEXT, "id,p\na,0.5\nb,0.5\n"], ids=["pop_csv", "two-items"])
+    def test_tolerance_1e_12_is_accepted(self, runner, tmp_path, text):
+        # Every law is cut below 1e-13 = tol/10, so no truncation refusal at this tolerance.
+        path = tmp_path / "pop.csv"
+        path.write_text(text)
+        result = runner.invoke(main, ["order", "--input", str(path), "--tol", "1e-12"])
+        assert result.exit_code == 0, result.output
+        assert sum(" vs " in line for line in result.stdout.splitlines()) == 21
+        assert "all expected relations hold" in result.stdout
+
     def test_truncated_law_is_refused_by_its_model_and_cut(self, runner, tmp_path, monkeypatch):
         # J's law stops at 10^6 steps with mass .5 (1 - 1e-7)^(10^6) = .452 left, which no option changes.
         # The refusal comes before either race law, the slowest to build, is built.
@@ -602,6 +613,8 @@ class TestProfile:
 ODD_IDS = ("a,b", 'c "q"', "plain")
 ODD_POP_CSV = 'id,p,s\n"a,b",0.5,1\n"c ""q""",0.3,0.5\nplain,0.2,0.25\n'
 ODD_LAMBDA_CSV = 'id,p,s,lambda\n"a,b",0.5,1,0.7\n"c ""q""",0.3,0.5,0.2\nplain,0.2,0.25,0.1\n'
+# The same items in JSON, with spaces around the ids, which are stripped as in CSV.
+ODD_POP_JSON = json.dumps({"id": [" a,b", 'c "q"\t', "plain "], "p": [0.5, 0.3, 0.2], "s": [1, 0.5, 0.25]})
 
 
 def printed_and_written(runner, args, out, name):
@@ -616,9 +629,10 @@ def printed_and_written(runner, args, out, name):
 class TestPrintedTables:
     """profile bayes and profile decompose print the table that --out writes, and it loads back as input."""
 
-    @pytest.mark.parametrize("pop_text", [ODD_POP_CSV, ODD_LAMBDA_CSV], ids=["no-lambda", "lambda"])
-    def test_bayes_table_loads_back_as_the_posterior(self, runner, tmp_path, pop_text):
-        pop_path, lik_path, out = tmp_path / "pop.csv", tmp_path / "lik.csv", tmp_path / "out"
+    @pytest.mark.parametrize("name, pop_text", [("pop.csv", ODD_POP_CSV), ("pop.csv", ODD_LAMBDA_CSV),
+                                                ("pop.json", ODD_POP_JSON)], ids=["no-lambda", "lambda", "json"])
+    def test_bayes_table_loads_back_as_the_posterior(self, runner, tmp_path, name, pop_text):
+        pop_path, lik_path, out = tmp_path / name, tmp_path / "lik.csv", tmp_path / "out"
         pop_path.write_text(pop_text)
         lik_path.write_text('id,likelihood\nplain,0.9\n"c ""q""",0.5\n"a,b",0.2\n')
         args = ["profile", "bayes", "--input", str(pop_path), "--likelihood", str(lik_path)]
@@ -828,8 +842,13 @@ class TestRefusals:
             ("pop.csv", "id,p\na,0.5\na,0.5\n", "item ids must be unique; repeated: ['a']"),
             ("pop.csv", "id,p\na,nan\nb,1\n", "p for item a is nan, not finite"),
             ("pop.json", '{"p": [0.5, 0.5], "lambda": [1]}', "lambda has length 1, expected 2"),
+            # csv.writer would print these ids unquoted, and the table would not read back.
+            ("pop.json", '{"id": ["x\\ry", "b"], "p": [0.5, 0.5]}',
+             "item ids must not hold a line break; found: ['x\\ry']"),
+            ("pop.csv", 'id,p\n"x\ny",0.5\nb,0.5\n', "item ids must not hold a line break; found: ['x\\ny']"),
         ],
-        ids=["s-above-1", "json-s-short", "p-sums-to-0.9", "repeated-id", "nan-prior", "json-lambda-short"],
+        ids=["s-above-1", "json-s-short", "p-sums-to-0.9", "repeated-id", "nan-prior", "json-lambda-short",
+             "json-carriage-return-id", "line-feed-id"],
     )
     def test_bad_population_file_names_itself(self, runner, tmp_path, name, text, message):
         path = tmp_path / name

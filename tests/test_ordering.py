@@ -277,6 +277,17 @@ class TestDominanceReport:
             assert np.array_equal(report.distributions[label].pmf, law.pmf)
             assert report.distributions[label].atom_at_infinity == law.atom_at_infinity
 
+    def test_every_law_is_the_model_tables_law(self, rng):
+        # One truncation rule: the report compares the very laws that evaluate writes, EF's included.
+        pop = random_population(rng, 7, s_lo=0.3, s_hi=0.9)
+        q = InspectionWeights(q=rng.dirichlet(np.ones(7)))
+        report = dominance_report(pop, q=q)
+        for label, model in models.MODELS.items():
+            got, want = report.distributions[label], model.law(pop, q)
+            assert got.pmf.tobytes() == want.pmf.tobytes(), label
+            assert (got.atom_at_infinity, got.truncated) == (want.atom_at_infinity, want.truncated), label
+        assert report.distributions["EF"].truncated
+
 
 class TestIncomparableFamily:
     """p_i = 2i / (N (N+1)), s_i = 1 / i at q proportional to p: MN and OP cannot be ordered.
