@@ -49,7 +49,6 @@ from .population import (
 )
 from .strategies import (
     Schedule,
-    ScheduleTruncationError,
     ef_schedule,
     ikl_mean_exact,
     ikl_search_q,
@@ -93,7 +92,6 @@ __all__ = [
     "uniform_weights",
     "validate_population",
     "Schedule",
-    "ScheduleTruncationError",
     "ef_schedule",
     "ikl_mean_exact",
     "ikl_search_q",

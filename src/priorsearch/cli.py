@@ -65,7 +65,7 @@ def _runs(command: str):
     """Run a command that returns a _Report: write --out, then print stdout and stderr once each, then exit.
 
     Bad input is a ValueError (a PopulationError names the file at fault, if
-    any; a schedule or comparison may be too truncated to carry out honestly)
+    any; a comparison may be too truncated to carry out honestly)
     or an unreadable file or unusable --out directory (OSError). It prints only
     `error: <message>`, on stderr, and exits 2, since nothing is printed before the last write.
     """

@@ -42,8 +42,6 @@ class InspectionDistribution:
         pmf = np.array(self.pmf, dtype=float)
         if pmf.ndim != 1:
             raise ValueError(f"pmf must be one-dimensional, got shape {pmf.shape}")
-        if not pmf.size and self.atom_at_infinity <= 0.0:
-            raise ValueError("distribution has no mass at all")
         bad = (pmf < 0.0) | ~np.isfinite(pmf)
         if bad.any():
             k = int(np.argmax(bad))

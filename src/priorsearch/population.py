@@ -164,10 +164,6 @@ class ProfileDecomposition:
         object.__setattr__(self, "pi", _probabilities(self.pi, "pi", lam.size))
         object.__setattr__(self, "lam", lam)
 
-    @property
-    def n(self) -> int:
-        return int(self.lam.size)
-
 
 def validate_population(
     p: Sequence[float],

@@ -43,10 +43,6 @@ HORIZON_CAP = 10**6
 _PAIR_ROWS = 256
 
 
-class ScheduleTruncationError(ValueError):
-    """Greedy schedule hit its step budget while far from covering the mass."""
-
-
 @dataclass(frozen=True, eq=False)
 class Schedule:
     """Greedy deterministic schedule for imperfect-recognition enumerable search.
@@ -82,8 +78,9 @@ def ef_schedule(
     walk is a merge: one sort of the attempt masses, descending, ties to the
     lower item. It stops at the first step where the running residual (1 minus
     the masses, subtracted one at a time) is below ``eps`` and the exact sum of
-    the per-item remainders confirms it, or after ``max_steps`` steps; there a
-    residual of at least min(0.5, sqrt(eps)) raises ScheduleTruncationError.
+    the per-item remainders confirms it, or after ``max_steps`` steps, as the
+    J and MN laws stop at their horizon cap. Either way the schedule carries
+    its exact residual, whatever it is.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must be in (0, 1), got {eps!r}")
@@ -114,13 +111,7 @@ def ef_schedule(
             stop = stop if left < eps else steps.size
             break
         count = np.minimum(2 * count + 1, max_steps)  # the stop lies past the settled steps
-    residual = residual_after(stop)
-    if residual >= eps and stop >= max_steps and residual >= min(0.5, math.sqrt(eps)):
-        raise ScheduleTruncationError(
-            f"schedule budget of {max_steps} steps exhausted with residual mass {residual:.3g} >= "
-            f"{min(0.5, math.sqrt(eps)):.3g}; the truncation budget does not converge for this population"
-        )
-    return Schedule(steps=steps[:stop], masses=masses[:stop], residual_mass=residual)
+    return Schedule(steps=steps[:stop], masses=masses[:stop], residual_mass=residual_after(stop))
 
 
 def _merge(pop: Population, count: np.ndarray, max_steps: int):

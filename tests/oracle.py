@@ -24,7 +24,6 @@ from priorsearch.strategies import (
     HORIZON_CAP,
     TAIL_EPS,
     Schedule,
-    ScheduleTruncationError,
     descending_order,
     ef_schedule,
 )
@@ -91,10 +90,7 @@ def ef_schedule_heap(pop: Population, eps: float, max_steps: int) -> tuple[tuple
         if nxt > 0.0:
             heapq.heappush(heap, (-nxt, i))
         residual = max(residual - mass, 0.0)
-    residual = math.fsum(rem) if exact_residual is None else exact_residual
-    if residual >= eps and len(steps) >= max_steps and residual >= min(0.5, math.sqrt(eps)):
-        raise ScheduleTruncationError(f"budget of {max_steps} steps exhausted with residual {residual:.3g}")
-    return tuple(steps), residual
+    return tuple(steps), math.fsum(rem) if exact_residual is None else exact_residual
 
 
 def ef_swap_check(sched: Schedule) -> bool:

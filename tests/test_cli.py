@@ -46,6 +46,13 @@ def tiny_rate_inputs(tmp_path):
     return ["--input", str(pop_path), "--q-file", str(q_path)]
 
 
+def stalled_ef_input(tmp_path):
+    """Recognition 1e-9 leaves EF's schedule almost all its mass when it reaches its budget of 10^6 steps."""
+    path = tmp_path / "stalled.csv"
+    path.write_text("id,p,s\na,0.5,1e-9\nb,0.5,1e-9\n")
+    return ["--input", str(path)]
+
+
 class TestEvaluate:
     def test_abcd_uniform_101(self, runner, tmp_path):
         path = tmp_path / "u101.csv"
@@ -198,6 +205,13 @@ class TestEvaluate:
         assert runner.invoke(main, args + ["--out", str(out2)]).exit_code == 0
         assert (out1 / "dist_GH.csv").read_bytes() == (out2 / "dist_GH.csv").read_bytes()
         assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
+
+    def test_ef_schedule_at_its_budget_reports_its_residual(self, runner, tmp_path):
+        # As a J or MN law at its horizon cap: the schedule stops and its residual is the law's atom.
+        result = runner.invoke(main, ["evaluate", "--model", "EF", *stalled_ef_input(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert get_line(result.output, "schedule steps:") == "1000000"
+        assert get_line(result.output, "residual mass:") == "0.9995001249930532"
 
     def test_j_tiny_rate_caps_the_horizon(self, runner, tmp_path):
         result = runner.invoke(main, ["evaluate", "--model", "J", *tiny_rate_inputs(tmp_path)])
@@ -398,6 +412,18 @@ class TestSimulate:
         assert "dkw check: PASS" in result.output
         # Three attempts find the target with probability .05 + .05 + .045.
         assert 0.13 < int(get_line(result.output, "detected:")) / 20000 < 0.16
+
+    def test_ef_replications_past_the_schedule_are_capped(self, runner, tmp_path):
+        # The schedule stops at its budget of 10^6 steps; the replications it never reaches count as capped.
+        result = runner.invoke(
+            main,
+            ["simulate", "--model", "EF", *stalled_ef_input(tmp_path), "--reps", "20000", "--seed", "1",
+             "--check-exact"],
+        )
+        assert result.exit_code == 0, result.output
+        assert "dkw check: PASS" in result.output
+        assert get_line(result.output, "detected:") == "9"
+        assert get_line(result.output, "censored:") == "19991"
 
     def test_check_exact_j_tiny_rate(self, runner, tmp_path):
         result = runner.invoke(
@@ -864,12 +890,13 @@ class TestRefusals:
         result = runner.invoke(main, [*WEIGHTS_COMMANDS[command], "--input", pop_csv, "--q-file", str(q_path)])
         assert_refused(result, f"error: {q_path}: q sums to 0.9")
 
-    def test_exhausted_ef_schedule_prints_nothing_on_stdout(self, runner, tmp_path):
-        # Recognition 1e-9 leaves the greedy schedule almost all its mass after 10^6 steps.
-        path = tmp_path / "pop.csv"
-        path.write_text("id,p,s\na,0.5,1e-9\nb,0.5,1e-9\n")
-        result = runner.invoke(main, ["evaluate", "--model", "EF", "--input", str(path)])
-        assert_refused(result, "error: schedule budget of 1000000 steps exhausted")
+    def test_truncated_ef_law_refused_mid_command_prints_nothing_on_stdout(self, runner, tmp_path):
+        # order builds EF's law before it can refuse it; the refusal still leaves stdout empty.
+        result = runner.invoke(main, ["order", *stalled_ef_input(tmp_path)])
+        assert_refused(result, "error: EF carries truncation mass ")
+        assert result.stderr == (
+            "error: EF carries truncation mass 1 >= tol/10 = 1e-10; its law is cut at step 1000000\n"
+        )
 
     @pytest.mark.parametrize("text, item, value, problem", [
         ("a,nan\nb,1\nc,1\n", "a", "nan", "not a finite nonnegative number"),

@@ -45,6 +45,10 @@ class TestInspectionDistribution:
         with pytest.raises(ValueError, match="sums to"):
             InspectionDistribution(pmf=[0.5, 0.3], atom_at_infinity=0.0)
 
+    def test_law_with_no_mass_fails_the_mass_balance(self):
+        with pytest.raises(ValueError, match=r"pmf plus atom sums to 0\.0, not 1"):
+            InspectionDistribution([], 0.0)
+
     def test_support_validation(self):
         with pytest.raises(ValueError, match="one-dimensional"):
             InspectionDistribution(pmf=[[0.5, 0.5]], atom_at_infinity=0.0)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from priorsearch import (
     InspectionWeights,
-    ScheduleTruncationError,
     dist_abcd,
     dist_ef,
     dist_gh,
@@ -28,6 +27,7 @@ from priorsearch.strategies import Schedule
 
 from conftest import equal_mass_population, random_population, random_simplex
 from oracle import abcd_policy, ef_swap_check, ikl_mean_bruteforce, ikl_mean_pairwise
+from test_oracle import assert_matches_heap
 
 probability_vectors = st.lists(
     st.floats(min_value=1e-3, max_value=10.0, allow_nan=False), min_size=1, max_size=12
@@ -138,10 +138,14 @@ class TestEfSchedule:
         covered = math.fsum(sched.masses.tolist())
         assert abs(covered + sched.residual_mass - 1.0) <= 1e-12
 
-    def test_truncation_budget_error(self):
+    def test_step_budget_stops_with_the_exact_residual(self):
+        # Recognition 1e-6 leaves almost all the mass after 10 steps; the schedule stops there, as J and MN
+        # stop at their horizon cap, and carries its residual.
         pop = validate_population([0.5, 0.5], [1e-6, 1e-6])
-        with pytest.raises(ScheduleTruncationError):
-            ef_schedule(pop, eps=1e-9, max_steps=10)
+        sched = ef_schedule(pop, eps=1e-9, max_steps=10)
+        assert sched.steps.tolist() == [0, 1] * 5
+        assert_matches_heap(pop, 1e-9, 10)
+        assert abs(math.fsum(sched.masses.tolist()) + sched.residual_mass - 1.0) <= 1e-15
 
     def test_eps_validation(self):
         pop = validate_population([1.0])
