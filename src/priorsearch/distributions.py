@@ -16,8 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import strategies
 from .population import InspectionWeights, Population, check_weights, write_table
-from .strategies import HORIZON_CAP, TAIL_EPS, Schedule, descending_order
+from .strategies import Schedule, descending_order, reachable
 
 MASS_BALANCE_TOL = 1e-9
 
@@ -116,34 +117,26 @@ def dist_gh(pop: Population) -> InspectionDistribution:
     return InspectionDistribution(mass[descending_order(mass)], atom_at_infinity=atom)
 
 
-def _geometric_mixture_dist(
-    pop: Population, rates: np.ndarray, horizon: int | None
-) -> InspectionDistribution:
+def _geometric_mixture_dist(pop: Population, rates: np.ndarray) -> InspectionDistribution:
     """Law of a mixture of geometrics: P(T <= m) = 1 - sum_k p_k (1-rate_k)^m.
 
-    The pmf comes from block power tables: each block of B = isqrt(horizon)
-    steps starts from p_k rate_k (1-rate_k)^(bB) and steps on by (1-rate_k)^r,
-    r < B, so the law takes O(sqrt(horizon) N) powers rather than one per step
-    and item. It stops at the last step whose mass is nonzero in floating point.
-    An item whose rate is so small that 1 - rate rounds to 1 is never found
-    within any horizon the law could reach; its whole prior goes to the
-    truncation atom.
+    An item that ``reachable`` rules out is never found: its prior goes to the
+    truncation atom. The law covers steps 1..H. H starts where the slowest
+    reachable item's own tail (1-rate)^H reaches TAIL_EPS, doubles while the
+    whole tail sum_k p_k (1-rate_k)^H is not below TAIL_EPS, and stops at
+    HORIZON_CAP. Each block of B = isqrt(H) steps of the pmf starts from
+    p_k rate_k (1-rate_k)^(bB) and steps on by (1-rate_k)^r, r < B, so the law
+    takes O(sqrt(H) N) powers rather than one per step and item. It stops at
+    the last step whose mass is nonzero in floating point.
     """
-    fail = 1.0 - rates
-    live = fail < 1.0
-    p, rates, fail = pop.p[live], rates[live], fail[live]
-    if horizon is None:
-        # Smallest horizon with tail mass below TAIL_EPS, capped.
-        slowest = float(rates.min(initial=1.0))
-        if slowest >= 1.0:
-            horizon = 1
-        else:
-            horizon = int(min(HORIZON_CAP, max(1, math.ceil(math.log(TAIL_EPS) / math.log1p(-slowest)))))
-            while horizon < HORIZON_CAP and float(p @ fail**horizon) >= TAIL_EPS:
-                horizon = min(HORIZON_CAP, horizon * 2)
-    elif horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon!r}")
-    horizon = int(horizon)
+    eps, cap = strategies.TAIL_EPS, strategies.HORIZON_CAP
+    live = reachable(rates)
+    p, rates, fail = pop.p[live], rates[live], 1.0 - rates[live]
+    horizon, slowest = 1, float(rates.min(initial=1.0))
+    if slowest < 1.0:
+        horizon = int(min(cap, max(1, math.ceil(math.log(eps) / math.log1p(-slowest)))))
+        while horizon < cap and float(p @ fail**horizon) >= eps:
+            horizon = min(cap, horizon * 2)
     # pmf[bB + r] = sum_k (p_k rate_k fail_k^(bB)) fail_k^r: block starts (horizon/B x N) @ powers (N x B).
     width = math.isqrt(horizon)
     starts = (p * rates) * fail ** np.arange(0, horizon, width)[:, None]
@@ -152,16 +145,16 @@ def _geometric_mixture_dist(
     return InspectionDistribution(np.trim_zeros(pmf, "b"), atom_at_infinity=tail, truncated=tail > 0.0)
 
 
-def dist_j(pop: Population, q: InspectionWeights, horizon: int | None = None) -> InspectionDistribution:
+def dist_j(pop: Population, q: InspectionWeights) -> InspectionDistribution:
     """Replacement sampling, perfect recognition: P(T <= m) = 1 - sum_k p_k (1-q_k)^m."""
     check_weights(pop, q)
-    return _geometric_mixture_dist(pop, q.q, horizon)
+    return _geometric_mixture_dist(pop, q.q)
 
 
-def dist_mn(pop: Population, q: InspectionWeights, horizon: int | None = None) -> InspectionDistribution:
+def dist_mn(pop: Population, q: InspectionWeights) -> InspectionDistribution:
     """Replacement sampling, imperfect recognition: success rate s_k q_k per step."""
     check_weights(pop, q)
-    return _geometric_mixture_dist(pop, pop.s * q.q, horizon)
+    return _geometric_mixture_dist(pop, pop.s * q.q)
 
 
 def _race_pmf(q: np.ndarray, w: np.ndarray) -> np.ndarray:

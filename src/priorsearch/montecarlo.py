@@ -219,7 +219,7 @@ def _geometric_from_uniform(u: np.ndarray, log_fail: np.ndarray, max_steps: int)
     -inf, so the quotient is 0 and the count 1.
     """
     raw = np.log1p(np.negative(u, out=u), out=u)
-    with np.errstate(divide="ignore"):  # a rate that underflowed to 0: the count is capped
+    with np.errstate(divide="ignore", over="ignore"):  # a rate that is 0 or subnormal: the count is capped
         np.divide(raw, log_fail, out=raw)
     return np.clip(np.ceil(raw, out=raw), 1.0, max_steps + 1, out=raw).astype(np.int64)
 

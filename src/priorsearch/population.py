@@ -302,11 +302,11 @@ def _read_columns(path: str | Path, required: tuple[str, ...], optional: tuple[s
             header = [name.strip() for name in next(reader, ())]
             rows = list(reader)
     if json_file:
-        if not isinstance(table, dict) or any(table.get(c) is None for c in required):
+        if not isinstance(table, dict) or not set(required) <= set(table):
             raise PopulationError(f"{path}: expected an object with arrays `{','.join(required)}`")
-        columns = {c: table[c] for c in required + optional if table.get(c) is not None}
+        columns = {c: table[c] for c in required + optional if c in table}
         for c, values in columns.items():
-            if not isinstance(values, list):
+            if not isinstance(values, list):  # null included: it is not an absent column
                 raise PopulationError(f"{path}: malformed JSON (`{c}` is not an array)")
             # float() would read true and false as 1.0 and 0.0.
             if c != "id" and any(isinstance(v, bool) for v in values):

@@ -35,8 +35,8 @@ import numpy as np
 
 from .population import Q_FLOOR, InspectionWeights, Population, check_weights
 
-# The one truncation rule: the EF schedule and the J and MN laws run until their
-# uncovered tail is below TAIL_EPS, for at most HORIZON_CAP steps, in every command.
+# The one truncation rule, which each builder reads here when it runs: the EF schedule and
+# the J and MN laws run until their uncovered tail is below TAIL_EPS, for at most HORIZON_CAP steps.
 TAIL_EPS = 1e-13
 HORIZON_CAP = 10**6
 # Rows of the pair quotients q_j / (q_i + q_j) that ikl_mean_exact holds at once.
@@ -67,62 +67,64 @@ def descending_order(mass: np.ndarray) -> np.ndarray:
     return np.argsort(-np.asarray(mass), kind="stable")
 
 
-def ef_schedule(
-    pop: Population,
-    eps: float = TAIL_EPS,
-    max_steps: int = HORIZON_CAP,
-) -> Schedule:
+def reachable(rates: np.ndarray) -> np.ndarray:
+    """Which items inspections at these success rates can find: not one whose 1 - rate rounds to 1."""
+    return 1.0 - rates < 1.0
+
+
+def ef_schedule(pop: Population) -> Schedule:
     """Greedy schedule: each step inspects the item maximizing its detection mass.
 
     Each item's attempt masses p_i (1-s_i)^j s_i fall as j grows, so the greedy
     walk is a merge: one sort of the attempt masses, descending, ties to the
-    lower item. It stops at the first step where the running residual (1 minus
-    the masses, subtracted one at a time) is below ``eps`` and the exact sum of
-    the per-item remainders confirms it, or after ``max_steps`` steps, as the
-    J and MN laws stop at their horizon cap. Either way the schedule carries
-    its exact residual, whatever it is.
+    lower item. An item that ``reachable`` rules out is never inspected, and its
+    prior joins the residual. It stops at the first step where the running
+    residual (the other items' priors less the masses, subtracted one at a
+    time) is below TAIL_EPS and the exact sum of the per-item remainders
+    confirms it, or after HORIZON_CAP steps, as the J and MN laws stop at their
+    cap. Either way the schedule carries its exact residual, whatever it is.
     """
-    if not (0.0 < eps < 1.0):
-        raise ValueError(f"eps must be in (0, 1), got {eps!r}")
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps!r}")
+    reach = reachable(pop.s)
+    p, lost = np.where(reach, pop.p, 0.0), math.fsum(pop.p[~reach].tolist())
     with np.errstate(divide="ignore"):
-        lead, decay = np.log(pop.p * pop.s), np.log1p(-pop.s)
+        lead, decay = np.log(p * pop.s), np.log1p(-pop.s)
 
     def attempts_above(floor: float) -> np.ndarray:
-        """Per item, about how many attempts have mass >= floor, at most max_steps."""
-        return np.clip(np.floor((math.log(floor) - lead) / decay) + 1, 0, max_steps).astype(np.int64)
+        """Per item, about how many attempts have mass >= floor, at most HORIZON_CAP."""
+        return np.clip(np.floor((math.log(floor) - lead) / decay) + 1, 0, HORIZON_CAP).astype(np.int64)
 
-    # With residual R left, the next mass is >= R / sum_i (1/s_i), as R = sum_i (rem_i s_i) / s_i.
-    floor = max(0.5 * eps / math.fsum((1.0 / pop.s).tolist()), math.ulp(0.0))
-    while (count := attempts_above(floor)).sum() > 2 * max_steps + pop.n:  # more than the budget can use
+    # With residual R left, the next mass is >= R / sum_i (1/s_i) over reachable i, as R = sum_i (rem_i s_i) / s_i.
+    # That sum is at least 1 when any item is reachable; max(., 1) only stands in for an empty one.
+    floor = max(0.5 * TAIL_EPS / max(math.fsum((1.0 / pop.s[reach]).tolist()), 1.0), math.ulp(0.0))
+    while (count := attempts_above(floor)).sum() > 2 * HORIZON_CAP + pop.n:  # more than the budget can use
         floor *= 2.0
     while True:
-        steps, masses, residual_after, exhausted = _merge(pop, count, max_steps)
+        steps, masses, residual_after, exhausted = _merge(p, pop.s, count)
         # The running residual starts again from the exact one where that does not confirm it.
-        stop, left = 0, 1.0
-        while left >= eps:
-            below = np.flatnonzero(np.subtract.accumulate(np.concatenate(([left], masses[stop:]))) < eps)
+        stop, left = 0, 1.0 - lost
+        while left >= TAIL_EPS:
+            below = np.flatnonzero(np.subtract.accumulate(np.concatenate(([left], masses[stop:]))) < TAIL_EPS)
             if not below.size:
                 break
             stop += int(below[0])
             left = residual_after(stop)
-        if left < eps or steps.size == max_steps or exhausted:
-            stop = stop if left < eps else steps.size
+        if left < TAIL_EPS or steps.size == HORIZON_CAP or exhausted:
+            stop = stop if left < TAIL_EPS else steps.size
             break
-        count = np.minimum(2 * count + 1, max_steps)  # the stop lies past the settled steps
-    return Schedule(steps=steps[:stop], masses=masses[:stop], residual_mass=residual_after(stop))
+        count = np.minimum(2 * count + 1, HORIZON_CAP)  # the stop lies past the settled steps
+    return Schedule(steps=steps[:stop], masses=masses[:stop], residual_mass=residual_after(stop) + lost)
 
 
-def _merge(pop: Population, count: np.ndarray, max_steps: int):
-    """The greedy's first steps, at most max_steps, that item i's first count[i] attempts settle.
+def _merge(p: np.ndarray, s: np.ndarray, count: np.ndarray):
+    """The greedy's first steps, at most HORIZON_CAP, that the first count[i] attempts of item i settle.
 
-    A candidate settles when it sorts before every item's next attempt, bar
-    items with max_steps candidates, which the budget never reaches. Returns
-    the steps' items and masses, the exact residual after k steps as a
-    function of k, and whether no later attempt can come within the budget.
+    Item i has prior p[i] and recognition s[i]. A candidate settles when it
+    sorts before every item's next attempt, bar items with HORIZON_CAP
+    candidates, which the budget never reaches. Returns the steps' items and
+    masses, the exact residual after k steps as a function of k, and whether
+    no later attempt can come within the budget.
     """
-    s, width = pop.s, count + 1
+    n, width = p.size, count + 1
     # Repeated multiplication along the rows of one table per band of widths within
     # a factor 2 (or below 256), so memory stays within twice the remainders (plus 256 N).
     band = np.maximum(np.frexp(width)[1], 8)
@@ -131,26 +133,26 @@ def _merge(pop: Population, count: np.ndarray, max_steps: int):
     for b in np.flatnonzero(np.bincount(band)):
         rows = np.flatnonzero(band == b)
         table = np.empty((rows.size, int(width[rows].max())))
-        table[:, 0], table[:, 1:] = pop.p[rows], (1.0 - s[rows])[:, None]
+        table[:, 0], table[:, 1:] = p[rows], (1.0 - s[rows])[:, None]
         np.multiply.accumulate(table, axis=1, out=table)
         parts.append(table[np.arange(table.shape[1]) < width[rows, None]])
     rem, item = np.concatenate(parts), np.repeat(order, width[order])
-    first = np.empty(pop.n, dtype=np.int64)
+    first = np.empty(n, dtype=np.int64)
     first[order] = np.cumsum(width[order]) - width[order]
     mass = rem * s[item]
     settled = (np.arange(rem.size) - first[item] < count[item]) & (mass > 0.0)
     nxt = mass[first + count]
-    pending = (nxt > 0.0) & (count < max_steps)
+    pending = (nxt > 0.0) & (count < HORIZON_CAP)
     if pending.any():  # the first pending attempt: largest mass, then lowest item
         rival = np.flatnonzero(pending)[np.argmax(nxt[pending])]
         settled &= (mass > nxt[rival]) | ((mass == nxt[rival]) & (item < rival))
     idx = np.flatnonzero(settled)
     # lexsort is stable, so one item's equal masses keep their attempt order.
-    idx = idx[np.lexsort((item[idx], -mass[idx]))][:max_steps]
+    idx = idx[np.lexsort((item[idx], -mass[idx]))][:HORIZON_CAP]
     steps = item[idx]
 
     def residual_after(k: int) -> float:
-        return math.fsum(rem[first + np.bincount(steps[:k], minlength=pop.n)].tolist())
+        return math.fsum(rem[first + np.bincount(steps[:k], minlength=n)].tolist())
 
     return steps, mass[idx], residual_after, not pending.any()
 
@@ -258,7 +260,10 @@ def j_mean(pop: Population, q: InspectionWeights) -> float:
 
 def mn_optimal_q(pop: Population) -> InspectionWeights:
     """Replacement sampling with imperfect recognition: q_i proportional to sqrt(p_i / s_i)."""
-    r = np.sqrt(pop.p / pop.s)
+    with np.errstate(over="ignore"):
+        r = np.sqrt(pop.p / pop.s)
+    if np.isinf(r).any():  # p_i / s_i overflows for a subnormal s_i; sqrt(p_i) / sqrt(s_i) does not
+        r = np.sqrt(pop.p) / np.sqrt(pop.s)
     return InspectionWeights(q=r / math.fsum(r.tolist()))
 
 
@@ -268,5 +273,6 @@ def mn_mean(pop: Population, q: InspectionWeights) -> float:
     At mn_optimal_q this equals (sum_i sqrt(p_i / s_i))^2.
     """
     check_weights(pop, q)
-    return math.fsum((pop.p / (q.q * pop.s)).tolist())
+    with np.errstate(over="ignore", divide="ignore"):  # a subnormal s_i: a mean past the largest float is inf
+        return math.fsum((pop.p / (q.q * pop.s)).tolist())
 

@@ -1,9 +1,11 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, settings
 
-from priorsearch import Population, validate_population
+from priorsearch import Population, strategies, validate_population
 
 settings.register_profile(
     "deterministic",
@@ -40,6 +42,20 @@ def equal_mass_population(n: int) -> Population:
     return validate_population(2.0 * i / (n * (n + 1)), 1.0 / i)
 
 
+@contextmanager
+def cut_rule(eps: float | None = None, cap: int | None = None):
+    """Within the block, EF, J and MN are cut at tail target ``eps`` and step cap ``cap`` (None keeps one).
+
+    Both are the constants strategies.TAIL_EPS and HORIZON_CAP, which every builder reads when it runs.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        if eps is not None:
+            mp.setattr(strategies, "TAIL_EPS", eps)
+        if cap is not None:
+            mp.setattr(strategies, "HORIZON_CAP", cap)
+        yield
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
@@ -57,6 +73,11 @@ MALFORMED_JSON = {
     "p-s-booleans": '{"p": [true], "s": [true]}',
     "s-booleans": '{"p": [0.5, 0.5], "s": [true, false]}',
     "p-huge-integer": '{"p": [1' + "0" * 400 + "]}",
+    # null is not an array, and not an absent column either.
+    "p-null": '{"p": null}',
+    "s-null": '{"p": [0.5, 0.5], "s": null}',
+    "lambda-null": '{"p": [0.5, 0.5], "lambda": null}',
+    "id-null": '{"p": [0.5, 0.5], "id": null}',
 }
 
 

@@ -20,13 +20,8 @@ from priorsearch.distributions import InspectionDistribution
 from priorsearch.models import MODELS
 from priorsearch.montecarlo import _RACE_BLOCK_KEYS, CHUNK, SimConfig, _walk
 from priorsearch.population import InspectionWeights, Population, ProfileDecomposition
-from priorsearch.strategies import (
-    HORIZON_CAP,
-    TAIL_EPS,
-    Schedule,
-    descending_order,
-    ef_schedule,
-)
+from priorsearch import strategies
+from priorsearch.strategies import Schedule, descending_order, ef_schedule
 
 
 @dataclass(frozen=True)
@@ -54,23 +49,26 @@ class ScheduleStep:
 def ef_schedule_heap(pop: Population, eps: float, max_steps: int) -> tuple[tuple[ScheduleStep, ...], float]:
     """Greedy EF schedule one step at a time from a max-heap, and its residual mass.
 
-    The loop form of strategies.ef_schedule, with the same stop rule: a
-    running residual, 1 minus the masses so far, is confirmed against the
+    The loop form of strategies.ef_schedule, with the same stop rule. An item
+    whose 1 - s rounds to 1 is never found: it enters the heap with no mass,
+    and its prior is added to the residual at the end. A running residual,
+    the other items' priors less the masses so far, is confirmed against the
     exact sum of the per-item remainders once it falls below eps. Every
     floating-point operation matches the merge, so the two agree bit for bit.
     """
-    p = pop.p.tolist()
     s = pop.s.tolist()
     n = pop.n
+    never = [1.0 - si == 1.0 for si in s]
+    lost = math.fsum(pi for pi, nv in zip(pop.p.tolist(), never) if nv)
     # rem[i] = p_i (1-s_i)^{m_i}: the mass still hiding behind item i.
-    rem = list(p)
+    rem = [0.0 if nv else pi for pi, nv in zip(pop.p.tolist(), never)]
     attempts = [0] * n
     # Max-heap on the next-attempt detection mass rem_i * s_i; ties resolve
     # to the lowest item index.
     heap = [(-rem[i] * s[i], i) for i in range(n)]
     heapq.heapify(heap)
     steps: list[ScheduleStep] = []
-    residual = 1.0
+    residual = 1.0 - lost
     exact_residual: float | None = None
     while heap and len(steps) < max_steps:
         if residual < eps:
@@ -90,7 +88,7 @@ def ef_schedule_heap(pop: Population, eps: float, max_steps: int) -> tuple[tuple
         if nxt > 0.0:
             heapq.heappush(heap, (-nxt, i))
         residual = max(residual - mass, 0.0)
-    return tuple(steps), math.fsum(rem) if exact_residual is None else exact_residual
+    return tuple(steps), (math.fsum(rem) if exact_residual is None else exact_residual) + lost
 
 
 def ef_swap_check(sched: Schedule) -> bool:
@@ -375,26 +373,25 @@ def cdf_literal(counts: dict[int, int], upto: int) -> np.ndarray:
     return np.zeros(upto) if detected == 0 else np.cumsum(dense)[1:] / detected
 
 
-def geometric_mixture_pmf_powers(
-    pop: Population, rates: np.ndarray, horizon: int | None
-) -> InspectionDistribution:
+def geometric_mixture_pmf_powers(pop: Population, rates: np.ndarray) -> InspectionDistribution:
     """distributions._geometric_mixture_dist from a table of every live rate's power at every step.
 
     pmf[m] = sum_k p_k rate_k (1-rate_k)^m, one power per step and item, in
-    row blocks of 2**15 steps; the horizon rule, the atom and the cut at the
-    last nonzero step are those of the library.
+    row blocks of 2**15 steps; the horizon rule (read from strategies.TAIL_EPS
+    and HORIZON_CAP when it runs), the atom and the cut at the last nonzero
+    step are those of the library.
     """
+    eps, cap = strategies.TAIL_EPS, strategies.HORIZON_CAP
     fail = 1.0 - rates
     live = fail < 1.0
     p, rates, fail = pop.p[live], rates[live], fail[live]
-    if horizon is None:
-        slowest = float(rates.min(initial=1.0))
-        if slowest >= 1.0:
-            horizon = 1
-        else:
-            horizon = int(min(HORIZON_CAP, max(1, math.ceil(math.log(TAIL_EPS) / math.log1p(-slowest)))))
-            while horizon < HORIZON_CAP and float(p @ fail**horizon) >= TAIL_EPS:
-                horizon = min(HORIZON_CAP, horizon * 2)
+    slowest = float(rates.min(initial=1.0))
+    if slowest >= 1.0:
+        horizon = 1
+    else:
+        horizon = int(min(cap, max(1, math.ceil(math.log(eps) / math.log1p(-slowest)))))
+        while horizon < cap and float(p @ fail**horizon) >= eps:
+            horizon = min(cap, horizon * 2)
     pmf = np.empty(horizon)
     block = 1 << 15
     for start in range(0, horizon, block):

@@ -45,7 +45,7 @@ from oracle import (
     sup_cdf_distance,
     truncated_schedule_score,
 )
-from conftest import equal_mass_population
+from conftest import cut_rule, equal_mass_population
 
 SEED = 20260810
 
@@ -188,7 +188,8 @@ def test_criterion_7_oracle_equivalence():
             p = rng.dirichlet(np.ones(n)) + 0.05
             pop = validate_population(p / p.sum(), rng.uniform(0.2, 0.95, size=n))
             best_score, _ = ef_best_schedule_bruteforce(pop, horizon=6)
-            greedy = ef_schedule(pop, eps=1e-15, max_steps=10**4)
+            with cut_rule(eps=1e-15, cap=10**4):
+                greedy = ef_schedule(pop)
             assert truncated_schedule_score(pop, greedy, 6) <= best_score + 1e-12
         assert time.perf_counter() - start < 300.0
 

@@ -53,6 +53,16 @@ def stalled_ef_input(tmp_path):
     return ["--input", str(path)]
 
 
+def never_found_input(tmp_path, text="id,p,s\na,1e-8,1e-17\nb,0.99999999,0.5\n"):
+    """Item a's 1 - s rounds to 1, so no inspection ever finds it; item b is found at rate 0.5."""
+    path = tmp_path / "never.csv"
+    path.write_text(text)
+    return ["--input", str(path)]
+
+
+TINY_S_TEXT = "id,p,s\na,0.5,1e-310\nb,0.5,0.5\n"  # 1/s overflows for a subnormal s
+
+
 class TestEvaluate:
     def test_abcd_uniform_101(self, runner, tmp_path):
         path = tmp_path / "u101.csv"
@@ -212,6 +222,17 @@ class TestEvaluate:
         assert result.exit_code == 0, result.output
         assert get_line(result.output, "schedule steps:") == "1000000"
         assert get_line(result.output, "residual mass:") == "0.9995001249930532"
+
+    def test_ef_item_never_found_goes_straight_to_the_residual(self, runner, tmp_path):
+        # b's residual 0.99999999 / 2^44 falls below 1e-13 at step 44; a's prior joins it untouched.
+        args = never_found_input(tmp_path)
+        result = runner.invoke(main, ["evaluate", "--model", "EF", *args])
+        assert result.exit_code == 0, result.output
+        assert get_line(result.output, "schedule steps:") == "44"
+        assert get_line(result.output, "residual mass:") == "1.0000056843418292e-08"
+        refused = runner.invoke(main, ["order", *args])
+        assert_refused(refused, "error: EF carries truncation mass ")
+        assert refused.stderr.endswith("its law is cut at step 44\n")
 
     def test_j_tiny_rate_caps_the_horizon(self, runner, tmp_path):
         result = runner.invoke(main, ["evaluate", "--model", "J", *tiny_rate_inputs(tmp_path)])
@@ -425,6 +446,26 @@ class TestSimulate:
         assert get_line(result.output, "detected:") == "9"
         assert get_line(result.output, "censored:") == "19991"
 
+    def test_ef_check_exact_with_an_item_never_found(self, runner, tmp_path, monkeypatch):
+        # Item a (prior 0.3) is never found: its replications are censored, and the exact law the
+        # check reads holds b's 43 steps and a's prior in its atom.
+        schedules = []
+
+        def kept(pop):
+            schedules.append(strategies.ef_schedule(pop))
+            return schedules[-1]
+
+        monkeypatch.setattr(cli, "ef_schedule", kept)
+        args = never_found_input(tmp_path, "id,p,s\na,0.3,1e-17\nb,0.7,0.5\n")
+        result = runner.invoke(main, ["simulate", "--model", "EF", *args, "--reps", "20000", "--seed", "1",
+                                      "--check-exact"])
+        assert result.exit_code == 0, result.output
+        assert get_line(result.output, "dkw check:") == "PASS (alpha=0.001)"
+        assert (get_line(result.output, "detected:"), get_line(result.output, "censored:")) == ("14063", "5937")
+        (sched,) = schedules
+        assert sched.steps.size == 43 and set(sched.steps.tolist()) == {1}
+        assert 0.3 <= sched.residual_mass < 0.3 + 1e-13
+
     def test_check_exact_j_tiny_rate(self, runner, tmp_path):
         result = runner.invoke(
             main,
@@ -433,6 +474,32 @@ class TestSimulate:
         )
         assert result.exit_code == 0, result.output
         assert "dkw check: PASS" in result.output
+
+
+class TestSubnormalS:
+    """s = 1e-310 is valid input: every command runs it without a RuntimeWarning, which the tests make errors."""
+
+    @pytest.mark.parametrize("model", models.LABELS)
+    def test_evaluate_and_simulate(self, runner, tmp_path, model):
+        args = [*never_found_input(tmp_path, TINY_S_TEXT), *(["--uniform-q"] if model in ("IKL", "OP") else [])]
+        result = runner.invoke(main, ["evaluate", "--model", model, *args, "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, ["simulate", "--model", model, *args, "--reps", "2000", "--seed", "1",
+                                      "--check-exact"])
+        assert result.exit_code == 0, result.output
+        assert get_line(result.output, "dkw check:").startswith("PASS")
+
+    def test_mn_optimal_q_is_finite(self, runner, tmp_path):
+        # q_a / q_b = sqrt(0.5 / 1e-310) / 1 = 7.07e154: a takes all the weight, and the mean overflows to inf.
+        result = runner.invoke(main, ["evaluate", "--model", "MN", *never_found_input(tmp_path, TINY_S_TEXT)])
+        assert result.exit_code == 0, result.output
+        assert get_line(result.output, "q (optimal):") == "1.000000 0.000000"
+        assert get_line(result.output, "mean:") == "inf"
+
+    def test_order_refuses_ef_by_name(self, runner, tmp_path):
+        # Half the mass is never found, so EF's law keeps it in its atom and order cannot use it.
+        result = runner.invoke(main, ["order", *never_found_input(tmp_path, TINY_S_TEXT)])
+        assert_refused(result, "error: EF carries truncation mass 0.5 ")
 
 
 class TestOneItem:

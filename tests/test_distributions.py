@@ -22,11 +22,12 @@ from priorsearch import (
     uniform_weights,
     validate_population,
 )
-from priorsearch.distributions import HORIZON_CAP, InspectionDistribution, write_distribution_csv
+from priorsearch.distributions import InspectionDistribution, write_distribution_csv
+from priorsearch.models import MODELS
 from priorsearch.population import Q_FLOOR
-from priorsearch.strategies import position_probabilities
+from priorsearch.strategies import HORIZON_CAP, position_probabilities
 
-from conftest import equal_mass_population, random_population, random_simplex
+from conftest import cut_rule, equal_mass_population, random_population, random_simplex
 from oracle import abcd_policy, cdf, geometric_mixture_pmf_powers, race_pmfs_by_class, sup_cdf_distance
 
 
@@ -148,7 +149,8 @@ class TestDistEf:
 
     def test_schedule_masses(self):
         pop = validate_population([0.6, 0.4], [0.5, 1.0])
-        d = dist_ef(ef_schedule(pop, eps=1e-10))
+        with cut_rule(eps=1e-10):
+            d = dist_ef(ef_schedule(pop))
         assert d.pmf[0] == pytest.approx(0.4, abs=1e-15)
         assert d.pmf[1] == pytest.approx(0.3, abs=1e-15)
         assert d.pmf[2] == pytest.approx(0.15, abs=1e-15)
@@ -157,7 +159,7 @@ class TestDistEf:
     def test_mass_balance(self, rng):
         for _ in range(5):
             pop = random_population(rng, 4, s_lo=0.3)
-            d = dist_ef(ef_schedule(pop, eps=1e-13))
+            d = dist_ef(ef_schedule(pop))
             assert abs(d.total_finite_mass + d.atom_at_infinity - 1.0) <= 1e-12
             assert d.truncated
 
@@ -212,14 +214,17 @@ class TestDistJ:
 
     def test_symmetric_halving(self):
         pop = validate_population([0.5, 0.5])
-        d = dist_j(pop, make_weights([0.5, 0.5]), horizon=40)
+        with cut_rule(cap=40):
+            d = dist_j(pop, make_weights([0.5, 0.5]))
         for m in range(1, 20):
             assert d.pmf[m - 1] == pytest.approx(0.5**m, abs=1e-15)
             assert cdf(d, m) == pytest.approx(1.0 - 0.5**m, abs=1e-12)
 
     def test_underflowed_tail_is_trimmed(self, tmp_path):
-        # pmf(m) = 2^-m; from m = 1074 on the two halves round to 0.
-        d = dist_j(validate_population([0.5, 0.5]), make_weights([0.5, 0.5]), horizon=5000)
+        # pmf(m) = 2^-m; from m = 1074 on the two halves round to 0. A tail target of
+        # the least subnormal takes the law past that step.
+        with cut_rule(eps=math.ulp(0.0), cap=5000):
+            d = dist_j(validate_population([0.5, 0.5]), make_weights([0.5, 0.5]))
         assert d.horizon == 1073
         assert d.pmf[-1] == 2.0**-1073
         assert d.atom_at_infinity == 0.0
@@ -230,7 +235,8 @@ class TestDistJ:
     def test_cdf_formula(self, rng):
         pop = random_population(rng, 4, perfect=True)
         q = make_weights(random_simplex(rng, 4))
-        d = dist_j(pop, q, horizon=50)
+        with cut_rule(cap=50):
+            d = dist_j(pop, q)
         cdf = d.cdf_array(50)
         for m in (1, 5, 17, 50):
             expected = 1.0 - float(pop.p @ (1.0 - q.q) ** m)
@@ -244,21 +250,20 @@ class TestDistJ:
         assert d.atom_at_infinity == 0.5
 
     def test_only_tiny_rates_leave_an_empty_law(self):
-        d = dist_mn(validate_population([0.5, 0.5], [1e-300, 1e-300]), uniform_weights(2))
-        assert d.horizon == 0
-        assert d.truncated
-        assert d.atom_at_infinity == 1.0
-
-    def test_bad_horizon(self):
-        pop = validate_population([1.0])
-        with pytest.raises(ValueError, match="horizon"):
-            dist_j(pop, make_weights([1.0]), horizon=0)
+        # No item can be found, so MN's law and EF's schedule are empty and all their mass is in the atom.
+        pop = validate_population([0.5, 0.5], [1e-300, 1e-17])
+        for d in (dist_mn(pop, uniform_weights(2)), dist_ef(ef_schedule(pop))):
+            assert d.horizon == 0
+            assert d.truncated
+            assert d.atom_at_infinity == 1.0
 
     def test_horizon_corrected_mean(self, rng):
         pop = random_population(rng, 5, perfect=True)
         q = make_weights(random_simplex(rng, 5))
         horizon = 200
-        d = dist_j(pop, q, horizon=horizon)
+        with cut_rule(cap=horizon):
+            d = dist_j(pop, q)
+        assert d.horizon == horizon
         tail = float(
             np.sum(pop.p * (1.0 - q.q) ** horizon * (horizon * q.q + 1.0) / q.q)
         )
@@ -269,13 +274,15 @@ class TestDistMn:
     def test_perfect_recognition_equals_j(self, rng):
         pop = random_population(rng, 4, perfect=True)
         q = make_weights(random_simplex(rng, 4))
-        dj = dist_j(pop, q, horizon=100)
-        dm = dist_mn(pop, q, horizon=100)
+        with cut_rule(cap=100):
+            dj = dist_j(pop, q)
+            dm = dist_mn(pop, q)
         assert np.array_equal(dj.pmf, dm.pmf)
 
     def test_single_item_geometric(self):
         pop = validate_population([1.0], [0.5])
-        d = dist_mn(pop, make_weights([1.0]), horizon=40)
+        with cut_rule(cap=40):
+            d = dist_mn(pop, make_weights([1.0]))
         for m in range(1, 20):
             assert d.pmf[m - 1] == pytest.approx(0.5**m, abs=1e-15)
 
@@ -283,25 +290,32 @@ class TestDistMn:
         for _ in range(10):
             pop = random_population(rng, 4, s_lo=0.3, s_hi=0.95)
             q = make_weights(random_simplex(rng, 4))
-            dj = dist_j(pop, q, horizon=300)
-            dm = dist_mn(pop, q, horizon=300)
+            with cut_rule(cap=300):
+                dj = dist_j(pop, q)
+                dm = dist_mn(pop, q)
             assert np.all(dj.cdf_array(300) >= dm.cdf_array(300) - 1e-12)
 
     def test_horizon_corrected_mean(self, rng):
         pop = random_population(rng, 5, s_lo=0.4)
         q = make_weights(random_simplex(rng, 5))
         horizon = 300
-        d = dist_mn(pop, q, horizon=horizon)
+        with cut_rule(cap=horizon):
+            d = dist_mn(pop, q)
+        assert d.horizon == horizon
         rate = pop.s * q.q
         tail = float(np.sum(pop.p * (1.0 - rate) ** horizon * (horizon * rate + 1.0) / rate))
         assert abs(d.mean_finite() + tail - mn_mean(pop, q)) <= 1e-9
 
 
-def assert_block_law_equals_power_table(pop, q, model, horizon=None):
-    """dist_j / dist_mn against one power per step and item: same horizon and atom, pmf to 1e-14 relative."""
-    got = (dist_j if model == "J" else dist_mn)(pop, q, horizon)
+def assert_block_law_equals_power_table(pop, q, model, cap=None):
+    """dist_j / dist_mn against one power per step and item: same horizon and atom, pmf to 1e-14 relative.
+
+    ``cap`` stands for HORIZON_CAP in both, when given.
+    """
     rates = q.q if model == "J" else pop.s * q.q
-    want = geometric_mixture_pmf_powers(pop, rates, horizon)
+    with cut_rule(cap=cap):
+        got = (dist_j if model == "J" else dist_mn)(pop, q)
+        want = geometric_mixture_pmf_powers(pop, rates)
     assert got.horizon == want.horizon
     assert (got.atom_at_infinity, got.truncated) == (want.atom_at_infinity, want.truncated)
     assert np.all(np.abs(got.pmf - want.pmf) <= 1e-14 * want.pmf)
@@ -312,17 +326,17 @@ class TestGeometricBlocks:
     @given(
         n=st.integers(1, 40),
         model=st.sampled_from(["J", "MN"]),
-        horizon=st.sampled_from([None, 1, 2, 7, 50]),
+        cap=st.sampled_from([None, 1, 2, 7, 50]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_block_law_equals_power_table(self, n, model, horizon, seed):
+    def test_block_law_equals_power_table(self, n, model, cap, seed):
         g = np.random.default_rng(seed)
         pop = random_population(g, n)
-        assert_block_law_equals_power_table(pop, make_weights(random_simplex(g, n)), model, horizon)
+        assert_block_law_equals_power_table(pop, make_weights(random_simplex(g, n)), model, cap)
 
-    @pytest.mark.parametrize("horizon", [None, 1, 2, 7])
-    def test_single_item_at_rate_one(self, horizon):
-        law = assert_block_law_equals_power_table(validate_population([1.0]), make_weights([1.0]), "J", horizon)
+    @pytest.mark.parametrize("cap", [None, 1, 2, 7])
+    def test_single_item_at_rate_one(self, cap):
+        law = assert_block_law_equals_power_table(validate_population([1.0]), make_weights([1.0]), "J", cap)
         assert law.pmf.tolist() == [1.0]
 
     @pytest.mark.parametrize("model", ["J", "MN"])
@@ -343,6 +357,16 @@ class TestGeometricBlocks:
         for model, q in cases:
             law = assert_block_law_equals_power_table(pop, q, model)
             assert law.horizon == HORIZON_CAP and law.truncated
+
+
+@pytest.mark.parametrize("model, tiny", [("EF", 1e-17), ("EF", 1e-310), ("J", 1e-17), ("MN", 1e-17), ("MN", 1e-310)])
+def test_item_never_found_is_all_atom(model, tiny):
+    # Item a's 1 - rate rounds to 1 (EF's and MN's through s, J's through q): its whole prior 0.3 is in the atom,
+    # and item b's law is cut as usual, within about a hundred steps.
+    pop = validate_population([0.3, 0.7], [1.0 if model == "J" else tiny, 0.5])
+    law = MODELS[model].law(pop, make_weights([tiny, 1.0]) if model == "J" else uniform_weights(2))
+    assert law.truncated and law.horizon <= 200
+    assert 0.3 <= law.atom_at_infinity < 0.3 + 1e-13
 
 
 class TestDistIkl:

@@ -44,7 +44,7 @@ from priorsearch.montecarlo import (
     write_empirical_csv,
 )
 
-from conftest import random_population, random_simplex
+from conftest import cut_rule, random_population, random_simplex
 from oracle import (
     cdf_literal,
     ikl_mean_pairwise,
@@ -342,7 +342,8 @@ class TestWalkOracle:
     def test_ef_attempts_past_a_short_schedule_never_reach_the_target(self):
         g = np.random.default_rng(8)
         pop = validate_population(g.dirichlet(np.ones(8)), g.uniform(0.2, 0.6, 8))
-        short = ef_schedule(pop, eps=0.05)
+        with cut_rule(eps=0.05):
+            short = ef_schedule(pop)
         assert np.count_nonzero(np.bincount(short.steps)) > 2  # several items run out of attempts
         cfg = SimConfig(model="EF", reps=17 * CHUNK + 5, seed=41)
         want = simulate_literal(pop, cfg, short)

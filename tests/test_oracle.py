@@ -27,7 +27,7 @@ from oracle import (
     position_probabilities_loop,
     truncated_schedule_score,
 )
-from conftest import random_population, random_simplex
+from conftest import cut_rule, random_population, random_simplex
 
 
 class TestIklBruteforce:
@@ -135,7 +135,8 @@ class TestEfBruteforce:
         pop = validate_population([0.6, 0.4], [0.5, 1.0])
         best_score, best_sched = ef_best_schedule_bruteforce(pop, horizon=6)
         assert best_sched.steps.tolist() == [1, 0, 0, 0, 0, 0]
-        greedy = ef_schedule(pop, eps=1e-15, max_steps=10**4)
+        with cut_rule(eps=1e-15, cap=10**4):
+            greedy = ef_schedule(pop)
         assert truncated_schedule_score(pop, greedy, 6) <= best_score + 1e-12
 
     def test_perfect_recognition_best_prefix_is_descending(self):
@@ -163,16 +164,18 @@ class TestEfBruteforce:
             n = int(rng.integers(1, 4))
             pop = random_population(rng, n, s_lo=0.2)
             best_score, _ = ef_best_schedule_bruteforce(pop, horizon=6)
-            greedy = ef_schedule(pop, eps=1e-15, max_steps=10**4)
+            with cut_rule(eps=1e-15, cap=10**4):
+                greedy = ef_schedule(pop)
             if greedy.steps.size < 6:
                 continue  # exhausted all mass before the horizon (all s = 1)
             assert truncated_schedule_score(pop, greedy, 6) <= best_score + 1e-12
 
 
 def assert_matches_heap(pop, eps, max_steps):
-    """ef_schedule equals the heap walk bit for bit: its steps, its masses and its residual."""
+    """ef_schedule cut at (eps, max_steps) equals the heap walk bit for bit: its steps, its masses and its residual."""
     want, residual = ef_schedule_heap(pop, eps, max_steps)
-    sched = ef_schedule(pop, eps=eps, max_steps=max_steps)
+    with cut_rule(eps=eps, cap=max_steps):
+        sched = ef_schedule(pop)
     assert sched.steps.tolist() == [st.item - 1 for st in want]
     assert sched.masses.tolist() == [st.detect_prob for st in want]
     assert sched.residual_mass == residual
@@ -180,10 +183,11 @@ def assert_matches_heap(pop, eps, max_steps):
 
 # (weight, s, kind): "copy" adds a second item equal to this one, so every
 # attempt mass ties; "twin" adds (2 weight, s/2), whose first attempt ties.
+# An s such as 1e-17 or 1e-310, whose 1 - s rounds to 1, is never found.
 ef_items = st.lists(
     st.tuples(
         st.floats(0.01, 1.0),
-        st.one_of(st.just(1.0), st.floats(1e-3, 1.0)),
+        st.one_of(st.just(1.0), st.floats(1e-3, 1.0), st.sampled_from([1e-17, 1e-310])),
         st.sampled_from(["one", "copy", "twin"]),
     ),
     min_size=1,
@@ -208,6 +212,8 @@ class TestEfHeap:
 
     @given(ef_items, st.sampled_from([1e-12, 1e-13]), st.one_of(st.integers(1, 40), st.just(20_000)))
     @example([(1.0, 0.5, "copy")] * 15 + [(0.5, 1.0, "twin")] * 15, 1e-13, 10**6)
+    @example([(1e-8, 1e-17, "one"), (0.99999999, 0.5, "one")], 1e-13, 10**6)
+    @example([(0.5, 1e-310, "copy"), (0.5, 0.5, "twin")], 1e-12, 20_000)
     def test_merge_equals_heap(self, items, eps, max_steps):
         assert_matches_heap(tied_population(items), eps, max_steps)
 
@@ -221,10 +227,10 @@ class TestEfHeap:
         merge = strategies._merge
         calls = []
 
-        def short(pop, count, max_steps):
+        def short(p, s, count):
             # At most 1, 3, 7, ... candidates per item on the first calls.
             calls.append(count)
-            return merge(pop, np.minimum(count, 2 ** len(calls) - 1), max_steps)
+            return merge(p, s, np.minimum(count, 2 ** len(calls) - 1))
 
         monkeypatch.setattr(strategies, "_merge", short)
         for eps, max_steps in ((1e-12, 10**6), (1e-13, 50)):
@@ -238,9 +244,9 @@ class TestEfHeap:
         merge = strategies._merge
         sizes = []
 
-        def counted(pop, count, max_steps):
+        def counted(p, s, count):
             sizes.append(int(count.sum()))
-            return merge(pop, count, max_steps)
+            return merge(p, s, count)
 
         monkeypatch.setattr(strategies, "_merge", counted)
         pop = validate_population(np.full(60, 1 / 60), np.full(60, 3e-6))

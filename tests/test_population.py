@@ -296,6 +296,15 @@ class TestFiles:
         with pytest.raises(PopulationError, match=f"^{re.escape(str(path))}: expected an object with arrays `p`$"):
             load_population(path)
 
+    @pytest.mark.parametrize("column", ["p", "s", "lambda", "id"])
+    def test_json_null_column_is_not_an_array(self, tmp_path, column):
+        # A null column is refused like any other non-array, not read as a missing one.
+        path = tmp_path / "pop.json"
+        path.write_text(json.dumps({"p": [0.5, 0.5], column: None}))
+        message = f"{path}: malformed JSON (`{column}` is not an array)"
+        with pytest.raises(PopulationError, match=f"^{re.escape(message)}$"):
+            load_population(path)
+
     def test_csv_missing_header(self, tmp_path):
         path = tmp_path / "pop.csv"
         path.write_text("p,s\n0.5,1\n0.5,1\n")

@@ -25,7 +25,7 @@ from priorsearch import (
 from priorsearch.population import Q_FLOOR
 from priorsearch.strategies import Schedule
 
-from conftest import equal_mass_population, random_population, random_simplex
+from conftest import cut_rule, equal_mass_population, random_population, random_simplex
 from oracle import abcd_policy, ef_swap_check, ikl_mean_bruteforce, ikl_mean_pairwise
 from test_oracle import assert_matches_heap
 
@@ -101,7 +101,8 @@ class TestAbcd:
 class TestEfSchedule:
     def test_priority_example(self):
         pop = validate_population([0.6, 0.4], [0.5, 1.0])
-        sched = ef_schedule(pop, eps=1e-10)
+        with cut_rule(eps=1e-10):
+            sched = ef_schedule(pop)
         assert sched.steps[0] == 1
         assert sched.steps[1:].tolist() == [0] * (sched.steps.size - 1)
         assert sched.masses.tolist() == [0.4] + [0.6 * 0.5**j for j in range(1, sched.steps.size)]
@@ -121,7 +122,8 @@ class TestEfSchedule:
         for _ in range(20):
             n = int(rng.integers(1, 6))
             pop = random_population(rng, n, s_lo=0.25)
-            sched = ef_schedule(pop, eps=1e-8)
+            with cut_rule(eps=1e-8):
+                sched = ef_schedule(pop)
             counts = [0] * n
             for item, mass in zip(sched.steps.tolist(), sched.masses.tolist()):
                 masses = [
@@ -134,7 +136,8 @@ class TestEfSchedule:
 
     def test_mass_accounting(self, rng):
         pop = random_population(rng, 4, s_lo=0.4)
-        sched = ef_schedule(pop, eps=1e-12)
+        with cut_rule(eps=1e-12):
+            sched = ef_schedule(pop)
         covered = math.fsum(sched.masses.tolist())
         assert abs(covered + sched.residual_mass - 1.0) <= 1e-12
 
@@ -142,17 +145,11 @@ class TestEfSchedule:
         # Recognition 1e-6 leaves almost all the mass after 10 steps; the schedule stops there, as J and MN
         # stop at their horizon cap, and carries its residual.
         pop = validate_population([0.5, 0.5], [1e-6, 1e-6])
-        sched = ef_schedule(pop, eps=1e-9, max_steps=10)
+        with cut_rule(eps=1e-9, cap=10):
+            sched = ef_schedule(pop)
         assert sched.steps.tolist() == [0, 1] * 5
         assert_matches_heap(pop, 1e-9, 10)
         assert abs(math.fsum(sched.masses.tolist()) + sched.residual_mass - 1.0) <= 1e-15
-
-    def test_eps_validation(self):
-        pop = validate_population([1.0])
-        with pytest.raises(ValueError):
-            ef_schedule(pop, eps=0.0)
-        with pytest.raises(ValueError):
-            ef_schedule(pop, max_steps=0)
 
 
 class TestEfMean:
@@ -161,7 +158,8 @@ class TestEfMean:
     def test_geometric_tail_example(self):
         # Closed form: 0.4 * 1 + sum_j (j+1) 0.6 * 0.5^j = 2.2.
         pop = validate_population([0.6, 0.4], [0.5, 1.0])
-        law = dist_ef(ef_schedule(pop, eps=1e-12))
+        with cut_rule(eps=1e-12):
+            law = dist_ef(ef_schedule(pop))
         assert abs(law.mean_finite() - 2.2) <= 1e-9
         assert law.atom_at_infinity < 1e-12
 
@@ -173,7 +171,8 @@ class TestEfMean:
 
     def test_single_item_geometric_mean(self):
         pop = validate_population([1.0], [0.5])
-        law = dist_ef(ef_schedule(pop, eps=1e-14))
+        with cut_rule(eps=1e-14):
+            law = dist_ef(ef_schedule(pop))
         assert abs(law.mean_finite() - 2.0) <= 1e-9
         assert law.atom_at_infinity < 1e-13
 
@@ -182,18 +181,21 @@ class TestEfSwapCheck:
     def test_greedy_schedule_passes(self, rng):
         for _ in range(10):
             pop = random_population(rng, int(rng.integers(1, 6)), s_lo=0.3)
-            assert ef_swap_check(ef_schedule(pop, eps=1e-10))
+            with cut_rule(eps=1e-10):
+                assert ef_swap_check(ef_schedule(pop))
 
     def test_reversed_pair_fails(self):
         pop = validate_population([0.6, 0.4], [0.5, 1.0])
-        sched = ef_schedule(pop, eps=1e-6)
+        with cut_rule(eps=1e-6):
+            sched = ef_schedule(pop)
         swap = [1, 0, *range(2, sched.steps.size)]
         bad = Schedule(steps=sched.steps[swap], masses=sched.masses[swap], residual_mass=sched.residual_mass)
         assert not ef_swap_check(bad)
 
     def test_single_item_trivially_passes(self):
         pop = validate_population([1.0], [0.5])
-        assert ef_swap_check(ef_schedule(pop, eps=1e-6))
+        with cut_rule(eps=1e-6):
+            assert ef_swap_check(ef_schedule(pop))
 
 
 def conditional_mean(law):
@@ -396,6 +398,16 @@ class TestMn:
         for _ in range(300):
             q = InspectionWeights(q=random_simplex(rng, 5))
             assert best <= mn_mean(pop, q)
+
+    def test_subnormal_s(self):
+        # p / s overflows at s = 1e-310, but the weights still follow sqrt(p / s); the mean,
+        # about 5e309, lies past the largest float and is inf, with no RuntimeWarning.
+        pop = validate_population([0.5, 0.5], [1e-310, 0.5])
+        q = mn_optimal_q(pop)
+        assert np.isfinite(q.q).all()
+        assert q.q[0] / q.q[1] == pytest.approx(math.sqrt(0.5) / math.sqrt(1e-310), rel=1e-14)
+        assert mn_mean(pop, q) == math.inf
+        assert mn_mean(pop, uniform_weights(2)) == math.inf
 
 
 class TestOpSummary:
