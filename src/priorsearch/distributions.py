@@ -18,7 +18,7 @@ import numpy as np
 
 from . import strategies
 from .population import InspectionWeights, Population, check_weights, write_table
-from .strategies import Schedule, descending_order, reachable
+from .strategies import Schedule, cut, descending_order, reachable
 
 MASS_BALANCE_TOL = 1e-9
 
@@ -121,13 +121,12 @@ def _geometric_mixture_dist(pop: Population, rates: np.ndarray) -> InspectionDis
     """Law of a mixture of geometrics: P(T <= m) = 1 - sum_k p_k (1-rate_k)^m.
 
     An item that ``reachable`` rules out is never found: its prior goes to the
-    truncation atom. The law covers steps 1..H. H starts where the slowest
-    reachable item's own tail (1-rate)^H reaches TAIL_EPS, doubles while the
-    whole tail sum_k p_k (1-rate_k)^H is not below TAIL_EPS, and stops at
-    HORIZON_CAP. Each block of B = isqrt(H) steps of the pmf starts from
+    truncation atom. The pmf is built up to step H, where the slowest reachable
+    item's own tail (1-rate)^H reaches TAIL_EPS, so every item's is below it,
+    or up to HORIZON_CAP; ``cut`` then ends the law, and its atom is the exact
+    tail there. Each block of B = isqrt(H) steps of the pmf starts from
     p_k rate_k (1-rate_k)^(bB) and steps on by (1-rate_k)^r, r < B, so the law
-    takes O(sqrt(H) N) powers rather than one per step and item. It stops at
-    the last step whose mass is nonzero in floating point.
+    takes O(sqrt(H) N) powers rather than one per step and item.
     """
     eps, cap = strategies.TAIL_EPS, strategies.HORIZON_CAP
     live = reachable(rates)
@@ -135,14 +134,13 @@ def _geometric_mixture_dist(pop: Population, rates: np.ndarray) -> InspectionDis
     horizon, slowest = 1, float(rates.min(initial=1.0))
     if slowest < 1.0:
         horizon = int(min(cap, max(1, math.ceil(math.log(eps) / math.log1p(-slowest)))))
-        while horizon < cap and float(p @ fail**horizon) >= eps:
-            horizon = min(cap, horizon * 2)
     # pmf[bB + r] = sum_k (p_k rate_k fail_k^(bB)) fail_k^r: block starts (horizon/B x N) @ powers (N x B).
     width = math.isqrt(horizon)
     starts = (p * rates) * fail ** np.arange(0, horizon, width)[:, None]
     pmf = (starts @ fail[:, None] ** np.arange(width)).ravel()[:horizon]
-    tail = float(p @ fail**horizon) + math.fsum(pop.p[~live].tolist())
-    return InspectionDistribution(np.trim_zeros(pmf, "b"), atom_at_infinity=tail, truncated=tail > 0.0)
+    stop = cut(pmf, float(p @ fail**horizon))
+    tail = float(p @ fail**stop) + math.fsum(pop.p[~live].tolist())
+    return InspectionDistribution(pmf[:stop], atom_at_infinity=tail, truncated=tail > 0.0)
 
 
 def dist_j(pop: Population, q: InspectionWeights) -> InspectionDistribution:

@@ -35,8 +35,8 @@ import numpy as np
 
 from .population import Q_FLOOR, InspectionWeights, Population, check_weights
 
-# The one truncation rule, which each builder reads here when it runs: the EF schedule and
-# the J and MN laws run until their uncovered tail is below TAIL_EPS, for at most HORIZON_CAP steps.
+# The one truncation rule, which ``cut`` reads here when it runs: the EF schedule and the J and MN
+# laws end at the first step whose uncovered tail is below TAIL_EPS, or after HORIZON_CAP steps.
 TAIL_EPS = 1e-13
 HORIZON_CAP = 10**6
 # Rows of the pair quotients q_j / (q_i + q_j) that ikl_mean_exact holds at once.
@@ -72,17 +72,27 @@ def reachable(rates: np.ndarray) -> np.ndarray:
     return 1.0 - rates < 1.0
 
 
+def cut(masses: np.ndarray, tail: float) -> int:
+    """The first step k whose uncovered tail is below TAIL_EPS, or len(masses) when no step's is.
+
+    The uncovered tail at k is ``tail``, the exact tail after the last of ``masses``,
+    plus the masses after step k, summed from the far end. It never grows with k,
+    so a law cut at k < len(masses) never ends on a zero mass.
+    """
+    below = np.cumsum(np.concatenate(([tail], masses[::-1])))[::-1] < TAIL_EPS
+    return int(below.argmax()) if below[-1] else masses.size
+
+
 def ef_schedule(pop: Population) -> Schedule:
     """Greedy schedule: each step inspects the item maximizing its detection mass.
 
     Each item's attempt masses p_i (1-s_i)^j s_i fall as j grows, so the greedy
     walk is a merge: one sort of the attempt masses, descending, ties to the
     lower item. An item that ``reachable`` rules out is never inspected, and its
-    prior joins the residual. It stops at the first step where the running
-    residual (the other items' priors less the masses, subtracted one at a
-    time) is below TAIL_EPS and the exact sum of the per-item remainders
-    confirms it, or after HORIZON_CAP steps, as the J and MN laws stop at their
-    cap. Either way the schedule carries its exact residual, whatever it is.
+    prior joins the residual. The merge is extended until its exact residual is
+    below TAIL_EPS, or it holds HORIZON_CAP steps, or no attempt is left, as the
+    J and MN laws stop at their cap. ``cut`` then ends it, and the schedule
+    carries its exact residual there, whatever it is.
     """
     reach = reachable(pop.s)
     p, lost = np.where(reach, pop.p, 0.0), math.fsum(pop.p[~reach].tolist())
@@ -100,18 +110,10 @@ def ef_schedule(pop: Population) -> Schedule:
         floor *= 2.0
     while True:
         steps, masses, residual_after, exhausted = _merge(p, pop.s, count)
-        # The running residual starts again from the exact one where that does not confirm it.
-        stop, left = 0, 1.0 - lost
-        while left >= TAIL_EPS:
-            below = np.flatnonzero(np.subtract.accumulate(np.concatenate(([left], masses[stop:]))) < TAIL_EPS)
-            if not below.size:
-                break
-            stop += int(below[0])
-            left = residual_after(stop)
-        if left < TAIL_EPS or steps.size == HORIZON_CAP or exhausted:
-            stop = stop if left < TAIL_EPS else steps.size
+        if (end := residual_after(steps.size)) < TAIL_EPS or steps.size == HORIZON_CAP or exhausted:
             break
         count = np.minimum(2 * count + 1, HORIZON_CAP)  # the stop lies past the settled steps
+    stop = cut(masses, end)
     return Schedule(steps=steps[:stop], masses=masses[:stop], residual_mass=residual_after(stop) + lost)
 
 

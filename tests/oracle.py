@@ -49,12 +49,11 @@ class ScheduleStep:
 def ef_schedule_heap(pop: Population, eps: float, max_steps: int) -> tuple[tuple[ScheduleStep, ...], float]:
     """Greedy EF schedule one step at a time from a max-heap, and its residual mass.
 
-    The loop form of strategies.ef_schedule, with the same stop rule. An item
-    whose 1 - s rounds to 1 is never found: it enters the heap with no mass,
-    and its prior is added to the residual at the end. A running residual,
-    the other items' priors less the masses so far, is confirmed against the
-    exact sum of the per-item remainders once it falls below eps. Every
-    floating-point operation matches the merge, so the two agree bit for bit.
+    The loop form of strategies.ef_schedule, with the same stop rule: before each
+    step it stops if the exact sum of the per-item remainders is below eps. An
+    item whose 1 - s rounds to 1 is never found: it enters the heap with no mass,
+    and its prior is added to the residual at the end. Every floating-point
+    operation matches the merge, so the two agree bit for bit.
     """
     s = pop.s.tolist()
     n = pop.n
@@ -68,18 +67,10 @@ def ef_schedule_heap(pop: Population, eps: float, max_steps: int) -> tuple[tuple
     heap = [(-rem[i] * s[i], i) for i in range(n)]
     heapq.heapify(heap)
     steps: list[ScheduleStep] = []
-    residual = 1.0 - lost
-    exact_residual: float | None = None
-    while heap and len(steps) < max_steps:
-        if residual < eps:
-            residual = math.fsum(rem)
-            if residual < eps:
-                exact_residual = residual
-                break
+    while heap and len(steps) < max_steps and math.fsum(rem) >= eps:
         neg_mass, i = heapq.heappop(heap)
         mass = -neg_mass
         if mass <= 0.0:
-            exact_residual = math.fsum(rem)
             break
         attempts[i] += 1
         steps.append(ScheduleStep(t=len(steps) + 1, item=i + 1, attempt=attempts[i], detect_prob=mass))
@@ -87,8 +78,7 @@ def ef_schedule_heap(pop: Population, eps: float, max_steps: int) -> tuple[tuple
         nxt = rem[i] * s[i]
         if nxt > 0.0:
             heapq.heappush(heap, (-nxt, i))
-        residual = max(residual - mass, 0.0)
-    return tuple(steps), (math.fsum(rem) if exact_residual is None else exact_residual) + lost
+    return tuple(steps), math.fsum(rem) + lost
 
 
 def ef_swap_check(sched: Schedule) -> bool:
@@ -376,29 +366,26 @@ def cdf_literal(counts: dict[int, int], upto: int) -> np.ndarray:
 def geometric_mixture_pmf_powers(pop: Population, rates: np.ndarray) -> InspectionDistribution:
     """distributions._geometric_mixture_dist from a table of every live rate's power at every step.
 
-    pmf[m] = sum_k p_k rate_k (1-rate_k)^m, one power per step and item, in
-    row blocks of 2**15 steps; the horizon rule (read from strategies.TAIL_EPS
-    and HORIZON_CAP when it runs), the atom and the cut at the last nonzero
-    step are those of the library.
+    With one power per step m and item, in row blocks of 2**15 steps, the tail
+    sum_k p_k (1-rate_k)^m is scanned from m = 0 for the smallest m below
+    strategies.TAIL_EPS, at most HORIZON_CAP (both read when it runs), and the
+    law covers steps 1..m: pmf[m] = sum_k p_k rate_k (1-rate_k)^m. Its atom is
+    the tail there plus the priors of the items never found, as in the library.
     """
     eps, cap = strategies.TAIL_EPS, strategies.HORIZON_CAP
     fail = 1.0 - rates
     live = fail < 1.0
     p, rates, fail = pop.p[live], rates[live], fail[live]
-    slowest = float(rates.min(initial=1.0))
-    if slowest >= 1.0:
-        horizon = 1
-    else:
-        horizon = int(min(cap, max(1, math.ceil(math.log(eps) / math.log1p(-slowest)))))
-        while horizon < cap and float(p @ fail**horizon) >= eps:
-            horizon = min(cap, horizon * 2)
-    pmf = np.empty(horizon)
-    block = 1 << 15
-    for start in range(0, horizon, block):
-        m = np.arange(start, min(horizon, start + block))
-        pmf[start : start + len(m)] = fail[None, :] ** m[:, None] @ (p * rates)
+    parts, horizon, block = [], cap, 1 << 15
+    for start in range(0, cap + 1, block):
+        powers = fail[None, :] ** np.arange(start, min(cap + 1, start + block))[:, None]
+        below = np.flatnonzero(powers @ p < eps)
+        horizon = start + int(below[0]) if below.size else cap
+        parts.append(powers[: horizon - start] @ (p * rates))
+        if below.size:
+            break
     tail = float(p @ fail**horizon) + math.fsum(pop.p[~live].tolist())
-    return InspectionDistribution(np.trim_zeros(pmf, "b"), atom_at_infinity=tail, truncated=tail > 0.0)
+    return InspectionDistribution(np.concatenate(parts), atom_at_infinity=tail, truncated=tail > 0.0)
 
 
 def simulate_per_chunk(pop: Population, cfg: SimConfig) -> tuple[dict[int, int], int, int]:

@@ -17,6 +17,7 @@ from priorsearch import (
     ef_schedule,
     ikl_mean_exact,
     j_mean,
+    j_optimal_q,
     mn_mean,
     mn_optimal_q,
     uniform_weights,
@@ -25,7 +26,7 @@ from priorsearch import (
 from priorsearch.distributions import InspectionDistribution, write_distribution_csv
 from priorsearch.models import MODELS
 from priorsearch.population import Q_FLOOR
-from priorsearch.strategies import HORIZON_CAP, position_probabilities
+from priorsearch.strategies import HORIZON_CAP, TAIL_EPS, position_probabilities
 
 from conftest import cut_rule, equal_mass_population, random_population, random_simplex
 from oracle import abcd_policy, cdf, geometric_mixture_pmf_powers, race_pmfs_by_class, sup_cdf_distance
@@ -221,13 +222,14 @@ class TestDistJ:
             assert cdf(d, m) == pytest.approx(1.0 - 0.5**m, abs=1e-12)
 
     def test_underflowed_tail_is_trimmed(self, tmp_path):
-        # pmf(m) = 2^-m; from m = 1074 on the two halves round to 0. A tail target of
-        # the least subnormal takes the law past that step.
+        # pmf(m) = 2^-m; from m = 1074 on the two halves round to 0. At a tail target of the
+        # least subnormal, the uncovered tail after step 1073 is those zeros, so the cut ends the
+        # law there, on its last nonzero step, and its atom is the exact tail 2^-1073 at that step.
         with cut_rule(eps=math.ulp(0.0), cap=5000):
             d = dist_j(validate_population([0.5, 0.5]), make_weights([0.5, 0.5]))
         assert d.horizon == 1073
         assert d.pmf[-1] == 2.0**-1073
-        assert d.atom_at_infinity == 0.0
+        assert d.atom_at_infinity == 2.0**-1073 and d.truncated
         lines = csv_text(tmp_path, d).strip().splitlines()
         assert len(lines) == 1 + 1073 + 2
         assert lines[1073].startswith("1073,")
@@ -357,6 +359,56 @@ class TestGeometricBlocks:
         for model, q in cases:
             law = assert_block_law_equals_power_table(pop, q, model)
             assert law.horizon == HORIZON_CAP and law.truncated
+
+
+def exact_tail(p, fail, m):
+    """sum_k p_k fail_k^m, summed exactly: the mass a law leaves uncovered after m steps, or after m_k attempts."""
+    return math.fsum((p * fail**m).tolist())
+
+
+class TestFirstCrossing:
+    """EF, J and MN end at the first step whose exact tail is below TAIL_EPS, and report that tail."""
+
+    @given(n=st.integers(1, 10), model=st.sampled_from(["J", "MN"]), seed=st.integers(0, 2**32 - 1))
+    def test_horizon_is_the_first_step_whose_tail_is_below_the_target(self, n, model, seed):
+        g = np.random.default_rng(seed)
+        pop = random_population(g, n)
+        q = make_weights(random_simplex(g, n))
+        rates = q.q if model == "J" else pop.s * q.q
+        law = (dist_j if model == "J" else dist_mn)(pop, q)
+        # Every step's tail, one power per step and item, scanned from step 0 to one past the law's end.
+        tails = (1.0 - rates) ** np.arange(law.horizon + 2)[:, None] @ pop.p
+        assert int(np.flatnonzero(tails < TAIL_EPS)[0]) == law.horizon
+        assert law.atom_at_infinity == float(pop.p @ (1.0 - rates) ** law.horizon)
+
+    @pytest.mark.parametrize("model, horizon", [("J", 67_179), ("MN", 109_894)])
+    def test_hundred_items_at_the_optimal_weights(self, model, horizon):
+        # The third of three draws, N = 3, 10 and 100: Dirichlet priors, s ~ U(0.3, 1).
+        g = np.random.default_rng(5)
+        pop = [validate_population(g.dirichlet(np.ones(n)), g.uniform(0.3, 1.0, n)) for n in (3, 10, 100)][-1]
+        q = j_optimal_q(pop) if model == "J" else mn_optimal_q(pop)
+        rates = q.q if model == "J" else pop.s * q.q
+        law = (dist_j if model == "J" else dist_mn)(pop, q)
+        assert law.horizon == horizon
+        assert law.atom_at_infinity < TAIL_EPS <= exact_tail(pop.p, 1.0 - rates, horizon - 1)
+
+    def test_every_law_ends_at_its_first_crossing(self):
+        # 400 populations, N from 2 to 200 (log-uniform) and s from 0.05: each law's exact tail is
+        # below TAIL_EPS at its last step and not at the step before, and none reaches the cap.
+        g = np.random.default_rng(33)
+        for _ in range(400):
+            n = int(np.exp(g.uniform(math.log(2), math.log(201))))
+            pop = random_population(g, n, s_lo=0.05)
+            sched = ef_schedule(pop)
+            attempts = np.bincount(sched.steps, minlength=n)
+            before = attempts - (np.arange(n) == sched.steps[-1])
+            assert exact_tail(pop.p, 1.0 - pop.s, attempts) < TAIL_EPS <= exact_tail(pop.p, 1.0 - pop.s, before)
+            assert sched.residual_mass < TAIL_EPS and sched.steps.size < HORIZON_CAP
+            qj, qmn = j_optimal_q(pop), mn_optimal_q(pop)
+            for law, rates in ((dist_j(pop, qj), qj.q), (dist_mn(pop, qmn), pop.s * qmn.q)):
+                assert law.horizon < HORIZON_CAP and law.pmf[-1] > 0.0
+                assert exact_tail(pop.p, 1.0 - rates, law.horizon) < TAIL_EPS
+                assert law.atom_at_infinity < TAIL_EPS <= exact_tail(pop.p, 1.0 - rates, law.horizon - 1)
 
 
 @pytest.mark.parametrize("model, tiny", [("EF", 1e-17), ("EF", 1e-310), ("J", 1e-17), ("MN", 1e-17), ("MN", 1e-310)])

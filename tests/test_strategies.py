@@ -23,7 +23,7 @@ from priorsearch import (
     validate_population,
 )
 from priorsearch.population import Q_FLOOR
-from priorsearch.strategies import Schedule
+from priorsearch.strategies import TAIL_EPS, Schedule, cut
 
 from conftest import cut_rule, equal_mass_population, random_population, random_simplex
 from oracle import abcd_policy, ef_swap_check, ikl_mean_bruteforce, ikl_mean_pairwise
@@ -150,6 +150,31 @@ class TestEfSchedule:
         assert sched.steps.tolist() == [0, 1] * 5
         assert_matches_heap(pop, 1e-9, 10)
         assert abs(math.fsum(sched.masses.tolist()) + sched.residual_mass - 1.0) <= 1e-15
+
+    def test_ends_at_the_first_step_whose_exact_residual_is_below_the_target(self):
+        # The exact residual is 1.07e-13 after step 433 and 9.996e-14 after step 434, where the schedule ends.
+        g = np.random.default_rng(67)
+        pop = validate_population(g.dirichlet(np.ones(10)), g.uniform(0.2, 1.0, 10))
+        sched = ef_schedule(pop)
+        assert sched.steps.size == 434
+        assert sched.residual_mass == 9.99636372264848e-14
+        assert_matches_heap(pop, TAIL_EPS, 10**6)
+
+
+class TestCut:
+    """strategies.cut: the first step whose uncovered tail, summed from the far end, is below TAIL_EPS."""
+
+    @pytest.mark.parametrize("eps, tail, want", [(0.2, 0.0625, 3), (0.1, 0.0625, 4), (0.05, 0.0625, 4), (2.0, 0.0, 0)])
+    def test_first_step_below_the_target(self, eps, tail, want):
+        # The uncovered tails after steps 0..4 are 1, 0.5, 0.25, 0.125 and 0.0625.
+        with cut_rule(eps=eps):
+            assert cut(np.array([0.5, 0.25, 0.125, 0.0625]), tail) == want
+
+    def test_never_ends_on_a_zero_mass(self):
+        assert cut(np.array([0.5, 0.5, 0.0, 0.0]), 0.0) == 2
+
+    def test_nothing_built(self):
+        assert cut(np.array([]), 0.0) == cut(np.array([]), 1.0) == 0
 
 
 class TestEfMean:
