@@ -8,8 +8,8 @@ Subcommands:
     profile    prior updating (bayes) and attention/inspection decomposition
 
 Exit codes: 0 success, 2 validation error, 3 check or ordering mismatch.
-All randomness flows from an explicit --seed; reruns with the same manifest
-reproduce outputs byte for byte.
+All randomness flows from an explicit --seed; reruns with the same manifest,
+on one machine and numpy/OpenBLAS build, reproduce outputs byte for byte.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import strategies
 from .population import InspectionWeights, Population, check_weights, write_table
-from .strategies import Schedule, cut, descending_order, reachable
+from .strategies import Schedule, descending_order, first_below, reachable
 
 MASS_BALANCE_TOL = 1e-9
 
@@ -121,26 +121,29 @@ def _geometric_mixture_dist(pop: Population, rates: np.ndarray) -> InspectionDis
     """Law of a mixture of geometrics: P(T <= m) = 1 - sum_k p_k (1-rate_k)^m.
 
     An item that ``reachable`` rules out is never found: its prior goes to the
-    truncation atom. The pmf is built up to step H, where the slowest reachable
-    item's own tail (1-rate)^H reaches TAIL_EPS, so every item's is below it,
-    or up to HORIZON_CAP; ``cut`` then ends the law, and its atom is the exact
-    tail there. Each block of B = isqrt(H) steps of the pmf starts from
-    p_k rate_k (1-rate_k)^(bB) and steps on by (1-rate_k)^r, r < B, so the law
-    takes O(sqrt(H) N) powers rather than one per step and item.
+    truncation atom. The slowest reachable item's own tail (1-rate)^H reaches
+    TAIL_EPS at step H, or H is HORIZON_CAP. The law ends at the ``first_below``
+    in [0, H) of its exact tail sum_k p_k (1-rate_k)^m, which is its atom. Each
+    block of B = isqrt(H) steps starts from p_k rate_k (1-rate_k)^(bB) and steps
+    on by (1-rate_k)^r, r < B: O(sqrt(H) N) powers, not one per step and item.
+    Each is np.float_power, the C pow, since numpy's SIMD power varies by CPU.
     """
-    eps, cap = strategies.TAIL_EPS, strategies.HORIZON_CAP
     live = reachable(rates)
     p, rates, fail = pop.p[live], rates[live], 1.0 - rates[live]
-    horizon, slowest = 1, float(rates.min(initial=1.0))
-    if slowest < 1.0:
-        horizon = int(min(cap, max(1, math.ceil(math.log(eps) / math.log1p(-slowest)))))
-    # pmf[bB + r] = sum_k (p_k rate_k fail_k^(bB)) fail_k^r: block starts (horizon/B x N) @ powers (N x B).
+    slowest = float(rates.min(initial=1.0))
+    own_end = math.ceil(math.log(strategies.TAIL_EPS) / math.log1p(-slowest)) if slowest < 1.0 else 1
+    horizon = min(strategies.HORIZON_CAP, max(1, own_end))
+
+    def tail(m: int) -> float:
+        return float(p @ np.float_power(fail, m))
+
+    stop = first_below(tail, horizon)
+    # pmf[bB + r] = sum_k (p_k rate_k fail_k^(bB)) fail_k^r: block starts (stop/B x N) @ powers (N x B).
     width = math.isqrt(horizon)
-    starts = (p * rates) * fail ** np.arange(0, horizon, width)[:, None]
-    pmf = (starts @ fail[:, None] ** np.arange(width)).ravel()[:horizon]
-    stop = cut(pmf, float(p @ fail**horizon))
-    tail = float(p @ fail**stop) + math.fsum(pop.p[~live].tolist())
-    return InspectionDistribution(pmf[:stop], atom_at_infinity=tail, truncated=tail > 0.0)
+    starts = (p * rates) * np.float_power(fail, np.arange(0, stop, width)[:, None])
+    pmf = (starts @ np.float_power(fail[:, None], np.arange(width))).ravel()[:stop]
+    atom = tail(stop) + math.fsum(pop.p[~live].tolist())
+    return InspectionDistribution(pmf, atom_at_infinity=atom, truncated=atom > 0.0)
 
 
 def dist_j(pop: Population, q: InspectionWeights) -> InspectionDistribution:

@@ -29,14 +29,16 @@ exact law (distributions.dist_gh, dist_op_exact).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .population import Q_FLOOR, InspectionWeights, Population, check_weights
 
-# The one truncation rule, which ``cut`` reads here when it runs: the EF schedule and the J and MN
-# laws end at the first step whose uncovered tail is below TAIL_EPS, or after HORIZON_CAP steps.
+# The one truncation rule, which ``first_below`` reads here when it runs: the EF schedule and the J and MN
+# laws end at the first step whose exact tail, the one each reports, is below TAIL_EPS, or after HORIZON_CAP steps.
 TAIL_EPS = 1e-13
 HORIZON_CAP = 10**6
 # Rows of the pair quotients q_j / (q_i + q_j) that ikl_mean_exact holds at once.
@@ -72,15 +74,9 @@ def reachable(rates: np.ndarray) -> np.ndarray:
     return 1.0 - rates < 1.0
 
 
-def cut(masses: np.ndarray, tail: float) -> int:
-    """The first step k whose uncovered tail is below TAIL_EPS, or len(masses) when no step's is.
-
-    The uncovered tail at k is ``tail``, the exact tail after the last of ``masses``,
-    plus the masses after step k, summed from the far end. It never grows with k,
-    so a law cut at k < len(masses) never ends on a zero mass.
-    """
-    below = np.cumsum(np.concatenate(([tail], masses[::-1])))[::-1] < TAIL_EPS
-    return int(below.argmax()) if below[-1] else masses.size
+def first_below(tail: Callable[[int], float], hi: int) -> int:
+    """The first k < hi with tail(k) < TAIL_EPS, or hi when there is none, by bisection: no law's tail grows with k."""
+    return bisect_left(range(hi), True, key=lambda k: tail(k) < TAIL_EPS)
 
 
 def ef_schedule(pop: Population) -> Schedule:
@@ -91,8 +87,9 @@ def ef_schedule(pop: Population) -> Schedule:
     lower item. An item that ``reachable`` rules out is never inspected, and its
     prior joins the residual. The merge is extended until its exact residual is
     below TAIL_EPS, or it holds HORIZON_CAP steps, or no attempt is left, as the
-    J and MN laws stop at their cap. ``cut`` then ends it, and the schedule
-    carries its exact residual there, whatever it is.
+    J and MN laws stop at their cap. ``first_below`` then ends it at the first
+    step whose exact residual is below TAIL_EPS, and the schedule carries its
+    exact residual there, whatever it is.
     """
     reach = reachable(pop.s)
     p, lost = np.where(reach, pop.p, 0.0), math.fsum(pop.p[~reach].tolist())
@@ -110,10 +107,10 @@ def ef_schedule(pop: Population) -> Schedule:
         floor *= 2.0
     while True:
         steps, masses, residual_after, exhausted = _merge(p, pop.s, count)
-        if (end := residual_after(steps.size)) < TAIL_EPS or steps.size == HORIZON_CAP or exhausted:
+        if residual_after(steps.size) < TAIL_EPS or steps.size == HORIZON_CAP or exhausted:
             break
         count = np.minimum(2 * count + 1, HORIZON_CAP)  # the stop lies past the settled steps
-    stop = cut(masses, end)
+    stop = first_below(residual_after, steps.size)
     return Schedule(steps=steps[:stop], masses=masses[:stop], residual_mass=residual_after(stop) + lost)
 
 

@@ -371,6 +371,7 @@ def geometric_mixture_pmf_powers(pop: Population, rates: np.ndarray) -> Inspecti
     strategies.TAIL_EPS, at most HORIZON_CAP (both read when it runs), and the
     law covers steps 1..m: pmf[m] = sum_k p_k rate_k (1-rate_k)^m. Its atom is
     the tail there plus the priors of the items never found, as in the library.
+    Every power is np.float_power, the C pow, as in the library.
     """
     eps, cap = strategies.TAIL_EPS, strategies.HORIZON_CAP
     fail = 1.0 - rates
@@ -378,13 +379,13 @@ def geometric_mixture_pmf_powers(pop: Population, rates: np.ndarray) -> Inspecti
     p, rates, fail = pop.p[live], rates[live], fail[live]
     parts, horizon, block = [], cap, 1 << 15
     for start in range(0, cap + 1, block):
-        powers = fail[None, :] ** np.arange(start, min(cap + 1, start + block))[:, None]
+        powers = np.float_power(fail[None, :], np.arange(start, min(cap + 1, start + block))[:, None])
         below = np.flatnonzero(powers @ p < eps)
         horizon = start + int(below[0]) if below.size else cap
         parts.append(powers[: horizon - start] @ (p * rates))
         if below.size:
             break
-    tail = float(p @ fail**horizon) + math.fsum(pop.p[~live].tolist())
+    tail = float(p @ np.float_power(fail, horizon)) + math.fsum(pop.p[~live].tolist())
     return InspectionDistribution(np.concatenate(parts), atom_at_infinity=tail, truncated=tail > 0.0)
 
 

@@ -222,17 +222,18 @@ class TestDistJ:
             assert cdf(d, m) == pytest.approx(1.0 - 0.5**m, abs=1e-12)
 
     def test_underflowed_tail_is_trimmed(self, tmp_path):
-        # pmf(m) = 2^-m; from m = 1074 on the two halves round to 0. At a tail target of the
-        # least subnormal, the uncovered tail after step 1073 is those zeros, so the cut ends the
-        # law there, on its last nonzero step, and its atom is the exact tail 2^-1073 at that step.
+        # pmf(m) = 2^-m; from m = 1074 on the two halves round to 0. At a tail target of the least
+        # subnormal, the exact tail is 2^-1073 after step 1073, not below the target, and rounds to
+        # 0.0 after step 1074. So the law ends at step 1074, on a mass that underflowed to 0.0, its
+        # atom is 0.0, and the zero steps past it are dropped.
         with cut_rule(eps=math.ulp(0.0), cap=5000):
             d = dist_j(validate_population([0.5, 0.5]), make_weights([0.5, 0.5]))
-        assert d.horizon == 1073
-        assert d.pmf[-1] == 2.0**-1073
-        assert d.atom_at_infinity == 2.0**-1073 and d.truncated
+        assert d.horizon == 1074
+        assert d.pmf[-2] == 2.0**-1073 and d.pmf[-1] == 0.0
+        assert d.atom_at_infinity == 0.0 and not d.truncated
         lines = csv_text(tmp_path, d).strip().splitlines()
-        assert len(lines) == 1 + 1073 + 2
-        assert lines[1073].startswith("1073,")
+        assert len(lines) == 1 + 1074 + 2
+        assert lines[1074].startswith("1074,0.0,")
 
     def test_cdf_formula(self, rng):
         pop = random_population(rng, 4, perfect=True)
@@ -363,7 +364,22 @@ class TestGeometricBlocks:
 
 def exact_tail(p, fail, m):
     """sum_k p_k fail_k^m, summed exactly: the mass a law leaves uncovered after m steps, or after m_k attempts."""
-    return math.fsum((p * fail**m).tolist())
+    return math.fsum((p * np.float_power(fail, m)).tolist())
+
+
+def drawn_population(n):
+    """Population n of four drawn from default_rng(5), N = 3, 10, 100 and 1000 in turn: Dirichlet p, s ~ U(0.3, 1)."""
+    g = np.random.default_rng(5)
+    draws = {k: validate_population(g.dirichlet(np.ones(k)), g.uniform(0.3, 1.0, k)) for k in (3, 10, 100, 1000)}
+    return draws[n]
+
+
+def assert_ends_at_first_crossing_at_the_optimal_weights(pop, model, horizon):
+    q = j_optimal_q(pop) if model == "J" else mn_optimal_q(pop)
+    rates = q.q if model == "J" else pop.s * q.q
+    law = (dist_j if model == "J" else dist_mn)(pop, q)
+    assert law.horizon == horizon
+    assert law.atom_at_infinity < TAIL_EPS <= exact_tail(pop.p, 1.0 - rates, horizon - 1)
 
 
 class TestFirstCrossing:
@@ -377,20 +393,17 @@ class TestFirstCrossing:
         rates = q.q if model == "J" else pop.s * q.q
         law = (dist_j if model == "J" else dist_mn)(pop, q)
         # Every step's tail, one power per step and item, scanned from step 0 to one past the law's end.
-        tails = (1.0 - rates) ** np.arange(law.horizon + 2)[:, None] @ pop.p
+        tails = np.float_power(1.0 - rates, np.arange(law.horizon + 2)[:, None]) @ pop.p
         assert int(np.flatnonzero(tails < TAIL_EPS)[0]) == law.horizon
-        assert law.atom_at_infinity == float(pop.p @ (1.0 - rates) ** law.horizon)
+        assert law.atom_at_infinity == float(pop.p @ np.float_power(1.0 - rates, law.horizon))
 
     @pytest.mark.parametrize("model, horizon", [("J", 67_179), ("MN", 109_894)])
     def test_hundred_items_at_the_optimal_weights(self, model, horizon):
-        # The third of three draws, N = 3, 10 and 100: Dirichlet priors, s ~ U(0.3, 1).
-        g = np.random.default_rng(5)
-        pop = [validate_population(g.dirichlet(np.ones(n)), g.uniform(0.3, 1.0, n)) for n in (3, 10, 100)][-1]
-        q = j_optimal_q(pop) if model == "J" else mn_optimal_q(pop)
-        rates = q.q if model == "J" else pop.s * q.q
-        law = (dist_j if model == "J" else dist_mn)(pop, q)
-        assert law.horizon == horizon
-        assert law.atom_at_infinity < TAIL_EPS <= exact_tail(pop.p, 1.0 - rates, horizon - 1)
+        assert_ends_at_first_crossing_at_the_optimal_weights(drawn_population(100), model, horizon)
+
+    @pytest.mark.parametrize("model, horizon", [("J", 423_485), ("MN", 741_028)])
+    def test_thousand_items_at_the_optimal_weights(self, model, horizon):
+        assert_ends_at_first_crossing_at_the_optimal_weights(drawn_population(1000), model, horizon)
 
     def test_every_law_ends_at_its_first_crossing(self):
         # 400 populations, N from 2 to 200 (log-uniform) and s from 0.05: each law's exact tail is

@@ -23,7 +23,7 @@ from priorsearch import (
     validate_population,
 )
 from priorsearch.population import Q_FLOOR
-from priorsearch.strategies import TAIL_EPS, Schedule, cut
+from priorsearch.strategies import TAIL_EPS, Schedule, first_below
 
 from conftest import cut_rule, equal_mass_population, random_population, random_simplex
 from oracle import abcd_policy, ef_swap_check, ikl_mean_bruteforce, ikl_mean_pairwise
@@ -161,20 +161,44 @@ class TestEfSchedule:
         assert_matches_heap(pop, TAIL_EPS, 10**6)
 
 
-class TestCut:
-    """strategies.cut: the first step whose uncovered tail, summed from the far end, is below TAIL_EPS."""
+class TestFirstBelow:
+    """strategies.first_below: the first k < hi whose tail is below TAIL_EPS, or hi, by bisection."""
 
-    @pytest.mark.parametrize("eps, tail, want", [(0.2, 0.0625, 3), (0.1, 0.0625, 4), (0.05, 0.0625, 4), (2.0, 0.0, 0)])
-    def test_first_step_below_the_target(self, eps, tail, want):
-        # The uncovered tails after steps 0..4 are 1, 0.5, 0.25, 0.125 and 0.0625.
+    @staticmethod
+    def counted(tail):
+        """tail, and the list of the steps it was called at."""
+        calls = []
+
+        def counted_tail(k):
+            calls.append(k)
+            return tail(k)
+
+        return counted_tail, calls
+
+    @pytest.mark.parametrize("eps, want", [(0.2, 3), (0.1, 4), (0.05, 5), (2.0, 0)])
+    def test_first_step_below_the_target(self, eps, want):
+        # The tails at steps 0..7 are 1, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625 and 0.0078125.
         with cut_rule(eps=eps):
-            assert cut(np.array([0.5, 0.25, 0.125, 0.0625]), tail) == want
+            assert first_below(lambda k: 0.5**k, 8) == want
 
-    def test_never_ends_on_a_zero_mass(self):
-        assert cut(np.array([0.5, 0.5, 0.0, 0.0]), 0.0) == 2
+    def test_hi_when_no_step_is_below(self):
+        assert first_below(lambda k: 1.0, 10) == 10
+        assert first_below(lambda k: TAIL_EPS, 10) == 10  # the target itself is not below it
 
-    def test_nothing_built(self):
-        assert cut(np.array([]), 0.0) == cut(np.array([]), 1.0) == 0
+    def test_nothing_to_search(self):
+        tail, calls = self.counted(lambda k: 0.0)
+        assert first_below(tail, 0) == 0 and calls == []
+
+    def test_below_at_step_zero(self):
+        assert first_below(lambda k: 0.0, 1) == first_below(lambda k: 0.0, 10**6) == 0
+
+    @pytest.mark.parametrize("hi", [1, 2, 3, 7, 8, 9, 1000, 10**6])
+    def test_calls_at_most_log2_hi_plus_one(self, hi):
+        for first in sorted({0, 1, hi // 3, hi - 1, hi}):
+            tail, calls = self.counted(lambda k: 0.0 if k >= first else 1.0)
+            assert first_below(tail, hi) == first
+            assert len(calls) <= math.ceil(math.log2(hi)) + 1
+            assert all(0 <= k < hi for k in calls)
 
 
 class TestEfMean:
