@@ -63,15 +63,13 @@ class InspectionDistribution:
         return len(self.pmf)
 
     def cdf_array(self, upto: int | None = None) -> np.ndarray:
-        """cdf evaluated at 1..upto (default: the horizon), a view of ``cdf`` up to the horizon.
+        """cdf evaluated at 1..upto (default: the horizon), a view of ``cdf`` through the horizon.
 
         Past the horizon ``cdf`` is extended with its final value, the same
         floats as cumulating a zero-padded pmf, since c + 0.0 = c.
         """
         upto = self.horizon if upto is None else int(upto)
-        if upto == self.horizon:
-            return self.cdf
-        if 0 <= upto < self.horizon:
+        if 0 <= upto <= self.horizon:
             return self.cdf[:upto]
         return np.concatenate((self.cdf, np.full(upto - self.horizon, self.cdf[-1] if self.horizon else 0.0)))
 

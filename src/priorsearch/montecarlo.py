@@ -32,8 +32,9 @@ item-major, in blocks of at most 2**15, so its memory does not grow with N;
 it compares each uniform with an exp threshold set by the target's, which
 orders the items as the keys -log(u)/q would. A block forms the thresholds'
 exponents in one einsum and counts the items that come no later than each
-replication's target with uint8 sums of at most 255 rows, so every
-comparison and count is that of an outer product and an int32 column sum.
+replication's target with one column sum in the narrowest unsigned type that
+holds N, so every comparison and count is that of an outer product and an
+int32 column sum.
 When a chunk draws at least 2**18 uniforms (N >= 64), the chunks of each
 16-chunk window run on every usable CPU, since numpy releases the
 interpreter lock while it fills and compares the blocks; the result is the
@@ -262,13 +263,14 @@ def _race_steps(
     A block forms the exponents q_j c_r, c_r = log(u_t) / q_t, with einsum,
     which writes them in one pass where ``np.multiply.outer`` broadcasts row by
     row; either rounds each product once, so the bits are the same. A column's
-    count adds the comparisons as uint8, with no cast, in groups of at most 255
-    rows, whose sums fit, and then adds the groups.
+    count is one sum of the comparisons in the narrowest unsigned type that
+    holds N (uint8 up to 255 items, uint16 up to 65,535, uint32 beyond), so no
+    count overflows.
     """
     n = q.size
     u_buf, thr_buf, below_buf = bufs
     rows = u_buf.size // n
-    grouped = n - n % 255  # rows summed in groups of 255; the rest, fewer, in one uint8 sum
+    sum_type = np.min_scalar_type(n)
     steps = np.empty(target.size, dtype=np.int64)
     col = np.arange(min(rows, target.size))
     q_target = q[target]
@@ -283,13 +285,7 @@ def _race_steps(
             thr = np.einsum("i,j->ij", q, c, out=thr_buf[: n * size].reshape(n, size))
             below = np.greater_equal(u, np.exp(thr, out=thr), out=below_buf[: n * size].reshape(n, size))
             below_buf[at] = True  # the target's own threshold may round above u_t
-            ones = below.view(np.uint8)
-            rest = np.add.reduce(ones[grouped:], axis=0, dtype=np.uint8)
-            if grouped:
-                groups = np.add.reduce(ones[:grouped].reshape(-1, 255, size), axis=1, dtype=np.uint8)
-                np.add(groups.sum(axis=0), rest, out=steps[lo : lo + size])
-            else:
-                steps[lo : lo + size] = rest
+            steps[lo : lo + size] = np.add.reduce(below.view(np.uint8), axis=0, dtype=sum_type)
     return steps
 
 

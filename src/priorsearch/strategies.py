@@ -149,9 +149,17 @@ def _merge(p: np.ndarray, s: np.ndarray, count: np.ndarray):
     # lexsort is stable, so one item's equal masses keep their attempt order.
     idx = idx[np.lexsort((item[idx], -mass[idx]))][:HORIZON_CAP]
     steps = item[idx]
+    # The last probe and its attempts per item, which the next probe moves by the steps in between.
+    last, made = 0, np.zeros(n, dtype=np.int64)
 
     def residual_after(k: int) -> float:
-        return math.fsum(rem[first + np.bincount(steps[:k], minlength=n)].tolist())
+        nonlocal last, made
+        if k > last:
+            made += np.bincount(steps[last:k], minlength=n)
+        else:
+            made -= np.bincount(steps[k:last], minlength=n)
+        last = k
+        return math.fsum(rem[first + made].tolist())
 
     return steps, mass[idx], residual_after, not pending.any()
 

@@ -450,9 +450,10 @@ class TestRace:
 
     @pytest.mark.parametrize("q_kind", ["spread", "dirichlet", "near-equal"])
     @pytest.mark.parametrize("m", [1, 4095, 4096])
-    @pytest.mark.parametrize("n", [2, 255, 256, 257, 1000, 2**15 + 1])
+    @pytest.mark.parametrize("n", [2, 255, 256, 257, 1000, 2**15 + 1, 2**16 + 1])
     def test_steps_equal_the_outer_product_kernel(self, n, m, q_kind):
-        # 255 rows is the most one uint8 column sum holds; 2**15 + 1 items leave one replication a block.
+        # A column sum is uint8 up to 255 items, uint16 up to 2**16 - 1 and uint32 at 2**16 + 1;
+        # from 2**15 + 1 items a block holds one replication, and 2**16 + 1 items run 63 of them.
         m = min(m, 2**22 // n)
         g = np.random.default_rng([n, m])
         if q_kind == "spread":  # q from 2**-1000 to 1, both ends present
@@ -464,6 +465,7 @@ class TestRace:
             q = np.full(n, 1.0 / n)
             q[g.random(n) < 0.5] = np.nextafter(1.0 / n, 1.0)
         target = g.integers(0, n, m)
+        target[0] = np.argmin(q)  # most often last or near it: a count near N, the most a sum type must hold
         kernel, reference = np.random.default_rng(m), np.random.default_rng(m)
         steps = _race_steps(kernel, q, target, _race_buffers(n))
         assert np.array_equal(steps, race_steps_outer(reference, q, target))
@@ -486,7 +488,7 @@ class TestRace:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # hand the interpreter lock between threads as often as it can
         try:
-            # 1000 items sum their comparisons in groups of 255 rows.
+            # 100 items sum their comparisons as uint8, 1000 items as uint16.
             for n, reps in ((100, 17 * CHUNK + 5), (1000, 3 * CHUNK + 5)):
                 pop = zipf_population(n)
                 cfg = SimConfig(model=model, reps=reps, seed=31, q=dirichlet_weights(n))

@@ -22,6 +22,7 @@ from priorsearch import (
     uniform_weights,
     validate_population,
 )
+from priorsearch import strategies
 from priorsearch.population import Q_FLOOR
 from priorsearch.strategies import TAIL_EPS, Schedule, first_below
 
@@ -159,6 +160,27 @@ class TestEfSchedule:
         assert sched.steps.size == 434
         assert sched.residual_mass == 9.99636372264848e-14
         assert_matches_heap(pop, TAIL_EPS, 10**6)
+
+    @pytest.mark.parametrize("short", [False, True])
+    def test_residual_probes_in_any_order_equal_first_probes(self, rng, monkeypatch, short):
+        # residual_after moves its attempt counts from the last probe to the next. Each value, probed forward
+        # and back, must equal bit for bit a fresh closure's first probe. Short candidate lists (at most
+        # 1, 3, 7, ... per item on the first calls) make the schedule extend its merge.
+        merge = strategies._merge
+        merges = []
+
+        def captured(p, s, count):
+            if short:
+                count = np.minimum(count, 2 ** (len(merges) + 1) - 1)
+            merges.append((p, s, count, merge(p, s, count)))
+            return merges[-1][3]
+
+        monkeypatch.setattr(strategies, "_merge", captured)
+        ef_schedule(random_population(rng, 8 if short else 100, s_lo=0.05))
+        assert (len(merges) > 1) == short
+        for p, s, count, (steps, _, residual_after, _) in merges:
+            for k in rng.integers(0, steps.size + 1, 40).tolist():
+                assert residual_after(k) == merge(p, s, count)[2](k)
 
 
 class TestFirstBelow:
