@@ -146,23 +146,19 @@ def _summary_lines(
 ) -> list[str]:
     """What evaluate prints about the model's inspection count, after the q line.
 
-    ``law`` is None only for a model with a closed mean, which is printed instead.
+    Only EF reads ``law``; every other model prints its closed mean, given detection for GH and OP.
     """
+    if model.walk == "schedule":
+        return [f"schedule steps: {law.horizon}", f"partial mean: {law.mean_finite()!r}",
+                f"residual mass: {law.atom_at_infinity!r}"]
+    mean = model.closed_mean(pop, q)
     if model.defective:
         detect = min(pop.detect_prob, 1.0)
-        cond = law.conditional_on_detection().mean_finite()
         if detect < 1.0 - 1e-12:
-            head = f"mean: ∞ (detect_prob={detect:.3f}, conditional mean={cond:.3f})"
+            head = f"mean: ∞ (detect_prob={detect:.3f}, conditional mean={mean:.3f})"
         else:
-            head = f"mean: {cond!r}"
-        return [head, f"detect_prob: {detect!r}", f"conditional_mean: {cond!r}"]
-    if model.walk == "schedule":
-        return [
-            f"schedule steps: {law.horizon}",
-            f"partial mean: {law.mean_finite()!r}",
-            f"residual mass: {law.atom_at_infinity!r}",
-        ]
-    mean = law.mean_finite() if model.closed_mean is None else model.closed_mean(pop, q)
+            head = f"mean: {mean!r}"
+        return [head, f"detect_prob: {detect!r}", f"conditional_mean: {mean!r}"]
     lines = [f"mean: {mean!r}"]
     if model.walk == "order":
         lines.insert(0, "order: " + " ".join(pop.ids[i] for i in descending_order(model.key(pop, q))))
@@ -186,7 +182,7 @@ def evaluate(model, input_path, q_source, q_file, out):
     pop = load_population(input_path).population
     m = MODELS[model]
     q, q_desc = _resolve_q(m, pop, q_source, q_file)
-    # IKL, J and MN print their closed means, so only --out needs their laws.
+    # Every model but EF prints its closed mean, so only --out needs its law.
     dist = m.law(pop, q) if out or m.closed_mean is None else None
     lines = [f"model: {model}", f"items: {pop.n}"]
     if q is not None:

@@ -73,20 +73,9 @@ class InspectionDistribution:
             return self.cdf[:upto]
         return np.concatenate((self.cdf, np.full(upto - self.horizon, self.cdf[-1] if self.horizon else 0.0)))
 
-    @property
-    def total_finite_mass(self) -> float:
-        return math.fsum(self.pmf.tolist())
-
     def mean_finite(self) -> float:
         """Mean over the finite support only (ignores any atom at infinity)."""
         return math.fsum((np.arange(1, self.horizon + 1) * self.pmf).tolist())
-
-    def conditional_on_detection(self) -> "InspectionDistribution":
-        """The law given the target is found (finite support renormalized)."""
-        finite = self.total_finite_mass
-        if finite <= 0.0:
-            raise ValueError("no finite mass to condition on")
-        return InspectionDistribution(self.pmf / finite, atom_at_infinity=0.0, truncated=self.truncated)
 
 
 def dist_abcd(pop: Population) -> InspectionDistribution:

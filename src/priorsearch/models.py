@@ -9,9 +9,9 @@ at most once and recognizes the target there with probability s_i, so its
 count is infinite with probability sum_i (1-s_i) p_i.
 
 The CLI, the simulation kernel and the ordering analysis read what they need
-from this table rather than from a model's name. The law builders and IKL's
-closed mean call the library functions by their module-level names when they
-run, so wrapping those names (to trace them, say) reaches every call.
+from this table rather than from a model's name. Each law, and each closed
+mean but J's and MN's, calls the library functions by their module-level
+names when it runs, so wrapping those names (to trace them, say) reaches it.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from .distributions import (
     dist_op_exact,
 )
 from .population import InspectionWeights, Population
-from .strategies import ef_schedule, ikl_mean_exact, j_mean, j_optimal_q, mn_mean, mn_optimal_q
+from .strategies import (detected_share, ef_schedule, ikl_mean_exact, j_mean, j_optimal_q, mn_mean, mn_optimal_q,
+                         one_pass_mean, op_mean)
 
 
 @dataclass(frozen=True)
@@ -49,9 +50,9 @@ class Model:
 
     ``law(pop, q)`` builds the exact law; EF's, J's and MN's are cut where
     their tail falls below ``strategies.TAIL_EPS``, or at ``HORIZON_CAP``
-    steps. ``closed_mean`` is the exact mean of a model whose law is cut at
-    a horizon (J, MN) or integrated numerically (IKL). ``takes_q`` says
-    whether the model samples items with weights q.
+    steps. ``closed_mean(pop, q)`` is the exact mean without the law, given
+    detection for a defective model; EF has none, as its schedule is the
+    law. ``takes_q`` says whether the model samples items with weights q.
     """
 
     label: str
@@ -59,7 +60,7 @@ class Model:
     law: Callable[[Population, InspectionWeights | None], InspectionDistribution]
     defective: bool = False
     optimal_q: Callable[[Population], InspectionWeights] | None = None
-    closed_mean: Callable[[Population, InspectionWeights], float] | None = None
+    closed_mean: Callable[[Population, InspectionWeights | None], float] | None = None
     key: Callable[[Population, InspectionWeights | None], np.ndarray] | None = None
 
     @property
@@ -70,17 +71,19 @@ class Model:
 MODELS: dict[str, Model] = {
     m.label: m
     for m in (
-        Model("ABCD", "order", lambda pop, q: dist_abcd(pop), key=lambda pop, q: pop.p),
+        Model("ABCD", "order", lambda pop, q: dist_abcd(pop),
+              closed_mean=lambda pop, q: one_pass_mean(pop.p), key=lambda pop, q: pop.p),
         Model("EF", "schedule", lambda pop, q: dist_ef(ef_schedule(pop))),
         Model("GH", "order", lambda pop, q: dist_gh(pop), defective=True,
-              key=lambda pop, q: pop.s * pop.p),
+              closed_mean=lambda pop, q: one_pass_mean(detected_share(pop)), key=lambda pop, q: pop.s * pop.p),
         Model("IKL", "race", lambda pop, q: dist_ikl_exact(pop, q),
               closed_mean=lambda pop, q: ikl_mean_exact(pop, q)),
         Model("J", "geometric", lambda pop, q: dist_j(pop, q),
               optimal_q=j_optimal_q, closed_mean=j_mean, key=lambda pop, q: q.q),
         Model("MN", "geometric", lambda pop, q: dist_mn(pop, q),
               optimal_q=mn_optimal_q, closed_mean=mn_mean, key=lambda pop, q: q.q * pop.s),
-        Model("OP", "race", lambda pop, q: dist_op_exact(pop, q), defective=True),
+        Model("OP", "race", lambda pop, q: dist_op_exact(pop, q), defective=True,
+              closed_mean=lambda pop, q: op_mean(pop, q)),
     )
 }
 LABELS = tuple(MODELS)

@@ -20,10 +20,9 @@ Seven model families, labeled by the assumption combinations they serve:
     MN    as J but imperfect recognition: per-inspection success s_i q_i.
     OP    as IKL but imperfect recognition and no replacement; defective.
 
-Means are exact closed forms; IKL's sums over the pairwise draw orders. The
-defective models GH and OP have no summary here: their detection probability
-is Population.detect_prob, and their mean given detection comes from the
-exact law (distributions.dist_gh, dist_op_exact).
+Means are exact closed forms; IKL's and OP's sum over the pairwise draw
+orders. For the defective models GH and OP it is the mean given detection;
+their detection probability is Population.detect_prob.
 """
 
 from __future__ import annotations
@@ -41,8 +40,8 @@ from .population import Q_FLOOR, InspectionWeights, Population, check_weights
 # laws end at the first step whose exact tail, the one each reports, is below TAIL_EPS, or after HORIZON_CAP steps.
 TAIL_EPS = 1e-13
 HORIZON_CAP = 10**6
-# Rows of the pair quotients q_j / (q_i + q_j) that ikl_mean_exact holds at once.
-_PAIR_ROWS = 256
+# Floats of the pair quotients q_j / (q_i + q_j) that _pair_sums holds at once: 4 MiB at any N.
+_PAIR_BUDGET = 2**19
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,6 +66,18 @@ def descending_order(mass: np.ndarray) -> np.ndarray:
     Walked once in this order, the items' masses accumulate fastest at every step.
     """
     return np.argsort(-np.asarray(mass), kind="stable")
+
+
+def one_pass_mean(found: np.ndarray) -> float:
+    """sum_k k f_(k) over the masses ``found`` sorted descending: the mean step of a walk in that order."""
+    return math.fsum((np.arange(1, found.size + 1) * found[descending_order(found)]).tolist())
+
+
+def detected_share(pop: Population) -> np.ndarray:
+    """f_i = s_i p_i / sum_j s_j p_j: the chance the target is item i, given a one-pass walk finds it."""
+    if (detect := pop.detect_prob) <= 0.0:
+        raise ValueError("no finite mass to condition on")
+    return pop.s * pop.p / detect
 
 
 def reachable(rates: np.ndarray) -> np.ndarray:
@@ -204,25 +215,38 @@ def position_probabilities(q: InspectionWeights) -> np.ndarray:
     return M
 
 
+def _pair_sums(q: np.ndarray) -> np.ndarray:
+    """r_i = sum_{j != i} q_j / (q_i + q_j): item j is drawn before item i with probability q_j / (q_i + q_j).
+
+    Blocks of max(1, _PAIR_BUDGET // N) rows; each row is summed exactly as in one N x N array.
+    """
+    n, rows = q.size, max(1, _PAIR_BUDGET // q.size)
+    sums, block = np.empty(n), np.empty((min(rows, n), n))
+    for lo in range(0, n, rows):
+        pair = np.add.outer(q[lo : lo + rows], q, out=block[: n - lo])
+        before = np.divide(q, pair, out=pair)  # before[i, j] = q_j / (q_i + q_j)
+        np.fill_diagonal(before[:, lo:], 0.0)
+        before.sum(axis=1, out=sums[lo : lo + before.shape[0]])
+    return sums
+
+
 def ikl_mean_exact(pop: Population, q: InspectionWeights) -> float:
     """Exact mean of the without-replacement democratic model at weights q, in O(N^2).
 
-    The target's step is 1 plus the number of items drawn before it, and item
-    j is drawn before item i with probability q_j / (q_i + q_j), so
-    E[T] = 1 + sum_i p_i sum_{j != i} q_j / (q_i + q_j).
-
-    The inner sums are taken in blocks of ``_PAIR_ROWS`` rows, so memory stays
-    at _PAIR_ROWS x N floats; each row is summed exactly as in one N x N array.
+    The target's step is 1 plus the number of items drawn before it, r_i on
+    average for item i (_pair_sums), so E[T] = 1 + sum_i p_i r_i.
     """
     check_weights(pop, q)
-    row_sums = np.empty(q.n)
-    block = np.empty((min(_PAIR_ROWS, q.n), q.n))
-    for lo in range(0, q.n, _PAIR_ROWS):
-        rows = np.add.outer(q.q[lo : lo + _PAIR_ROWS], q.q, out=block[: q.n - lo])
-        before = np.divide(q.q, rows, out=rows)  # before[i, j] = q_j / (q_i + q_j)
-        np.fill_diagonal(before[:, lo:], 0.0)
-        before.sum(axis=1, out=row_sums[lo : lo + before.shape[0]])
-    return math.fsum([1.0, *(pop.p * row_sums).tolist()])
+    return math.fsum([1.0, *(pop.p * _pair_sums(q.q)).tolist()])
+
+
+def op_mean(pop: Population, q: InspectionWeights) -> float:
+    """Exact mean of model OP at weights q given detection: 1 + sum_i f_i r_i, f = detected_share(pop).
+
+    OP walks IKL's order and recognizes the target at item i with probability s_i.
+    """
+    check_weights(pop, q)
+    return math.fsum([1.0, *(detected_share(pop) * _pair_sums(q.q)).tolist()])
 
 
 def ikl_search_q(pop: Population) -> tuple[InspectionWeights, float]:

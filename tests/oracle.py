@@ -102,6 +102,19 @@ def sup_cdf_distance(a: InspectionDistribution, b: InspectionDistribution) -> fl
     return float(np.abs(a.cdf_array(upto) - b.cdf_array(upto)).max())
 
 
+def conditional_law(d: InspectionDistribution) -> InspectionDistribution:
+    """The law given the target is found: the finite part renormalized to its exact sum."""
+    finite = math.fsum(d.pmf.tolist())
+    if finite <= 0.0:
+        raise ValueError("no finite mass to condition on")
+    return InspectionDistribution(d.pmf / finite, atom_at_infinity=0.0, truncated=d.truncated)
+
+
+def conditional_mean(d: InspectionDistribution) -> float:
+    """Mean number of inspections given detection, from the whole law: the reference for the closed means."""
+    return conditional_law(d).mean_finite()
+
+
 def ikl_mean_bruteforce(pop: Population, q: InspectionWeights) -> float:
     """Mean of the without-replacement democratic model by summing all N! orders."""
     n = pop.n

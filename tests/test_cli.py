@@ -20,7 +20,7 @@ from priorsearch.population import bayes_update, load_likelihoods, load_populati
 
 from conftest import MALFORMED_JSON, POP_CSV_TEXT, equal_mass_population
 from oracle import ikl_mean_pairwise
-from test_golden import GOLDEN, INPUTS
+from test_golden import CASES, GOLDEN, write_inputs
 
 
 def get_line(output, prefix):
@@ -119,30 +119,38 @@ class TestEvaluate:
             assert result.exit_code == 0, result.output
             assert len(calls) == runs
 
-    @pytest.mark.parametrize("case, model, q_file", [
-        ("evaluate-IKL-pop_csv-q3", "IKL", True),
-        ("evaluate-J-pop_csv", "J", False),
-        ("evaluate-MN-pop_csv", "MN", False),
+    @pytest.mark.parametrize("case", [
+        "evaluate-ABCD-pop_csv",
+        "evaluate-GH-pop_csv",
+        "evaluate-IKL-pop_csv-q3",
+        "evaluate-J-pop_csv",
+        "evaluate-MN-pop_csv",
+        "evaluate-OP-pop_csv-q_spread",
     ])
-    def test_closed_mean_models_build_their_law_only_for_out(
-        self, runner, tmp_path, monkeypatch, case, model, q_file
-    ):
+    def test_closed_mean_models_build_their_law_only_for_out(self, runner, tmp_path, monkeypatch, case):
         def unbuilt(*args):
             raise RuntimeError("law built")
 
-        for name in ("dist_ikl_exact", "dist_j", "dist_mn"):
+        for name in ("dist_abcd", "dist_gh", "dist_ikl_exact", "dist_j", "dist_mn", "dist_op_exact"):
             monkeypatch.setattr(models, name, unbuilt)
-        (tmp_path / "pop.csv").write_text(INPUTS["pop_csv"])
-        (tmp_path / "q3.csv").write_text(INPUTS["q3_csv"])
-        args = ["evaluate", "--model", model, "--input", str(tmp_path / "pop.csv")]
-        if q_file:
-            args += ["--q-file", str(tmp_path / "q3.csv")]
+        paths = write_inputs(tmp_path)
+        args = [paths.get(a, a) for a in CASES[case]]
+        args = args[: args.index("--out")]
         result = runner.invoke(main, args)
         assert result.exit_code == 0, result.output
         golden = (GOLDEN / case / "stdout.txt").read_text().replace("<tmp>", str(tmp_path))
         assert result.output == golden[: golden.index("wrote ")]
         result = runner.invoke(main, args + ["--out", str(tmp_path / "out")])
         assert str(result.exception) == "law built"
+
+    @pytest.mark.parametrize("flags", [["--model", "GH"], ["--model", "OP", "--uniform-q"]])
+    def test_zero_detection_probability_is_refused(self, runner, tmp_path, flags):
+        # Every s_i p_i underflows to 0, so there is no detection to condition the mean on.
+        path = tmp_path / "zero.csv"
+        path.write_text("id,p,s\na,0.5,5e-324\nb,0.5,5e-324\n")
+        for out in ([], ["--out", str(tmp_path / "out")]):
+            result = runner.invoke(main, ["evaluate", *flags, "--input", str(path), *out])
+            assert_refused(result, "error: no finite mass to condition on")
 
     def test_enumerable_model_rejects_weights(self, runner, pop_csv):
         result = runner.invoke(

@@ -29,7 +29,8 @@ from priorsearch.population import Q_FLOOR
 from priorsearch.strategies import HORIZON_CAP, TAIL_EPS, position_probabilities
 
 from conftest import cut_rule, equal_mass_population, random_population, random_simplex
-from oracle import abcd_policy, cdf, geometric_mixture_pmf_powers, race_pmfs_by_class, sup_cdf_distance
+from oracle import (abcd_policy, cdf, conditional_law, conditional_mean, geometric_mixture_pmf_powers,
+                    race_pmfs_by_class, sup_cdf_distance)
 
 
 def csv_text(tmp_path, dist):
@@ -111,9 +112,9 @@ class TestInspectionDistribution:
 
     def test_conditional_on_detection(self):
         pop = validate_population([0.5, 0.5], [0.5, 1.0])
-        cond = dist_gh(pop).conditional_on_detection()
+        cond = conditional_law(dist_gh(pop))
         assert cond.atom_at_infinity == 0.0
-        assert abs(cond.total_finite_mass - 1.0) <= 1e-12
+        assert abs(math.fsum(cond.pmf.tolist()) - 1.0) <= 1e-12
 
 
 class TestDistAbcd:
@@ -161,7 +162,7 @@ class TestDistEf:
         for _ in range(5):
             pop = random_population(rng, 4, s_lo=0.3)
             d = dist_ef(ef_schedule(pop))
-            assert abs(d.total_finite_mass + d.atom_at_infinity - 1.0) <= 1e-12
+            assert abs(math.fsum(d.pmf.tolist()) + d.atom_at_infinity - 1.0) <= 1e-12
             assert d.truncated
 
 
@@ -181,7 +182,7 @@ class TestDistGh:
         # Masses (.1, .3, .2): walking b, c, a beats the prior order a, b, c at every step.
         d = dist_gh(validate_population([0.5, 0.3, 0.2], [0.2, 1.0, 1.0]))
         assert d.pmf.tolist() == pytest.approx([0.3, 0.2, 0.1], abs=1e-15)
-        assert d.conditional_on_detection().mean_finite() == pytest.approx(5 / 3, abs=1e-15)
+        assert conditional_mean(d) == pytest.approx(5 / 3, abs=1e-15)
 
     def test_incomparable_family_atom(self):
         d = dist_gh(equal_mass_population(5))
@@ -190,13 +191,13 @@ class TestDistGh:
     def test_conditional_equals_abcd_for_constant_s(self, rng):
         p = rng.dirichlet(np.ones(5))
         pop = validate_population(p, np.full(5, 0.6))
-        cond = dist_gh(pop).conditional_on_detection()
+        cond = conditional_law(dist_gh(pop))
         base = dist_abcd(pop)
         assert sup_cdf_distance(cond, base) <= 1e-12
 
     def test_conditional_differs_for_varying_s(self):
         pop = validate_population([0.6, 0.4], [0.3, 1.0])
-        cond = dist_gh(pop).conditional_on_detection()
+        cond = conditional_law(dist_gh(pop))
         base = dist_abcd(pop)
         assert sup_cdf_distance(cond, base) > 1e-3
 
@@ -642,7 +643,7 @@ class TestDistOp:
         pop = random_population(rng, 5, s_lo=0.3)
         q = make_weights(random_simplex(rng, 5))
         d = dist_op_exact(pop, q)
-        assert abs(d.total_finite_mass + d.atom_at_infinity - 1.0) <= 1e-12
+        assert abs(math.fsum(d.pmf.tolist()) + d.atom_at_infinity - 1.0) <= 1e-12
 
 
 class TestCsvExport:

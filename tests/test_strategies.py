@@ -23,11 +23,12 @@ from priorsearch import (
     validate_population,
 )
 from priorsearch import strategies
+from priorsearch.models import MODELS
 from priorsearch.population import Q_FLOOR
-from priorsearch.strategies import TAIL_EPS, Schedule, first_below
+from priorsearch.strategies import TAIL_EPS, Schedule, detected_share, first_below
 
 from conftest import cut_rule, equal_mass_population, random_population, random_simplex
-from oracle import abcd_policy, ef_swap_check, ikl_mean_bruteforce, ikl_mean_pairwise
+from oracle import abcd_policy, conditional_mean, ef_swap_check, ikl_mean_bruteforce, ikl_mean_pairwise
 from test_oracle import assert_matches_heap
 
 probability_vectors = st.lists(
@@ -83,6 +84,12 @@ class TestAbcd:
                 continue
             _, mean = abcd_policy(pop)
             assert mean < (n + 1) / 2 - 1e-12
+
+    def test_closed_mean_is_the_law_mean(self, rng):
+        for _ in range(50):
+            n = int(rng.integers(1, 40))
+            pop = random_population(rng, n, perfect=bool(rng.integers(2)))
+            assert MODELS["ABCD"].closed_mean(pop, None) == dist_abcd(pop).mean_finite()
 
     def test_adjacent_swap_never_helps(self, rng):
         for _ in range(50):
@@ -269,16 +276,12 @@ class TestEfSwapCheck:
             assert ef_swap_check(ef_schedule(pop))
 
 
-def conditional_mean(law):
-    return law.conditional_on_detection().mean_finite()
-
-
 class TestGhSummary:
     def test_hand_example(self):
         pop = validate_population([0.5, 0.3, 0.2], [1.0, 1.0, 0.5])
         law = dist_gh(pop)
         assert abs(pop.detect_prob - 0.9) <= 1e-12
-        assert abs(law.total_finite_mass - 0.9) <= 1e-12
+        assert abs(math.fsum(law.pmf.tolist()) - 0.9) <= 1e-12
         # Given detection: (1 * 0.5 + 2 * 0.3 + 3 * 0.1) / 0.9.
         assert abs(conditional_mean(law) - 14 / 9) <= 1e-12
         assert law.atom_at_infinity > 0.0
@@ -296,6 +299,11 @@ class TestGhSummary:
         assert pop.detect_prob == pytest.approx(0.3)
         assert conditional_mean(law) == 1.0
         assert law.atom_at_infinity > 0.0
+
+    def test_closed_mean_is_the_conditional_law_mean(self, rng):
+        for _ in range(50):
+            pop = random_population(rng, int(rng.integers(1, 40)), s_lo=0.01)
+            assert MODELS["GH"].closed_mean(pop, None) == conditional_mean(dist_gh(pop))
 
 
 class TestIkl:
@@ -331,6 +339,27 @@ class TestIkl:
             before = w.q / np.add.outer(w.q, w.q)
             np.fill_diagonal(before, 0.0)
             assert ikl_mean_exact(pop, w) == math.fsum([1.0, *(pop.p * before.sum(axis=1)).tolist()])
+
+    @pytest.mark.parametrize("rows", [1, 7, 256])
+    def test_pair_sums_are_the_same_at_any_block_height(self, monkeypatch, rows):
+        n = 300
+        q = np.random.default_rng(rows).dirichlet(np.ones(n))
+        monkeypatch.setattr(strategies, "_PAIR_BUDGET", rows * n)
+        before = q / np.add.outer(q, q)
+        np.fill_diagonal(before, 0.0)
+        assert np.array_equal(strategies._pair_sums(q), before.sum(axis=1))
+
+    def test_pair_sums_memory_does_not_grow_with_n(self):
+        n = 20_000
+        tracemalloc.start()
+        try:
+            sums = strategies._pair_sums(np.full(n, 1.0 / n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sums == pytest.approx(np.full(n, (n - 1) / 2), rel=1e-12)
+        # 2^19 floats (4 MiB) in the block and three N-vectors; a fixed 256-row block would be 39 MiB here.
+        assert peak < 5 * 2**20
 
     def test_ten_thousand_items_in_bounded_memory(self):
         n = 10**4
@@ -494,7 +523,7 @@ class TestOpSummary:
         pop = equal_mass_population(5)
         law = dist_op_exact(pop, mn_optimal_q(pop))
         assert abs(pop.detect_prob - 1 / 3) <= 1e-12
-        assert abs(law.total_finite_mass - 1 / 3) <= 1e-12
+        assert abs(math.fsum(law.pmf.tolist()) - 1 / 3) <= 1e-12
         assert law.atom_at_infinity > 0.0
 
     def test_single_item(self):
@@ -502,6 +531,38 @@ class TestOpSummary:
         law = dist_op_exact(pop, uniform_weights(1))
         assert pop.detect_prob == pytest.approx(0.4)
         assert conditional_mean(law) == 1.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 300])
+    def test_closed_mean_matches_the_race_law(self, n):
+        g = np.random.default_rng(n)
+        for _ in range(3):
+            pop = validate_population(g.dirichlet(np.ones(n)), g.uniform(0.2, 1.0, n))
+            q = InspectionWeights(q=g.dirichlet(np.ones(n)))
+            ref = conditional_mean(dist_op_exact(pop, q))
+            assert MODELS["OP"].closed_mean(pop, q) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 100])
+    def test_closed_mean_matches_the_race_law_at_the_weight_floor(self, n):
+        g = np.random.default_rng(n)
+        pop = validate_population(g.dirichlet(np.ones(n)), g.uniform(0.2, 1.0, n))
+        for r in (np.array([1.0, *np.full(n - 1, Q_FLOOR)]), 2.0 ** g.uniform(-990.0, 0.0, n)):
+            q = InspectionWeights(q=r / math.fsum(r.tolist()))
+            assert q.q.min() < 1e-30
+            ref = conditional_mean(dist_op_exact(pop, q))
+            assert MODELS["OP"].closed_mean(pop, q) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+    @given(priors_and_weights(max_n=6), st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=6, max_size=6))
+    def test_closed_mean_is_ikl_over_the_detected_shares(self, case, s):
+        pop, q = case
+        pop = validate_population(pop.p, s[: pop.n])
+        shares = validate_population(detected_share(pop))
+        assert MODELS["OP"].closed_mean(pop, q) == pytest.approx(ikl_mean_bruteforce(shares, q), rel=1e-13, abs=0.0)
+
+    def test_closed_mean_is_ikl_at_perfect_recognition(self, rng):
+        for n in (1, 2, 5, 10, 100, 300):
+            pop = random_population(rng, n, perfect=True)
+            q = InspectionWeights(q=rng.dirichlet(np.ones(n)))
+            assert MODELS["OP"].closed_mean(pop, q) == pytest.approx(ikl_mean_exact(pop, q), rel=1e-15, abs=0.0)
 
     def test_detect_prob_at_most_one_with_equality_iff_perfect(self, rng):
         for _ in range(20):
