@@ -81,7 +81,8 @@ def _runs(command: str):
                     report.write(out_dir / report.name)
                     manifest = {"command": command, "input": kwargs["input_path"], "parameters": report.parameters,
                                 "outputs": [report.name], "tool_version": __version__}
-                    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+                    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+                    (out_dir / "manifest.json").write_text(text, encoding="utf-8", newline="")
                     report.head.append(f"wrote {out_dir / report.name}")
             except (ValueError, OSError) as exc:
                 click.echo(f"error: {exc}", err=True)
@@ -247,7 +248,8 @@ def order(input_path, tol, q_source, q_file, out):
         for (a, b), verdict in report.verdicts.items()
     ]
     return _Report(
-        lines, "ordering_report.json", lambda path: path.write_text(report.to_json() + "\n"),
+        lines, "ordering_report.json",
+        lambda path: path.write_text(report.to_json() + "\n", encoding="utf-8", newline=""),
         {"tol": tol, "q_source": q_desc}, tail=[] if report.mismatches else ["all expected relations hold"],
         err=[f"mismatch: {line}" for line in report.mismatches], code=EXIT_MISMATCH if report.mismatches else 0,
     )

@@ -20,7 +20,7 @@ point falls inside, which picks the same index as a full binary search bit for
 bit. Detected steps are counted and merged once per 16 chunks, in chunk order,
 so memory stays bounded by 16 x 4096 steps plus 16 bytes per distinct step. A
 window is counted by np.bincount when its largest step is at most 4 times its
-detected steps, else by a sort; np.searchsorted matches its ascending distinct
+detected steps, else by np.unique; np.searchsorted matches its ascending distinct
 steps against the law's ascending arrays, and np.insert adds the new ones.
 
 IKL and OP sample items by weight without replacement. When every weight is
@@ -140,8 +140,7 @@ class EmpiricalResult:
         if not self.steps.size:
             return np.zeros(upto)
         kept = np.searchsorted(self.steps, upto, side="right")
-        dense = np.zeros(upto + 1)
-        dense[self.steps[:kept]] = self.counts[:kept]
+        dense = np.bincount(self.steps[:kept], weights=self.counts[:kept], minlength=upto + 1)
         return np.cumsum(dense)[1:] / self.detected
 
 
@@ -228,16 +227,12 @@ def _geometric_from_uniform(u: np.ndarray, log_fail: np.ndarray, max_steps: int)
 def _ef_attempt_table(sched: Schedule, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(flat, base, cap): item i's attempt j >= 1 is step flat[base[i] + min(j, cap[i])].
 
-    flat holds the schedule's steps grouped by item, each item's followed by
-    NEVER, which its attempts beyond the last scheduled one read.
+    flat is the schedule's steps grouped by item by a stable argsort, with a NEVER
+    inserted after each item's group, which its attempts past the last one read.
     """
     size = np.bincount(sched.steps, minlength=n)
-    never_at = np.cumsum(size + 1) - 1
-    flat = np.full(never_at[-1] + 1, NEVER)
-    scheduled = np.ones(flat.size, dtype=bool)
-    scheduled[never_at] = False
-    flat[scheduled] = np.argsort(sched.steps, kind="stable") + 1
-    return flat, never_at - size - 1, size + 1
+    flat = np.insert(np.argsort(sched.steps, kind="stable") + 1, np.cumsum(size), NEVER)
+    return flat, np.cumsum(size + 1) - size - 2, size + 1
 
 
 def _race_buffers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -303,8 +298,7 @@ def _walk(
     per thread that runs its chunks.
     """
     if model.walk == "order":
-        rank = np.empty(pop.n, dtype=np.int64)
-        rank[descending_order(model.key(pop, cfg.q))] = np.arange(1, pop.n + 1)
+        rank = np.argsort(descending_order(model.key(pop, cfg.q))) + 1  # the inverse permutation, 1-based
         return (lambda rng, target: rank[target]), False
     if model.walk == "geometric":
         log_fail = _log_fail(model.key(pop, cfg.q))
@@ -374,8 +368,7 @@ def simulate(pop: Population, cfg: SimConfig, sched: Schedule | None = None) -> 
         return steps[detected], target.size - cut - int(np.count_nonzero(detected)), cut
 
     workers = min(_usable_cpus(), _MERGE_CHUNKS, n_chunks) if threaded else 1
-    # Every window's detected steps, in one buffer. np.unique's copies of 16 x 4096 steps
-    # made the allocator return and refault about 1 MB per simulate call.
+    # Every window's detected steps, in one buffer per call, so no window allocates and refaults its own.
     held = np.empty(min(_MERGE_CHUNKS, n_chunks) * CHUNK, dtype=np.int64)
     pool = None
     if workers > 1:
@@ -402,22 +395,19 @@ def simulate(pop: Population, cfg: SimConfig, sched: Schedule | None = None) -> 
                 continue
             window_steps = held[:filled]
             if window_steps.max() <= _TALLY_SPAN * filled:
-                tally = np.bincount(window_steps)
-                values = np.flatnonzero(tally)
-                runs = tally[values]
-            else:  # a tiny rate spreads the steps up to max_steps: sort and count runs
-                window_steps.sort()
-                starts = np.flatnonzero(np.concatenate(([True], window_steps[1:] != window_steps[:-1])))
-                values, runs = window_steps[starts], np.diff(starts, append=filled)
-            # Both ascending and distinct: add the runs of the steps seen, insert the others in order.
+                values = np.flatnonzero(tally := np.bincount(window_steps))
+                hits = tally[values]
+            else:  # a tiny rate spreads the steps up to max_steps: np.unique sorts and counts them
+                values, hits = np.unique(window_steps, return_counts=True)
+            # Either way ascending and distinct: add the hits of the steps seen, insert the others in order.
             if not steps.size:
-                steps, counts = values, runs
+                steps, counts = values, hits
                 continue
             at = np.searchsorted(steps, values)
             seen = steps[np.minimum(at, steps.size - 1)] == values
-            counts[at[seen]] += runs[seen]
+            counts[at[seen]] += hits[seen]
             if not seen.all():
-                steps, counts = np.insert(steps, at[~seen], values[~seen]), np.insert(counts, at[~seen], runs[~seen])
+                steps, counts = np.insert(steps, at[~seen], values[~seen]), np.insert(counts, at[~seen], hits[~seen])
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

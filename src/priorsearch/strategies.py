@@ -20,9 +20,9 @@ Seven model families, labeled by the assumption combinations they serve:
     MN    as J but imperfect recognition: per-inspection success s_i q_i.
     OP    as IKL but imperfect recognition and no replacement; defective.
 
-Means are exact closed forms; IKL's and OP's sum over the pairwise draw
-orders. For the defective models GH and OP it is the mean given detection;
-their detection probability is Population.detect_prob.
+Means are exact closed forms; IKL's and OP's sum the pairwise draw orders in
+O(N^2), or O(N) at equal weights. For the defective models GH and OP it is the
+mean given detection; their detection probability is Population.detect_prob.
 """
 
 from __future__ import annotations
@@ -219,7 +219,10 @@ def _pair_sums(q: np.ndarray) -> np.ndarray:
     """r_i = sum_{j != i} q_j / (q_i + q_j): item j is drawn before item i with probability q_j / (q_i + q_j).
 
     Blocks of max(1, _PAIR_BUDGET // N) rows; each row is summed exactly as in one N x N array.
+    At equal weights each quotient is exactly 1/2, so r_i = (N - 1) / 2, the same bits, in O(N).
     """
+    if (q == q[0]).all():
+        return np.full(q.size, (q.size - 1) / 2)
     n, rows = q.size, max(1, _PAIR_BUDGET // q.size)
     sums, block = np.empty(n), np.empty((min(rows, n), n))
     for lo in range(0, n, rows):

@@ -1,4 +1,7 @@
+import builtins
+import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -997,3 +1000,25 @@ class TestRefusals:
         result = runner.invoke(main, [*args, "--input", pop_csv, "--out", str(out)])
         assert_refused(result, "error: ")
         assert afile.read_text() == "keep\n"
+
+
+class TestOutFiles:
+    @pytest.mark.parametrize("case", ["evaluate-ABCD-pop_csv", "simulate-ABCD", "order-pop_csv",
+                                      "profile-bayes-out", "profile-decompose-out"])
+    def test_every_out_file_is_utf8_with_unix_line_ends(self, runner, tmp_path, monkeypatch, case):
+        # newline="" writes each "\n" as it is; the default would write the platform's line end.
+        paths, real_open, opened = write_inputs(tmp_path), io.open, {}
+
+        def recording_open(file, mode="r", buffering=-1, encoding=None, errors=None, newline=None, closefd=True,
+                           opener=None):
+            if "w" in mode:
+                opened[Path(file).name] = (encoding, newline)
+            return real_open(file, mode, buffering, encoding, errors, newline, closefd, opener)
+
+        monkeypatch.setattr(io, "open", recording_open)  # Path.write_text opens through io.open
+        monkeypatch.setattr(builtins, "open", recording_open)
+        result = runner.invoke(main, [paths.get(a, a) for a in CASES[case]])
+        assert result.exit_code == 0, result.output
+        written = sorted(f.name for f in (tmp_path / "out").iterdir())
+        assert "manifest.json" in written and len(written) == 2
+        assert opened == {name: ("utf-8", "") for name in written}

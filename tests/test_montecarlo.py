@@ -34,8 +34,10 @@ from priorsearch.distributions import InspectionDistribution
 from priorsearch.models import LABELS, MODELS
 from priorsearch.montecarlo import (
     CHUNK,
+    NEVER,
     EmpiricalResult,
     _draw_targets,
+    _ef_attempt_table,
     _mean_and_stderr,
     _race_buffers,
     _race_steps,
@@ -43,6 +45,8 @@ from priorsearch.montecarlo import (
     _walk,
     write_empirical_csv,
 )
+from priorsearch.population import load_population
+from priorsearch.strategies import descending_order
 
 from conftest import cut_rule, random_population, random_simplex
 from oracle import (
@@ -54,6 +58,7 @@ from oracle import (
     simulate_literal,
     simulate_per_chunk,
 )
+from test_golden import INPUTS
 
 
 def count_dict(emp) -> dict[int, int]:
@@ -363,6 +368,46 @@ class TestWalkOracle:
         sorted_emp = simulate(pop, cfg)
         assert np.array_equal(emp.steps, sorted_emp.steps) and np.array_equal(emp.counts, sorted_emp.counts)
         assert (emp.undetected, emp.capped) == (sorted_emp.undetected, sorted_emp.capped)
+
+
+def csv_population(tmp_path, text: str):
+    path = tmp_path / "pop.csv"
+    path.write_text(text)
+    return load_population(str(path)).population
+
+
+class TestWalkTables:
+    """The tables a walk reads, built once per ``simulate`` call, against per-item loops."""
+
+    # ten_csv has exact ties and revisits item e long after its first attempt; in never.csv
+    # item a's 1 - s rounds to 1, so the schedule never inspects it.
+    @pytest.mark.parametrize("text, unscheduled", [
+        (INPUTS["ten_csv"], False), ("id,p,s\na,1e-8,1e-17\nb,0.99999999,0.5\n", True),
+    ], ids=["ten_csv", "never_csv"])
+    def test_ef_attempt_table_lists_each_items_steps_then_never(self, tmp_path, text, unscheduled):
+        pop = csv_population(tmp_path, text)
+        sched = ef_schedule(pop)
+        flat, base, cap = _ef_attempt_table(sched, pop.n)
+        want_flat, want_base, want_cap = [], [], []
+        for i in range(pop.n):
+            mine = [step for step, item in enumerate(sched.steps.tolist(), start=1) if item == i]
+            want_base.append(len(want_flat) - 1)
+            want_flat += [*mine, NEVER]
+            want_cap.append(len(mine) + 1)
+        assert (flat.tolist(), base.tolist(), cap.tolist()) == (want_flat, want_base, want_cap)
+        assert (flat[base + cap] == NEVER).all()
+        assert (cap == 1).any() == unscheduled
+
+    @pytest.mark.parametrize("model", ["ABCD", "GH"])
+    @pytest.mark.parametrize("name", ["gh_csv", "ten_csv"])
+    def test_order_walk_ranks_invert_the_visiting_order(self, tmp_path, model, name):
+        pop = csv_population(tmp_path, INPUTS[name])
+        key = MODELS[model].key(pop, None)
+        assert (np.unique(key).size < pop.n) == (name == "ten_csv")  # ten_csv's keys tie
+        walk, threaded = _walk(pop, MODELS[model], SimConfig(model=model, reps=1, seed=0), None)
+        order = descending_order(key).tolist()
+        assert not threaded
+        assert walk(None, np.arange(pop.n)).tolist() == [order.index(i) + 1 for i in range(pop.n)]
 
 
 class TestCensoring:

@@ -330,14 +330,16 @@ class TestIkl:
         pop = validate_population(np.full(11, 1.0 / 11))
         assert ikl_mean_exact(pop, uniform_weights(11)) == pytest.approx(6.0, rel=1e-15)
 
-    @pytest.mark.parametrize("n", [1, 255, 256, 257, 600, 2000])
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600, 2000])
     def test_row_blocks_sum_each_row_as_one_square_array(self, n):
+        # Equal weights take the (N - 1) / 2 shortcut, which must be the square array's bits too.
         g = np.random.default_rng(n)
-        for q in (g.dirichlet(np.ones(n)), 2.0 ** g.uniform(-900.0, 0.0, n)):
+        for q in (g.dirichlet(np.ones(n)), 2.0 ** g.uniform(-900.0, 0.0, n), np.ones(n)):
             pop = validate_population(g.dirichlet(np.ones(n)))
             w = InspectionWeights(q / math.fsum(q.tolist()))
             before = w.q / np.add.outer(w.q, w.q)
             np.fill_diagonal(before, 0.0)
+            assert np.array_equal(strategies._pair_sums(w.q), before.sum(axis=1))
             assert ikl_mean_exact(pop, w) == math.fsum([1.0, *(pop.p * before.sum(axis=1)).tolist()])
 
     @pytest.mark.parametrize("rows", [1, 7, 256])
@@ -350,23 +352,28 @@ class TestIkl:
         assert np.array_equal(strategies._pair_sums(q), before.sum(axis=1))
 
     def test_pair_sums_memory_does_not_grow_with_n(self):
+        # Unequal weights, so the row blocks run: equal ones take the O(N) shortcut.
         n = 20_000
+        q = np.random.default_rng(n).dirichlet(np.ones(n))
         tracemalloc.start()
         try:
-            sums = strategies._pair_sums(np.full(n, 1.0 / n))
+            sums = strategies._pair_sums(q)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sums == pytest.approx(np.full(n, (n - 1) / 2), rel=1e-12)
+        # Each pair's two quotients sum to 1, so the r_i sum to N (N - 1) / 2 at any weights.
+        assert math.fsum(sums.tolist()) == pytest.approx(n * (n - 1) / 2, rel=1e-12)
         # 2^19 floats (4 MiB) in the block and three N-vectors; a fixed 256-row block would be 39 MiB here.
         assert peak < 5 * 2**20
 
     def test_ten_thousand_items_in_bounded_memory(self):
+        # Uniform priors make the mean (N + 1) / 2 at any weights; unequal ones run the row blocks.
         n = 10**4
         pop = validate_population(np.full(n, 1.0 / n))
+        q = np.random.default_rng(n).dirichlet(np.ones(n))
         tracemalloc.start()
         try:
-            mean = ikl_mean_exact(pop, uniform_weights(n))
+            mean = ikl_mean_exact(pop, InspectionWeights(q / math.fsum(q.tolist())))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
