@@ -187,7 +187,7 @@ def evaluate(model, input_path, q_source, q_file, out):
     dist = m.law(pop, q) if out or m.closed_mean is None else None
     lines = [f"model: {model}", f"items: {pop.n}"]
     if q is not None:
-        lines.append(f"q ({q_desc}): " + " ".join(f"{v:.6f}" for v in q.q))
+        lines.append(f"q ({q_desc}): " + " ".join(map(repr, q.q.tolist())))
     return _Report(lines + _summary_lines(m, pop, q, dist), f"dist_{model}.csv",
                    lambda path: write_distribution_csv(path, dist), {"model": model, "q_source": q_desc})
 

@@ -31,7 +31,8 @@ class InspectionDistribution:
     ``horizon`` = ``len(pmf)`` is the last step the law covers;
     ``atom_at_infinity`` absorbs everything beyond, and ``truncated`` marks
     that atom as a computation artifact rather than a property of the model.
-    ``cdf`` is the read-only cumsum of ``pmf``, built once with the law.
+    ``cdf`` is the read-only cumsum of ``pmf``, built once with the law, and
+    the law balances on what it reports: cdf[-1] + atom is 1 within MASS_BALANCE_TOL.
     """
 
     pmf: np.ndarray
@@ -49,10 +50,11 @@ class InspectionDistribution:
             raise ValueError(f"pmf({k + 1}) = {float(pmf[k])!r} is negative or not finite")
         if not (-1e-15 <= self.atom_at_infinity <= 1.0 + 1e-12):
             raise ValueError(f"atom_at_infinity {self.atom_at_infinity!r} outside [0, 1]")
-        total = math.fsum(pmf.tolist()) + self.atom_at_infinity
+        with np.errstate(over="ignore"):
+            cdf = np.cumsum(pmf)
+        total = float(cdf[-1] if cdf.size else 0.0) + self.atom_at_infinity
         if abs(total - 1.0) > MASS_BALANCE_TOL:
             raise ValueError(f"pmf plus atom sums to {total!r}, not 1")
-        cdf = np.cumsum(pmf)
         pmf.flags.writeable = cdf.flags.writeable = False
         object.__setattr__(self, "pmf", pmf)
         object.__setattr__(self, "cdf", cdf)

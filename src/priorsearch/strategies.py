@@ -120,19 +120,19 @@ def ef_schedule(pop: Population) -> Schedule:
         steps, masses, residual_after, exhausted = _merge(p, pop.s, count)
         if residual_after(steps.size) < TAIL_EPS or steps.size == HORIZON_CAP or exhausted:
             break
-        count = np.minimum(2 * count + 1, HORIZON_CAP)  # the stop lies past the settled steps
+        count = np.minimum(2 * count + 1, HORIZON_CAP)  # the stop lies past the sorted prefix
     stop = first_below(residual_after, steps.size)
     return Schedule(steps=steps[:stop], masses=masses[:stop], residual_mass=residual_after(stop) + lost)
 
 
 def _merge(p: np.ndarray, s: np.ndarray, count: np.ndarray):
-    """The greedy's first steps, at most HORIZON_CAP, that the first count[i] attempts of item i settle.
+    """The greedy's first steps, at most HORIZON_CAP, that the first count[i] attempts of item i fix.
 
-    Item i has prior p[i] and recognition s[i]. A candidate settles when it
-    sorts before every item's next attempt, bar items with HORIZON_CAP
-    candidates, which the budget never reaches. Returns the steps' items and
-    masses, the exact residual after k steps as a function of k, and whether
-    no later attempt can come within the budget.
+    Item i has prior p[i] and recognition s[i]. One sort of all tabled attempts
+    by mass, descending, gives the steps: the prefix before the first attempt past
+    an item's count or the first zero mass (an attempt past HORIZON_CAP counts as
+    zero). Returns the steps' items and masses, the exact residual after k steps
+    as a function of k, and whether no later attempt can come within the budget.
     """
     n, width = p.size, count + 1
     # Repeated multiplication along the rows of one table per band of widths within
@@ -149,16 +149,13 @@ def _merge(p: np.ndarray, s: np.ndarray, count: np.ndarray):
     rem, item = np.concatenate(parts), np.repeat(order, width[order])
     first = np.empty(n, dtype=np.int64)
     first[order] = np.cumsum(width[order]) - width[order]
-    mass = rem * s[item]
-    settled = (np.arange(rem.size) - first[item] < count[item]) & (mass > 0.0)
-    nxt = mass[first + count]
-    pending = (nxt > 0.0) & (count < HORIZON_CAP)
-    if pending.any():  # the first pending attempt: largest mass, then lowest item
-        rival = np.flatnonzero(pending)[np.argmax(nxt[pending])]
-        settled &= (mass > nxt[rival]) | ((mass == nxt[rival]) & (item < rival))
-    idx = np.flatnonzero(settled)
-    # lexsort is stable, so one item's equal masses keep their attempt order.
-    idx = idx[np.lexsort((item[idx], -mass[idx]))][:HORIZON_CAP]
+    mass, nxt = rem * s[item], first + count
+    mass[nxt[count == HORIZON_CAP]] = 0.0  # the budget never reaches an attempt past the cap
+    # lexsort is stable, so ties go to the lower item and one item's equal masses keep their attempt order.
+    by_mass = np.lexsort((item, -mass))
+    cut = mass == 0.0
+    cut[nxt] = True
+    idx = by_mass[: min(int(np.argmax(cut[by_mass])), HORIZON_CAP)]
     steps = item[idx]
     # The last probe and its attempts per item, which the next probe moves by the steps in between.
     last, made = 0, np.zeros(n, dtype=np.int64)
@@ -172,7 +169,7 @@ def _merge(p: np.ndarray, s: np.ndarray, count: np.ndarray):
         last = k
         return math.fsum(rem[first + made].tolist())
 
-    return steps, mass[idx], residual_after, not pending.any()
+    return steps, mass[idx], residual_after, not (mass[nxt] > 0.0).any()
 
 
 # ---------------------------------------------------------------------------

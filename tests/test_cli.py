@@ -504,7 +504,7 @@ class TestSubnormalS:
         # q_a / q_b = sqrt(0.5 / 1e-310) / 1 = 7.07e154: a takes all the weight, and the mean overflows to inf.
         result = runner.invoke(main, ["evaluate", "--model", "MN", *never_found_input(tmp_path, TINY_S_TEXT)])
         assert result.exit_code == 0, result.output
-        assert get_line(result.output, "q (optimal):") == "1.000000 0.000000"
+        assert get_line(result.output, "q (optimal):") == "1.0 1.414213562373093e-155"
         assert get_line(result.output, "mean:") == "inf"
 
     def test_order_refuses_ef_by_name(self, runner, tmp_path):
@@ -795,7 +795,16 @@ class TestWeightsFile:
             main, ["evaluate", "--model", "IKL", "--input", pop_csv, "--q-file", str(q_path)]
         )
         assert result.exit_code == 0, result.output
-        assert get_line(result.output, f"q (file:{q_path}):") == "0.500000 0.300000 0.200000"
+        assert get_line(result.output, f"q (file:{q_path}):") == "0.5 0.3 0.2"
+
+    def test_every_printed_weight_reads_back_as_itself(self, runner, tmp_path):
+        # Weights down to 1e-300: each prints in full, not rounded to a fixed number of decimals.
+        paths = write_inputs(tmp_path)
+        q_path = paths["q_spread_csv"]
+        result = runner.invoke(main, ["evaluate", "--model", "OP", "--input", paths["pop_csv"], "--q-file", q_path])
+        assert result.exit_code == 0, result.output
+        q = load_weights(q_path, load_population(paths["pop_csv"]).population).q
+        assert [float(v) for v in get_line(result.output, f"q (file:{q_path}):").split()] == q.tolist()
 
     @pytest.mark.parametrize("command", WEIGHTS_COMMANDS)
     @pytest.mark.parametrize(

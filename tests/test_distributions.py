@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,22 @@ class TestInspectionDistribution:
     def test_law_with_no_mass_fails_the_mass_balance(self):
         with pytest.raises(ValueError, match=r"pmf plus atom sums to 0\.0, not 1"):
             InspectionDistribution([], 0.0)
+
+    def test_overflowing_pmf_fails_the_mass_balance(self):
+        with pytest.raises(ValueError, match=r"pmf plus atom sums to inf, not 1"):
+            InspectionDistribution(np.array([1e308, 1e308]), 0.0)
+
+    def test_million_step_law_balances_on_its_cdf_in_bounded_memory(self):
+        pmf = np.full(10**6, 1e-6)
+        tracemalloc.start()
+        try:
+            law = InspectionDistribution(pmf, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert law.cdf[-1] == pytest.approx(1.0, abs=1e-9)
+        # The pmf's copy and its cdf take 8 MB each; a list of the pmf as Python floats would add 32 MB.
+        assert peak < 25 * 10**6
 
     def test_support_validation(self):
         with pytest.raises(ValueError, match="one-dimensional"):

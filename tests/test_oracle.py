@@ -214,6 +214,10 @@ class TestEfHeap:
     @example([(1.0, 0.5, "copy")] * 15 + [(0.5, 1.0, "twin")] * 15, 1e-13, 10**6)
     @example([(1e-8, 1e-17, "one"), (0.99999999, 0.5, "one")], 1e-13, 10**6)
     @example([(0.5, 1e-310, "copy"), (0.5, 0.5, "twin")], 1e-12, 20_000)
+    # Item 0 reaches the cap while its next attempt outranks item 1's.
+    @example([(0.9, 1e-3, "one"), (0.1, 0.9, "one")], 1e-13, 5)
+    # Masses (.25, .125, ...), .25, .125 and .125 tie across items; the cap falls inside the ties at .125.
+    @example([(0.5, 0.5, "one"), (0.25, 1.0, "one"), (0.125, 1.0, "copy")], 1e-13, 4)
     def test_merge_equals_heap(self, items, eps, max_steps):
         assert_matches_heap(tied_population(items), eps, max_steps)
 
